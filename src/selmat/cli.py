@@ -3,11 +3,8 @@
 Every run emits JSON lines (or CSV with --format csv): first a config record
 echoing the resolved arguments, then one record per result.  Exact values are
 printed as "p/q" strings next to float mirrors, so reproduction tables can be
-diffed bit-for-bit.  Exit codes: 0 ok, 1 verification failure, 2 bad usage.
-
-Independent n-values may be evaluated in parallel; the SELMAT_THREADS
-environment variable caps the worker count (default 1, fully sequential).
-Output order always follows input order.
+diffed bit-for-bit.  Exit codes: 0 ok, 1 verification failure, 2 bad usage;
+a bad value ends the run with an {"error": {"type", "message"}} record.
 """
 
 from __future__ import annotations
@@ -15,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -42,22 +37,6 @@ from .oracle import (
 )
 from .selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
 from .weingarten import covariance_report, negcorr_report, wg_orthogonal, wg_unitary
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SELMAT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Map preserving input order, parallel only if SELMAT_THREADS > 1."""
-    workers = min(_threads(), max(1, len(items)))
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class Emitter:
@@ -239,7 +218,7 @@ def _config_record(args) -> dict:
             cfg[k] = format_rational(v)
         elif isinstance(v, tuple):
             cfg[k] = format_partition(v)
-    return {"config": cfg, "threads": _threads()}
+    return {"config": cfg}
 
 
 def main(argv=None) -> int:
@@ -249,6 +228,9 @@ def main(argv=None) -> int:
     em.emit(_config_record(args))
     try:
         code = _dispatch(args, em)
+    except (ValueError, ArithmeticError) as exc:
+        em.emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        code = 2
     finally:
         em.close()
     return code
@@ -268,7 +250,7 @@ def _dispatch(args, em: Emitter) -> int:
             v = aomoto_general_ratio(p, args.m1, args.m2, args.m3)
             em.emit(_exact_record(v, {"m1": args.m1, "m2": args.m2, "m3": args.m3}))
         else:
-            raise SystemExit("aomoto needs --m or --m1/--m2/--m3")
+            raise ValueError("aomoto needs --m or --m1/--m2/--m3")
         return 0
     if cmd == "jack":
         if args.mode == "expand":
@@ -284,7 +266,7 @@ def _dispatch(args, em: Emitter) -> int:
             )
         else:
             if args.n is None:
-                raise SystemExit("jack principal needs --n")
+                raise ValueError("jack principal needs --n")
             v = principal_specialization(args.lam, args.kappa, args.n)
             em.emit(_exact_record(v, {"lambda": format_partition(args.lam), "n": args.n}))
         return 0
@@ -297,7 +279,7 @@ def _dispatch(args, em: Emitter) -> int:
         return 0
     if cmd in ("variance", "sigma"):
         spec = ensemble(args.ensemble)
-        reports = _pmap(lambda n: ensemble_moments(spec, n, args.convention), args.n_list)
+        reports = [ensemble_moments(spec, n, args.convention) for n in args.n_list]
         fieldname = "var" if cmd == "variance" else "sigma2"
         for rep in reports:
             v = getattr(rep, fieldname)
@@ -335,8 +317,8 @@ def _dispatch(args, em: Emitter) -> int:
         )
         return 0
     if cmd == "remark-beta":
-        vals = _pmap(lambda n: (n, beta_remark_combination(n, args.beta)), args.n_list)
-        for n, v in vals:
+        for n in args.n_list:
+            v = beta_remark_combination(n, args.beta)
             em.emit(_exact_record(v, {"n": n, "beta": format_rational(args.beta)}))
         _, lc = asymptotic_expansion("remark", 0, beta=args.beta)
         em.emit(
@@ -367,12 +349,12 @@ def _dispatch(args, em: Emitter) -> int:
         if args.group == "unitary":
             ct = args.cycle_type or args.coset_type
             if ct is None:
-                raise SystemExit("need --cycle-type")
+                raise ValueError("weingarten unitary needs --cycle-type")
             v = wg_unitary(ct, args.k, args.z, args.w)
         else:
             ct = args.coset_type or args.cycle_type
             if ct is None:
-                raise SystemExit("need --coset-type")
+                raise ValueError("weingarten orthogonal needs --coset-type")
             v = wg_orthogonal(ct, args.k, args.z)
         em.emit(_exact_record(v, {"group": args.group, "k": args.k, "type": format_partition(ct)}))
         return 0
@@ -406,7 +388,7 @@ def _parse_payload(s: str) -> tuple:
         return ("aomoto", tuple(int(x) for x in rest.split(",")))
     if kind == "shifted":
         return ("shifted", rest)
-    raise SystemExit(f"unknown payload {s!r}")
+    raise ValueError(f"unknown payload {s!r}")
 
 
 def _dispatch_oracle(args, em: Emitter) -> int:

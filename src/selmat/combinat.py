@@ -30,14 +30,6 @@ def partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
 def format_partition(lam: Partition) -> str:
     return ",".join(str(x) for x in lam) if lam else "0"
 

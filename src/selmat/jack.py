@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .combinat import (
     Partition,
-    dominance_leq,
     format_partition,
     monomial_principal,
     partition,
@@ -143,20 +142,6 @@ def monomial_to_jack_matrix(kappa: Fraction, d: int) -> dict:
     return inv
 
 
-@dataclass(frozen=True)
-class JackBasis:
-    """Cached unitriangular change of basis at a fixed (kappa, degree)."""
-
-    kappa: Fraction
-    degree: int
-
-    def matrix(self) -> dict:
-        return jack_basis_matrix(self.kappa, self.degree)
-
-    def inverse(self) -> dict:
-        return monomial_to_jack_matrix(self.kappa, self.degree)
-
-
 def jack_in_monomials(lam: Partition, kappa) -> SymPoly:
     """Monic Jack polynomial P_lambda^(1/kappa) expanded over monomials."""
     lam = partition(lam)
@@ -233,100 +218,73 @@ def kadell_ratio(lam: Partition, n: int, u, w, kappa) -> Rational:
 
 
 # ---------------------------------------------------------------------------
-# power-sum helpers (desk-scale, for the orthogonality check)
+# the power-sum basis
 # ---------------------------------------------------------------------------
 
 
-def _exponent_collect(exp: dict) -> dict:
-    """{exponent tuple: coeff} of a symmetric polynomial -> monomial-basis dict.
+@lru_cache(maxsize=None)
+def _merge_count(rho: Partition, mu: Partition) -> int:
+    """Coefficient of m_mu in p_rho: the ways to merge the parts of rho into mu.
 
-    Every permutation of an exponent vector carries the same coefficient, so
-    reading one representative per orbit is enough.
+    Counts the maps sending each part of rho to a part of mu such that the
+    parts landing on mu_i sum to mu_i.  The first part of rho goes to some
+    part of mu with room for it; what is left of mu is again a partition.
     """
-    out: dict[Partition, Fraction] = {}
-    for e, c in exp.items():
-        out[partition(e)] = c
-    return out
-
-
-def power_sum_in_monomials(lam: Partition) -> dict:
-    """p_lambda = prod_j p_{lambda_j} expanded over monomials (brute force)."""
-    lam = partition(lam)
-    d = sum(lam)
-    nvars = max(d, 1)
-    acc = {(0,) * nvars: Fraction(1)}
-    for part in lam:
-        nxt: dict[tuple, Fraction] = {}
-        for e, c in acc.items():
-            for i in range(nvars):
-                ne = list(e)
-                ne[i] += part
-                ne = tuple(ne)
-                nxt[ne] = nxt.get(ne, Fraction(0)) + c
-        acc = nxt
-    return _exponent_collect(acc)
+    if not rho:
+        return int(not mu)
+    first, rest = rho[0], rho[1:]
+    total = 0
+    for i, cap in enumerate(mu):
+        if cap >= first:
+            total += _merge_count(rest, partition(mu[:i] + (cap - first,) + mu[i + 1 :]))
+    return total
 
 
 @lru_cache(maxsize=None)
-def _monomial_to_power_matrix(d: int) -> dict:
-    """{mu: {lambda: coeff}} with m_mu = sum coeff * p_lambda (exact solve)."""
-    parts = partitions_of(d)
-    p_rows = {lam: power_sum_in_monomials(lam) for lam in parts}
-    # solve the linear system column by column over the partition index
-    out: dict[Partition, dict[Partition, Fraction]] = {}
-    idx = {lam: i for i, lam in enumerate(parts)}
-    size = len(parts)
-    # matrix A[i][j]: coefficient of m_{parts[i]} in p_{parts[j]}
-    A = [[p_rows[parts[j]].get(parts[i], Fraction(0)) for j in range(size)] for i in range(size)]
+def monomial_to_power_matrix(d: int) -> dict:
+    """{mu: {rho: coeff}} with m_mu = sum_rho coeff * p_rho.
+
+    p_rho = sum_{mu >= rho} R(rho, mu) m_mu is triangular in dominance, so the
+    rows are solved by back-substitution from the dominance-largest mu down.
+    """
+    if d > MAX_DEGREE:
+        raise ValueError(f"degree {d} exceeds cap {MAX_DEGREE}")
+    parts = partitions_of(d)  # revlex refines dominance, largest first
+    inv: dict[Partition, dict[Partition, Fraction]] = {}
     for mu in parts:
-        rhs = [Fraction(1) if parts[i] == mu else Fraction(0) for i in range(size)]
-        sol = _solve_exact([row[:] for row in A], rhs)
-        out[mu] = {parts[j]: sol[j] for j in range(size) if sol[j] != 0}
-    return out
+        row = {mu: Fraction(1)}
+        for nu in parts:
+            if nu == mu:
+                break
+            r = _merge_count(mu, nu)
+            if r:
+                for rho, c in inv[nu].items():
+                    row[rho] = row.get(rho, Fraction(0)) - r * c
+        diag = _merge_count(mu, mu)
+        inv[mu] = {rho: c / diag for rho, c in row.items() if c != 0}
+    return inv
 
 
-def _solve_exact(A, b):
-    """Gaussian elimination over Fractions; raises on singular systems."""
-    size = len(A)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if A[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular transition matrix")
-        A[col], A[piv] = A[piv], A[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        b[col] *= inv
-        for r in range(size):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-                b[r] -= f * b[col]
-    return b
+def jack_in_power_sums(lam: Partition, kappa) -> dict:
+    """{rho: [p_rho] P_lambda^(1/kappa)}: the Jack polynomial over power sums."""
+    poly = jack_in_monomials(lam, kappa)
+    m2p = monomial_to_power_matrix(poly.degree)
+    out: dict[Partition, Fraction] = {}
+    for mu, c in poly.coeffs:
+        for rho, t in m2p[mu].items():
+            out[rho] = out.get(rho, Fraction(0)) + c * t
+    return {rho: c for rho, c in out.items() if c != 0}
 
 
 def jack_inner_product(lam: Partition, mu: Partition, xi) -> Fraction:
-    """<P_lambda, P_mu> under <p_a, p_b> = z_a xi^l(a) delta_ab (degree <= 4)."""
+    """<P_lambda, P_mu> under <p_a, p_b> = z_a xi^l(a) delta_ab."""
     lam, mu = partition(lam), partition(mu)
-    d = sum(lam)
-    if sum(mu) != d:
+    if sum(mu) != sum(lam):
         raise ValueError("weights differ")
     xi = Fraction(xi)
-    kappa = 1 / xi
-    m2p = _monomial_to_power_matrix(d)
-
-    def in_powers(poly: SymPoly) -> dict:
-        out: dict[Partition, Fraction] = {}
-        for nu, c in poly.coeffs:
-            for rho, t in m2p[nu].items():
-                out[rho] = out.get(rho, Fraction(0)) + c * t
-        return out
-
-    pl = in_powers(jack_in_monomials(lam, kappa))
-    pm = in_powers(jack_in_monomials(mu, kappa))
-    total = Fraction(0)
-    for rho, a in pl.items():
-        b = pm.get(rho)
-        if b is not None:
-            total += a * b * zee(rho) * xi ** len(rho)
-    return total
+    pl = jack_in_power_sums(lam, 1 / xi)
+    pm = jack_in_power_sums(mu, 1 / xi)
+    return sum(
+        (a * pm[rho] * zee(rho) * xi ** len(rho) for rho, a in pl.items() if rho in pm),
+        Fraction(0),
+    )

@@ -64,7 +64,7 @@ class CheckResult:
 
 def _result(criterion, name, details, t0) -> CheckResult:
     passed = all(d.get("pass", True) for d in details)
-    return CheckResult(criterion, name, passed, len(details), time.time() - t0, details)
+    return CheckResult(criterion, name, passed, len(details), time.perf_counter() - t0, details)
 
 
 # -- C1 ---------------------------------------------------------------------
@@ -72,7 +72,7 @@ def _result(criterion, name, details, t0) -> CheckResult:
 
 def check_selberg_quadrature(points: int = 40) -> CheckResult:
     """Exact Selberg/Aomoto/Kadell values against tensor-product quadrature."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     kappas = (Fraction(1, 2), Fraction(1), Fraction(2))
     uws = (Fraction(1), Fraction(3, 2), Fraction(2))
@@ -231,7 +231,7 @@ def _conversion_table(kap: Fraction) -> dict:
 
 def check_jack_tables() -> CheckResult:
     """Degree <= 4 Jack/monomial tables at kappa in {1/2, 1, 2, 3}, exactly."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     for kap in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
         ptab = _p_table(kap)
@@ -270,7 +270,7 @@ EXPANSION_DATA = {
 
 def check_expansions() -> CheckResult:
     """Exact Laurent data of the box-moment quantities, reconstructed from samples."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     for (kap, payload), want in EXPANSION_DATA.items():
         _, got = asymptotic_expansion(payload, len(want) - 1, kappa=kap, n_max=16)
@@ -296,7 +296,7 @@ VARIANCE_CONSTANTS = {
 
 def check_variance_constants() -> CheckResult:
     """Paper-convention variance constants, plus the full-matrix 1/(8 beta) chain."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     for name, c in VARIANCE_CONSTANTS.items():
         spec = ensemble(name)
@@ -358,7 +358,7 @@ def check_variance_constants() -> CheckResult:
 
 def check_remark() -> CheckResult:
     """Exact 1/(64 beta) constant of the box combination; 16x identity vs forced var."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     for beta in (1, 2, 4, 6):
         _, lc = asymptotic_expansion("remark", 0, beta=beta)
@@ -385,7 +385,7 @@ def check_remark() -> CheckResult:
 
 def check_sigma2() -> CheckResult:
     """sigma^2 in [0.1, 10] for all six ensembles and 2 <= n <= 200; limit 1/2."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     for name in (
         "hermitian", "symmetric", "quaternion", "full-real", "full-complex", "full-quaternion",
@@ -414,7 +414,7 @@ def check_sigma2() -> CheckResult:
 
 def check_weingarten_values() -> CheckResult:
     """Closed-form Weingarten and zonal spherical values, n = 3..20, exactly."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     ok_u = all(
         wg_unitary((1, 1), 2, n) == Fraction(1, n * n - 1)
@@ -454,7 +454,7 @@ def check_weingarten_values() -> CheckResult:
 
 def check_covariance() -> CheckResult:
     """Zero pattern, structural identities, and conditioning of the covariance."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     for kind in ("hermitian", "symmetric"):
         spec = ensemble(kind)
@@ -507,7 +507,7 @@ def check_covariance() -> CheckResult:
 
 def check_negcorr() -> CheckResult:
     """Exact full-matrix correlation values and sign patterns, 2 <= n <= 50."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     vals_ok = {"c": True, "r": True}
     ineq_ok = {"c": True, "r": True}
@@ -541,7 +541,7 @@ def check_oracle_concordance(seed: int = DEFAULT_SEED, count: int = 1_000_000) -
     Also adjudicates the scaling convention: the paper-convention second
     moments sit far outside the Monte Carlo error band.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     n = 3
     herm_fns = {

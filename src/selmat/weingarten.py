@@ -1,9 +1,12 @@
 """Unitary and orthogonal Weingarten calculus, covariance and correlation reports.
 
 Weingarten functions are class functions (on cycle types for the unitary
-case, on hyperoctahedral double cosets for the orthogonal case) built from
-the symmetric-group characters.  Terms whose C_lambda(z) vanishes are dropped
-from the defining sums, matching the definitions' explicit filter.
+case, on coset types, i.e. double cosets of H_k < S_2k, for the orthogonal
+case) built from the symmetric-group characters.  The orthogonal case also
+needs the zonal spherical functions, read off the zonal (kappa = 1/2) Jack
+polynomials in the power-sum basis, so both Wg^U and Wg^O reach k <= 6.
+Terms whose C_lambda(z) vanishes are dropped from the defining sums,
+matching the definitions' explicit filter.
 
 Moment formulas take the needed E[Tr_tau] data as an injected mapping keyed
 by cycle/coset type, so the scaling-convention choice stays upstream.
@@ -24,15 +27,16 @@ from .combinat import (
     coset_type,
     cycle_type,
     format_partition,
-    hyperoctahedral,
     pair_partitions,
     partition,
     partitions_of,
+    zee,
 )
 from .exact import Rational, format_rational
+from .jack import jack_in_power_sums
 
 MAX_K_UNITARY = 6
-MAX_K_ORTHOGONAL = 3
+MAX_K_ORTHOGONAL = 6
 
 
 class PoleAtIntegerError(ArithmeticError):
@@ -112,31 +116,32 @@ class WgUnitary:
 
 
 @lru_cache(maxsize=None)
-def _coset_representatives(k: int) -> dict:
-    reps = {}
-    for pp in pair_partitions(k):
-        ct = coset_type(pp.permutation())
-        reps.setdefault(ct, pp.permutation())
-    # pair partitions of k realise every coset type (partition of k)
-    for mu in partitions_of(k):
-        if mu not in reps:
-            raise AssertionError(f"no pair-partition representative for {mu}")
-    return reps
+def _zonal_table(k: int) -> dict:
+    """{(lambda, rho): omega^lambda_rho} over lambda, rho |- k.
+
+    The zonal polynomial Z_lambda, a multiple of the Jack polynomial at
+    kappa = 1/2, is proportional to sum_rho omega^lambda_rho p_rho / (2^l(rho) z_rho)
+    (Macdonald VII (2.13)); omega^lambda(e) = 1 fixes the multiple.
+    """
+    if k > MAX_K_ORTHOGONAL:
+        raise ValueError(f"zonal spherical functions capped at k <= {MAX_K_ORTHOGONAL}")
+    parts = partitions_of(k)
+    table = {}
+    for lam in parts:
+        powers = jack_in_power_sums(lam, Fraction(1, 2))
+        raw = {rho: 2 ** len(rho) * zee(rho) * powers.get(rho, 0) for rho in parts}
+        for rho in parts:
+            table[lam, rho] = raw[rho] / raw[(1,) * k]
+    return table
 
 
 def zonal_spherical(lam: Partition, sigma: Permutation) -> Rational:
-    """omega^lambda(sigma) = (1/|H_k|) sum over zeta in H_k of chi^(2 lambda)(sigma zeta)."""
+    """omega^lambda(sigma), the zonal spherical function at the coset type of sigma."""
     lam = partition(lam)
     k = sum(lam)
-    if k > MAX_K_ORTHOGONAL:
-        raise ValueError(f"zonal spherical functions capped at k <= {MAX_K_ORTHOGONAL}")
     if sigma.degree != 2 * k:
         raise ValueError(f"sigma must live in S_{2*k}")
-    two_lam = partition(tuple(2 * p for p in lam))
-    total = 0
-    for zeta in hyperoctahedral(k):
-        total += character(two_lam, cycle_type(sigma * zeta))
-    return Fraction(total, 2**k * math.factorial(k))
+    return _zonal_table(k)[lam, coset_type(sigma)]
 
 
 @lru_cache(maxsize=None)
@@ -144,23 +149,20 @@ def _wg_orthogonal_table(k: int, z: Fraction) -> dict:
     """{coset type: Wg^O} at one (k, z); filtered-sum per the definition."""
     if k > MAX_K_ORTHOGONAL:
         raise ValueError(f"orthogonal Weingarten capped at k <= {MAX_K_ORTHOGONAL}")
-    reps = _coset_representatives(k)
+    omega = _zonal_table(k)
     pref = Fraction(2**k * math.factorial(k), math.factorial(2 * k))
-    table = {}
-    any_term = False
-    for mu, rep in reps.items():
-        total = Fraction(0)
-        for lam in partitions_of(k):
-            cz = c_lambda_prime(lam, z)
-            if cz == 0:
-                continue
-            any_term = True
+    terms = []
+    for lam in partitions_of(k):
+        cz = c_lambda_prime(lam, z)
+        if cz != 0:
             two_lam = partition(tuple(2 * p for p in lam))
-            total += character(two_lam, (1,) * (2 * k)) * zonal_spherical(lam, rep) / cz
-        table[mu] = pref * total
-    if not any_term:
+            terms.append((lam, character(two_lam, (1,) * (2 * k)) / cz))
+    if not terms:
         raise PoleAtIntegerError(f"every C'_lambda vanishes at z={z}")
-    return table
+    return {
+        rho: pref * sum((f * omega[lam, rho] for lam, f in terms), Fraction(0))
+        for rho in partitions_of(k)
+    }
 
 
 def wg_orthogonal(sigma_coset_type: Partition, k: int, z) -> Rational:
@@ -440,11 +442,13 @@ def covariance_report(
     tm = trace_of(spec, n, convention)
     if kind == "hermitian":
         a, b, off = _hermitian_second_moments(n, tm)
-        assert a == b + off  # E[T_11^2] = E[T_11 T_22] + E[|T_12|^2]
+        if a != b + off:  # E[T_11^2] = E[T_11 T_22] + E[|T_12|^2]
+            raise ArithmeticError(f"E[T_11^2] != E[T_11 T_22] + E[|T_12|^2] at n={n}")
         offdiag_marginal = off  # variance of sqrt(2) Re T_12 (= Im coordinate)
     else:
         a, b, t = _symmetric_second_moments(n, tm)
-        assert a == b + 2 * t  # E[T_11^2] = E[T_11 T_22] + 2 E[T_12^2]
+        if a != b + 2 * t:  # E[T_11^2] = E[T_11 T_22] + 2 E[T_12^2]
+            raise ArithmeticError(f"E[T_11^2] != E[T_11 T_22] + 2 E[T_12^2] at n={n}")
         offdiag_marginal = 2 * t  # variance of sqrt(2) T_12
     eig_trace = a + (n - 1) * b
     eig_bulk = a - b

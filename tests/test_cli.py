@@ -159,6 +159,24 @@ def test_bad_flags_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("selberg", "--n", "2", "--u", "1", "--w", "1", "--kappa", "-5"),
+        ("jack", "expand", "--lam", "13", "--kappa", "1"),
+        ("aomoto", "--n", "3", "--u", "1", "--w", "1", "--kappa", "1"),
+        ("weingarten", "unitary", "--k", "2", "--z", "5"),
+        ("weingarten", "orthogonal", "--k", "7", "--coset-type", "7", "--z", "20"),
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv):
+    code, recs = run_cli(capsys, *argv)
+    assert code == 2
+    assert "config" in recs[0]
+    err = recs[-1]["error"]
+    assert err["type"] and err["message"]
+
+
 def test_verify_fast_subset(capsys):
     code, recs = run_cli(capsys, "verify", "--criteria", "C2,C7")
     assert code == 0

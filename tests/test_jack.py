@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from selmat.combinat import dominance_leq, partitions_of
+from selmat.combinat import character, dominance_leq, partitions_of, zee
 from selmat.jack import (
     MAX_DEGREE,
     SymPoly,
@@ -12,6 +12,7 @@ from selmat.jack import (
     jack_inner_product,
     kadell_ratio,
     monomial_to_jack,
+    monomial_to_power_matrix,
     principal_specialization,
     principal_specialization_gamma,
 )
@@ -81,6 +82,20 @@ def test_orthogonality_degree_le_4():
                 for mu in parts[i + 1:]:
                     assert jack_inner_product(lam, mu, xi) == 0
                 assert jack_inner_product(lam, lam, xi) > 0
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_monomial_to_power_matrix_against_characters(d):
+    # at kappa = 1 P_lambda is the Schur function, s_lambda = sum chi^lambda(rho)/z_rho p_rho
+    m2p = monomial_to_power_matrix(d)
+    schur = jack_basis_matrix(F(1), d)
+    for lam in partitions_of(d):
+        got = {}
+        for mu, c in schur[lam].items():
+            for rho, t in m2p[mu].items():
+                got[rho] = got.get(rho, F(0)) + c * t
+        for rho in partitions_of(d):
+            assert got.get(rho, 0) == F(character(lam, rho), zee(rho)), (lam, rho)
 
 
 def test_principal_specialization_examples():

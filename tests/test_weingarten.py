@@ -1,8 +1,20 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction as F
 
+import pytest
 
-from selmat.combinat import Permutation, cycle_type, pair_partitions, partitions_of
+from selmat import weingarten
+from selmat.combinat import (
+    Permutation,
+    character,
+    coset_type,
+    cycle_type,
+    hyperoctahedral,
+    pair_partitions,
+    partitions_of,
+)
 from selmat.moments import ensemble, ensemble_moments, trace_moments
 from selmat.weingarten import (
     WgOrthogonal,
@@ -88,6 +100,31 @@ def test_zonal_spherical_constant_on_cosets():
             assert zonal_spherical((1, 1), s * z) == base
 
 
+def test_zonal_spherical_matches_hyperoctahedral_average():
+    # omega^lambda(sigma) = (1/|H_k|) sum_{zeta in H_k} chi^(2 lambda)(sigma zeta)
+    for k in (1, 2, 3):
+        group = hyperoctahedral(k)
+        for lam in partitions_of(k):
+            two_lam = tuple(2 * p for p in lam)
+            for pp in pair_partitions(k):
+                sigma = pp.permutation()
+                avg = F(sum(character(two_lam, cycle_type(sigma * z)) for z in group), len(group))
+                assert zonal_spherical(lam, sigma) == avg, (lam, pp)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_wg_orthogonal_inverts_gram_matrix(k):
+    types = Counter(coset_type(pp.permutation()) for pp in pair_partitions(k))
+    for n in (k + 1, 2 * k + 3, 20):
+        wg = {rho: wg_orthogonal(rho, k, n) for rho in types}
+        # e-row of Wg = G^-1 with G(sigma, tau) = n^l(coset_type(sigma^-1 tau))
+        assert sum(c * wg[rho] * n ** len(rho) for rho, c in types.items()) == 1
+        # E[O_11^2k] / (2k-1)!!
+        assert sum(c * wg[rho] for rho, c in types.items()) == F(
+            1, math.prod(n + 2 * i for i in range(k))
+        )
+
+
 def test_wg_orthogonal_closed_forms():
     for n in range(3, 21):
         assert wg_orthogonal((1, 1), 2, n) == F(n + 1, n * (n - 1) * (n + 2))
@@ -123,6 +160,12 @@ def test_haar_moment_orthogonal_known_values():
         # E[O11^4] = 3/(n(n+2))
         v = haar_moment_orthogonal((1, 1, 1, 1), (1, 1, 1, 1), n)
         assert v == F(3, n * (n + 2))
+
+
+def test_haar_moment_orthogonal_eighth_power():
+    for n in (5, 9):
+        v = haar_moment_orthogonal((1,) * 8, (1,) * 8, n)
+        assert v == F(105, n * (n + 2) * (n + 4) * (n + 6))
 
 
 def test_conj_unitary_moments_and_identity():
@@ -167,6 +210,15 @@ def test_covariance_report_structure():
         assert rep.diag_diag_covariance < 0
         js = rep.to_json()
         assert js["ensemble"] == kind and js["n"] == 6
+
+
+@pytest.mark.parametrize(
+    "kind, helper", [("hermitian", "_hermitian_second_moments"), ("symmetric", "_symmetric_second_moments")]
+)
+def test_covariance_identity_guard(monkeypatch, kind, helper):
+    monkeypatch.setattr(weingarten, helper, lambda n, tm: (F(1), F(0), F(1, 3)))
+    with pytest.raises(ArithmeticError):
+        covariance_report(kind, 4, check_zeros=False)
 
 
 def test_covariance_condition_number_trend():
