@@ -32,7 +32,7 @@ from .oracle import (
     QuadratureSpec,
     ball_moment_estimate,
     haar_sample,
-    mcmc_eigenvalue_sample,
+    loggas_moment_estimate,
     quadrature,
 )
 from .selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
@@ -186,17 +186,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--count", type=int, default=100_000)
     s.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
-    m = osub.add_parser("mcmc", help="metropolis eigenvalue sampler")
+    m = osub.add_parser("loggas", help="exact i.i.d. beta-Jacobi eigenvalue sampler")
     m.add_argument("--a", type=int, required=True)
     m.add_argument("--b", type=int, required=True)
     m.add_argument("--c", type=int, default=0)
     m.add_argument("--n", type=int, required=True)
-    m.add_argument("--steps", type=int, default=20_000)
-    m.add_argument("--chains", type=int, default=2)
+    m.add_argument("--count", type=int, default=100_000)
     m.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
     m.add_argument("--payload", action="append", default=None,
                    help="sum_sq | sum_quartic | cross_sq (repeatable)")
-    m.add_argument("--burn-in", type=int, default=10_000)
     h = osub.add_parser("haar", help="haar moment sanity sample")
     h.add_argument("--group", choices=("unitary", "orthogonal"), required=True)
     h.add_argument("--n", type=int, required=True)
@@ -422,11 +420,10 @@ def _dispatch_oracle(args, em: Emitter) -> int:
         for name, e in sorted(est.items()):
             em.emit({"moment": name, **e.to_json()})
         return 0
-    if oc == "mcmc":
+    if oc == "loggas":
         payloads = {p: p for p in (args.payload or ["sum_sq"])}
-        res = mcmc_eigenvalue_sample(
-            args.a, args.b, args.c, args.n, payloads,
-            steps=args.steps, chains=args.chains, seed=args.seed, burn_in=args.burn_in,
+        res = loggas_moment_estimate(
+            args.a, args.b, args.c, args.n, payloads, args.count, args.seed
         )
         for name, e in sorted(res.items()):
             em.emit({"payload": name, **e.to_json()})

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,12 +35,8 @@ class UnsupportedDimensionError(ValueError):
     pass
 
 
-class LowAcceptanceWarning(UserWarning):
-    pass
-
-
-class NonErgodicWarning(UserWarning):
-    pass
+class LowAcceptanceError(ArithmeticError):
+    """Rejection sampling accepts too few proposals to finish."""
 
 
 @dataclass(frozen=True)
@@ -67,16 +62,18 @@ class SampleEstimate:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _batch_means(values: np.ndarray, n_batches: int = 25) -> tuple[float, float, float]:
-    """(mean, stderr, ess) from >= 20 equal batches."""
-    n_batches = max(20, n_batches)
-    m = len(values) // n_batches
+BATCHES = 25  # batch-means batches; an estimate needs at least one draw per batch
+
+
+def _batch_means(values: np.ndarray) -> tuple[float, float, float]:
+    """(mean, stderr, ess) from BATCHES equal batches."""
+    m = len(values) // BATCHES
     if m < 1:
         raise ValueError("too few samples for batch means")
-    trimmed = values[: m * n_batches].reshape(n_batches, m)
+    trimmed = values[: m * BATCHES].reshape(BATCHES, m)
     bm = trimmed.mean(axis=1)
     mean = float(bm.mean())
-    stderr = float(bm.std(ddof=1) / math.sqrt(n_batches))
+    stderr = float(bm.std(ddof=1) / math.sqrt(BATCHES))
     var_all = float(trimmed.var())
     var_bm = float(bm.var(ddof=1))
     ess = float(len(values)) if var_bm == 0 else float(len(values) * var_all / (m * var_bm))
@@ -177,6 +174,22 @@ def payload_from_descriptor(desc) -> tuple:
     raise ValueError(f"unknown payload descriptor {desc!r}")
 
 
+def _even_payload(desc) -> bool:
+    """True iff the payload is even in each variable: every monomial has even parts."""
+    kind = desc[0]
+    if kind == "one":
+        return True
+    if kind == "monomial":
+        terms = [desc[1]]
+    elif kind == "elementary":
+        terms = [(1,) * int(desc[1])]
+    elif kind == "sympoly":
+        terms = [mu for mu, co in desc[1] if Fraction(co)]
+    else:  # aomoto and shifted payloads carry odd factors
+        return False
+    return all(part % 2 == 0 for mu in terms for part in mu)
+
+
 def _symmetrized(f, n):
     perms = list(itertools.permutations(range(n)))
 
@@ -231,6 +244,10 @@ def _quadrature_once(spec: QuadratureSpec, pts_per_axis: int) -> float:
         return _selberg_quad(spec.n, u, w, kap, f, symmetric, pts_per_axis)
     if spec.kind == "loggas":
         a, b, c = (int(x) for x in spec.params)
+        if a == 2 and not _even_payload(spec.payload):
+            raise ValueError(
+                f"a=2 log-gas quadrature needs a payload even per variable, got {spec.payload!r}"
+            )
         return _loggas_quad(spec.n, a, b, c, f, symmetric, pts_per_axis)
     raise ValueError(f"unknown quadrature kind {spec.kind!r}")
 
@@ -346,11 +363,6 @@ def _loggas_a1(n, b, f, symmetric, p) -> float:
 
 def _loggas_a2(n, b, c, f, symmetric, p) -> float:
     # density is even per variable; even payloads reduce to [0,1]^n times 2^n
-    probe = f(np.full((1, n), 0.37))
-    flip = np.full((1, n), 0.37)
-    flip[0, 0] = -0.37
-    if not math.isclose(float(f(flip)[0]), float(probe[0]), rel_tol=1e-12, abs_tol=1e-300):
-        raise ValueError("a=2 log-gas quadrature needs a per-variable even payload")
     x, wt = _gl01(p)
     if b % 2 == 0:
         pts = _mesh([x] * n)
@@ -380,6 +392,10 @@ def _loggas_a2(n, b, c, f, symmetric, p) -> float:
 # ---------------------------------------------------------------------------
 
 BALL_ENSEMBLES = ("hermitian", "symmetric", "full-real", "full-complex")
+# rejection gives up once this many proposals have been made at an acceptance
+# rate below REJECTION_MIN_ACCEPTANCE (full-complex n = 4 accepts none of 200k)
+REJECTION_MIN_PROPOSALS = 4_000_000
+REJECTION_MIN_ACCEPTANCE = 1e-6
 
 
 def _propose_self_adjoint(kind: str, n: int, rng, m: int):
@@ -474,7 +490,8 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, bat
 
     Entrywise-uniform proposals on the bounding box, accepted iff the spectral
     norm is at most 1.  Yields (batch_array, n_proposed) tuples until `count`
-    accepted samples have been produced.
+    accepted samples have been produced; raises LowAcceptanceError once
+    REJECTION_MIN_PROPOSALS proposals accept below REJECTION_MIN_ACCEPTANCE.
     """
     kind = ensemble_name.lower()
     if kind not in BALL_ENSEMBLES:
@@ -495,10 +512,11 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, bat
             out = T[mask][: count - produced]
         proposed_total += batch
         accepted_total += len(out)
-        if proposed_total >= 4_000_000 and accepted_total / proposed_total < 1e-6:
-            warnings.warn(
-                f"acceptance rate {accepted_total / proposed_total:.2e} below 1e-6",
-                LowAcceptanceWarning,
+        rate = accepted_total / proposed_total
+        if proposed_total >= REJECTION_MIN_PROPOSALS and rate < REJECTION_MIN_ACCEPTANCE:
+            raise LowAcceptanceError(
+                f"{ensemble_name} n={n}: acceptance rate {rate:.2e} after {proposed_total}"
+                f" proposals is below {REJECTION_MIN_ACCEPTANCE:g}"
             )
         if len(out):
             produced += len(out)
@@ -541,107 +559,82 @@ def ball_moment_estimate(
 
 
 # ---------------------------------------------------------------------------
-# Metropolis sampler for the eigenvalue log-gas
+# exact i.i.d. sampler for the eigenvalue log-gas
 # ---------------------------------------------------------------------------
 
 
-def _loggas_delta(x, i, new, a, b, c) -> float:
-    old = x[i]
-    if abs(new) >= 1.0:
-        return float("-inf")
-    delta = 0.0
-    if c:
-        if new == 0.0 or old == 0.0:
-            return float("-inf")
-        delta += c * (math.log(abs(new)) - math.log(abs(old)))
-    na, oa = new**a, old**a
-    for j, xj in enumerate(x):
-        if j == i:
-            continue
-        xa = xj**a
-        dn, do = na - xa, oa - xa
-        if dn == 0.0 or do == 0.0:
-            return float("-inf")
-        delta += b * (math.log(abs(dn)) - math.log(abs(do)))
-    return delta
-
-
-_BUILTIN_PAYLOADS = {
-    "sum_sq": lambda x: sum(v * v for v in x),
-    "sum_quartic": lambda x: sum(v**4 for v in x),
-    "cross_sq": lambda x: (sum(v * v for v in x) ** 2 - sum(v**4 for v in x)) / 2.0,
+LOGGAS_PAYLOADS = {
+    "sum_sq": lambda x: (x**2).sum(axis=1),
+    "sum_quartic": lambda x: (x**4).sum(axis=1),
+    "cross_sq": lambda x: ((x**2).sum(axis=1) ** 2 - (x**4).sum(axis=1)) / 2.0,
 }
 
 
-def mcmc_eigenvalue_sample(
-    a: int,
-    b: int,
-    c: int,
-    n: int,
-    payloads,
-    steps: int,
-    chains: int,
-    seed: int,
-    burn_in: int = 10_000,
-) -> dict:
-    """Metropolis estimates of E[payload] under the (a, b, c) box log-gas.
+def _beta_jacobi(rng, m: int, n: int, u: float, w: float, kappa: float) -> np.ndarray:
+    """m draws of the n points of the Selberg weight on [0,1]^n, shape (m, n).
 
-    Single-coordinate uniform proposals; the proposal width adapts toward 0.3
-    acceptance during burn-in and is frozen afterwards, so runs are
-    reproducible bit-for-bit given (seed, chains, steps).  payloads maps names
-    to callables on the coordinate list, or names one of the built-ins
-    sum_sq / sum_quartic / cross_sq; steps counts post-burn-in sweeps per chain.
+    The weight prod t^(u-1) (1-t)^(w-1) |Delta(t)|^(2 kappa) is the beta-Jacobi
+    ensemble with beta = 2 kappa, p = u/kappa - 1, q = w/kappa - 1; its points
+    are the squared singular values of an upper bidiagonal matrix with
+    independent Beta-distributed entries (Edelman and Sutton, FoCM 8 (2008)).
     """
-    if n > 64:
-        raise UnsupportedDimensionError("mcmc capped at n <= 64")
-    if burn_in < 10_000:
-        raise ValueError("burn_in must be at least 10^4 sweeps")
-    fns = {}
-    for name, f in payloads.items():
-        fns[name] = _BUILTIN_PAYLOADS[f] if isinstance(f, str) else f
-    series = {name: [] for name in fns}
-    accept_rates = []
-    for chain in range(chains):
-        rng = np.random.default_rng([seed, chain])
-        x = [float(v) for v in rng.uniform(-0.9, 0.9, n)]
-        width = 0.5
-        accepted = proposed = 0
-        window_acc = 0
-        for sweep in range(burn_in + steps):
-            burning = sweep < burn_in
-            for i in range(n):
-                step = width * float(rng.uniform(-1.0, 1.0))
-                new = x[i] + step
-                delta = _loggas_delta(x, i, new, a, b, c)
-                take = delta >= 0 or float(rng.uniform(0.0, 1.0)) < math.exp(delta)
-                if take:
-                    x[i] = new
-                    window_acc += 1
-                    if not burning:
-                        accepted += 1
-                if not burning:
-                    proposed += 1
-            if burning and (sweep + 1) % 100 == 0:
-                rate = window_acc / (100 * n)
-                width = min(2.0, max(1e-3, width * math.exp(0.5 * (rate - 0.3))))
-                window_acc = 0
-            if not burning:
-                for name, f in fns.items():
-                    series[name].append(f(x))
-        accept_rates.append(accepted / proposed)
-    rate = sum(accept_rates) / len(accept_rates)
-    if not 0.1 <= rate <= 0.7:
-        warnings.warn(f"acceptance rate {rate:.3f} outside [0.1, 0.7]", NonErgodicWarning)
-    out = {}
-    for name, vals in series.items():
-        mean, stderr, ess = _batch_means(np.asarray(vals))
-        out[name] = SampleEstimate(
-            mean,
-            stderr,
-            steps * chains,
-            seed,
-            {"acceptance_rate": round(rate, 6), "ess": round(ess, 2), "chains": chains},
+    p, q = u / kappa - 1, w / kappa - 1
+    i = np.arange(n, 0, -1)
+    c = np.sqrt(rng.beta(kappa * (p + i), kappa * (q + i), (m, n)))
+    j = np.arange(n - 1, 0, -1)
+    cp = np.sqrt(rng.beta(kappa * j, kappa * (p + q + 1 + j), (m, n - 1)))
+    s, sp = np.sqrt(1 - c**2), np.sqrt(1 - cp**2)
+    diag = c * np.concatenate([np.ones((m, 1)), sp], axis=1)  # c_n, c_{n-1} s'_{n-1}, ...
+    sup = -s[:, :-1] * cp  # -s_n c'_{n-1}, ..., -s_2 c'_1
+    # B B^t is tridiagonal; eigvalsh reads its lower triangle
+    bbt = np.zeros((m, n, n))
+    k = np.arange(n)
+    bbt[:, k, k] = diag**2
+    bbt[:, k[:-1], k[:-1]] += sup**2
+    bbt[:, k[1:], k[:-1]] = sup * diag[:, 1:]
+    t = np.clip(np.linalg.eigvalsh(bbt), 0.0, 1.0)
+    return rng.permuted(t, axis=1)  # exchangeable order, so payloads need no symmetry
+
+
+def loggas_moment_estimate(
+    a: int, b: int, c: int, n: int, payloads: dict, count: int, seed: int
+) -> dict:
+    """SampleEstimates of E[payload] under the (a, b, c) box log-gas.
+
+    The density prod |x_i^a - x_j^a|^b prod |x_i|^c on [-1,1]^n is drawn
+    exactly and i.i.d. from the beta-Jacobi matrix model, so there is no
+    burn-in and no chain.  payloads maps names to vectorised callables on a
+    (count, n) array of points, or names one of LOGGAS_PAYLOADS.  Draws come
+    in chunks of max(1, 2^22 // n^2) matrices, so memory is bounded at any n.
+    """
+    # Selberg weight (u, w = 1, kappa = b/2): |Delta(x)|^b is u = 1 under x = 2t - 1,
+    # and |Delta(x^2)|^b |x|^c is u = (c + 1)/2 under t = x^2
+    if a == 1 and c == 0:
+        u = 1.0
+    elif a == 2 and c >= 0:
+        u = (c + 1) / 2
+    else:
+        raise ValueError(f"log-gas sampler covers (a, c) = (1, 0) or (2, c >= 0), not ({a}, {c})")
+    if b <= 0 or n < 1 or count < BATCHES:
+        raise ValueError(
+            f"log-gas sampler needs b > 0, n >= 1, count >= {BATCHES}; got {b}, {n}, {count}"
         )
+    unknown = {f for f in payloads.values() if isinstance(f, str)} - set(LOGGAS_PAYLOADS)
+    if unknown:
+        raise ValueError(f"unknown payloads {sorted(unknown)}; known: {sorted(LOGGAS_PAYLOADS)}")
+    fns = {name: LOGGAS_PAYLOADS[f] if isinstance(f, str) else f for name, f in payloads.items()}
+    rng = np.random.default_rng(seed)
+    chunk = max(1, 2**22 // n**2)
+    acc = {name: [] for name in fns}
+    for start in range(0, count, chunk):
+        t = _beta_jacobi(rng, min(chunk, count - start), n, u, 1.0, b / 2)
+        x = 2.0 * t - 1.0 if a == 1 else np.sqrt(t) * rng.choice((-1.0, 1.0), t.shape)
+        for name, f in fns.items():
+            acc[name].append(np.asarray(f(x), dtype=float))
+    out = {}
+    for name, chunks in acc.items():
+        mean, stderr, ess = _batch_means(np.concatenate(chunks))
+        out[name] = SampleEstimate(mean, stderr, count, seed, {"ess": round(ess, 2)})
     return out
 
 

@@ -313,6 +313,8 @@ def lr_invariant_moment(field: str, *args, **kwargs) -> Rational:
 def haar_moment_unitary(i_seq, j_seq, ip_seq, jp_seq, n: int) -> Rational:
     """E[U_{i1 j1}..U_{ik jk} conj(U_{i'1 j'1}..U_{i'k j'k})] for Haar U(n)."""
     k = len(i_seq)
+    if not len(j_seq) == len(ip_seq) == len(jp_seq) == k:
+        raise ValueError("index sequences must have equal length k")
     total = Fraction(0)
     for sigma in _symmetric_group(k):
         if not _delta(sigma, i_seq, ip_seq):
@@ -327,6 +329,8 @@ def haar_moment_unitary(i_seq, j_seq, ip_seq, jp_seq, n: int) -> Rational:
 
 def haar_moment_orthogonal(i_seq, j_seq, n: int) -> Rational:
     """E[O_{i1 j1} ... O_{i_2k j_2k}] for Haar O(n)."""
+    if len(i_seq) != len(j_seq) or len(i_seq) % 2:
+        raise ValueError("need row/column sequences of equal length 2k")
     k = len(i_seq) // 2
     total = Fraction(0)
     pps = [pp.permutation() for pp in pair_partitions(k)]

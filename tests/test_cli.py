@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from selmat import oracle
 from selmat.cli import main
 
 
@@ -126,13 +127,25 @@ def test_oracle_sample_and_haar(capsys):
     assert abs(rec["E_abs_U11_sq"] - 0.25) <= 5 * rec["stderr"]
 
 
-def test_oracle_mcmc(capsys):
+def test_oracle_loggas(capsys):
     code, recs = run_cli(
-        capsys, "oracle", "mcmc", "--a", "1", "--b", "2", "--n", "3",
-        "--steps", "1200", "--chains", "1", "--seed", "8", "--payload", "sum_sq",
+        capsys, "oracle", "loggas", "--a", "1", "--b", "2", "--n", "3",
+        "--count", "2000", "--seed", "8", "--payload", "sum_sq", "--payload", "cross_sq",
     )
     assert code == 0
-    assert recs[1]["payload"] == "sum_sq"
+    assert [r["payload"] for r in recs[1:]] == ["cross_sq", "sum_sq"]
+    assert all(r["n_samples"] == 2000 and r["seed"] == 8 for r in recs[1:])
+
+
+def test_rejection_low_acceptance_exit_2(capsys, monkeypatch):
+    # hermitian n = 3 accepts 0.7 % of proposals: below a 1 % floor after one batch
+    monkeypatch.setattr(oracle, "REJECTION_MIN_PROPOSALS", 20_000)
+    monkeypatch.setattr(oracle, "REJECTION_MIN_ACCEPTANCE", 0.01)
+    code, recs = run_cli(
+        capsys, "oracle", "sample", "--ensemble", "hermitian", "--n", "3", "--count", "10"
+    )
+    assert code == 2
+    assert recs[-1]["error"]["type"] == "LowAcceptanceError"
 
 
 def test_csv_format(capsys):
@@ -167,6 +180,7 @@ def test_bad_flags_exit_2():
         ("aomoto", "--n", "3", "--u", "1", "--w", "1", "--kappa", "1"),
         ("weingarten", "unitary", "--k", "2", "--z", "5"),
         ("weingarten", "orthogonal", "--k", "7", "--coset-type", "7", "--z", "20"),
+        ("oracle", "loggas", "--a", "1", "--b", "2", "--c", "1", "--n", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

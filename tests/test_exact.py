@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selmat.exact import (
     Approx,
@@ -21,6 +23,16 @@ def test_pochhammer_examples():
     assert pochhammer(F(3), 2) == 12
     assert pochhammer(F(1, 2), 0) == 1
     assert pochhammer(F(-3, 2), 3) == F(3, 8)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    x=st.fractions(min_value=F(1, 60), max_value=40, max_denominator=60),
+    k=st.integers(min_value=0, max_value=12),
+)
+def test_gamma_normal_form_shift_property(x, k):
+    # Gamma(x + k) = (x)_k Gamma(x): both sides reduce to the same normal form
+    assert GammaProduct.from_gamma(x + k) == pochhammer(x, k) * GammaProduct.from_gamma(x)
 
 
 def test_pochhammer_split_identity():

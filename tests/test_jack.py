@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selmat.combinat import character, dominance_leq, partitions_of, zee
 from selmat.jack import (
@@ -9,6 +11,7 @@ from selmat.jack import (
     SymPoly,
     jack_basis_matrix,
     jack_in_monomials,
+    jack_in_power_sums,
     jack_inner_product,
     kadell_ratio,
     monomial_to_jack,
@@ -96,6 +99,26 @@ def test_monomial_to_power_matrix_against_characters(d):
                 got[rho] = got.get(rho, F(0)) + c * t
         for rho in partitions_of(d):
             assert got.get(rho, 0) == F(character(lam, rho), zee(rho)), (lam, rho)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    kappa=st.fractions(min_value=F(1, 20), max_value=20, max_denominator=20),
+    d=st.integers(min_value=1, max_value=6),
+)
+def test_jack_basis_unitriangular_property(kappa, d):
+    for lam, row in jack_basis_matrix(kappa, d).items():
+        assert row[lam] == 1
+        assert all(dominance_leq(mu, lam) for mu in row)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda d: st.sampled_from(partitions_of(d))))
+def test_schur_power_sum_property(lam):
+    # kappa = 1: [p_rho] s_lambda = chi^lambda(rho) / z_rho
+    got = jack_in_power_sums(lam, F(1))
+    for rho in partitions_of(sum(lam)):
+        assert got.get(rho, 0) == F(character(lam, rho), zee(rho)), rho
 
 
 def test_principal_specialization_examples():

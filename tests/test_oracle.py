@@ -6,14 +6,22 @@ import pytest
 
 from selmat.exact import to_float
 from selmat.jack import kadell_ratio
-from selmat.moments import ensemble, ensemble_moments, full_matrix_moment_ratio, trace_moments
+from selmat import oracle
+from selmat.moments import (
+    ENSEMBLES,
+    ensemble,
+    ensemble_moments,
+    full_matrix_moment_ratio,
+    trace_moments,
+)
 from selmat.oracle import (
+    LowAcceptanceError,
     QuadratureSpec,
     UnsupportedDimensionError,
     ball_moment_estimate,
     eval_monomial,
     haar_sample,
-    mcmc_eigenvalue_sample,
+    loggas_moment_estimate,
     quadrature,
     rejection_sample_ball,
 )
@@ -197,36 +205,77 @@ def test_rejection_sampler_eigvalsh_path_n4():
     assert got >= 500
 
 
-def test_mcmc_matches_exact_engine():
-    # (a=1, b=2, c=0) at n=10: E[sum x_i^2] = 10 * forced M2
-    res = mcmc_eigenvalue_sample(1, 2, 0, 10, {"s2": "sum_sq"}, steps=5000, chains=2, seed=42)
-    want = 10 * float(ensemble_moments(ensemble("hermitian"), 10, "forced").M2)
-    e = res["s2"]
-    assert abs(e.mean - want) <= 4 * e.stderr
-    assert 0.1 <= e.diagnostics["acceptance_rate"] <= 0.7
+LOGGAS_COUNTS = {3: 20_000, 10: 10_000, 50: 1_000}
 
 
-def test_mcmc_full_matrix_density():
-    # (a=2, b=1, c=0) at n=4: E[sum x_i^2] = n^2/(2n+1) aggregate
-    res = mcmc_eigenvalue_sample(2, 1, 0, 4, {"s2": "sum_sq"}, steps=4000, chains=2, seed=7)
-    want = 4 * float(full_matrix_moment_ratio("x2", 4, 1))
-    e = res["s2"]
-    assert abs(e.mean - want) <= 4 * e.stderr
+@pytest.mark.parametrize("n", sorted(LOGGAS_COUNTS))
+@pytest.mark.parametrize("name", sorted(ENSEMBLES))
+def test_loggas_matches_exact_moments(name, n):
+    spec = ensemble(name)
+    r = ensemble_moments(spec, n, "forced")
+    payloads = {
+        "s2": "sum_sq",
+        "s4": "sum_quartic",
+        "cross": "cross_sq",
+        "x1sq": lambda x: x[:, 0] ** 2,  # one coordinate: needs exchangeable draws
+        "x1": lambda x: x[:, 0],  # odd: needs the x -> -x symmetry of the density
+    }
+    want = {
+        "s2": n * r.M2,
+        "s4": n * r.M4,
+        "cross": n * (n - 1) * r.M22 / 2,
+        "x1sq": r.M2,
+        "x1": 0,
+    }
+    res = loggas_moment_estimate(spec.a, spec.b, spec.c, n, payloads, LOGGAS_COUNTS[n], seed=7)
+    for key, e in res.items():
+        assert e.n_samples == LOGGAS_COUNTS[n]
+        assert abs(e.mean - float(want[key])) <= 4 * e.stderr, (key, e.mean, float(want[key]))
 
 
-def test_mcmc_quartic_payload_kappa2():
-    res = mcmc_eigenvalue_sample(1, 4, 0, 4, {"s4": "sum_quartic"}, steps=4000, chains=2, seed=11)
-    want = 4 * float(ensemble_moments(ensemble("quaternion"), 4, "forced").M4)
-    e = res["s4"]
-    assert abs(e.mean - want) <= 4 * e.stderr
+def test_loggas_determinism():
+    run = lambda seed: loggas_moment_estimate(2, 2, 1, 5, {"s": "sum_sq"}, 2000, seed)["s"]
+    assert run(5).to_json_str() == run(5).to_json_str()
+    assert run(6).mean != run(5).mean
 
 
-def test_mcmc_determinism_and_burnin_floor():
-    a = mcmc_eigenvalue_sample(1, 2, 0, 3, {"s2": "sum_sq"}, steps=2000, chains=2, seed=5)
-    b = mcmc_eigenvalue_sample(1, 2, 0, 3, {"s2": "sum_sq"}, steps=2000, chains=2, seed=5)
-    assert a["s2"].to_json_str() == b["s2"].to_json_str()
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, 2, 1, 3, 1000, "sum_sq"),  # a = 1 needs c = 0
+        (3, 2, 0, 3, 1000, "sum_sq"),  # a outside {1, 2}
+        (2, 2, -1, 3, 1000, "sum_sq"),  # a = 2 needs c >= 0
+        (1, 0, 0, 3, 1000, "sum_sq"),  # b <= 0
+        (1, 2, 0, 0, 1000, "sum_sq"),  # n < 1
+        (1, 2, 0, 3, 24, "sum_sq"),  # fewer draws than batch-means batches
+        (1, 2, 0, 3, 1000, "sum_cube"),  # unknown payload name
+    ],
+)
+def test_loggas_typed_errors(args):
+    a, b, c, n, count, payload = args
     with pytest.raises(ValueError):
-        mcmc_eigenvalue_sample(1, 2, 0, 3, {"s2": "sum_sq"}, steps=100, chains=1, seed=5, burn_in=100)
+        loggas_moment_estimate(a, b, c, n, {"s": payload}, count, seed=1)
+
+
+def test_loggas_quadrature_needs_even_payload():
+    # m_(3,1) - 2 m_(2,1,1) + m_(2,2) is odd in x_1 yet passes a probe at (+-0.37, 0.37, 0.37)
+    odd = ("sympoly", [((3, 1), "1"), ((2, 1, 1), "-2"), ((2, 2), "1")])
+    with pytest.raises(ValueError):
+        quadrature(QuadratureSpec("loggas", 3, odd, (2, 1, 0), 16))
+    for desc in (("elementary", 1), ("aomoto", (1, 0, 0)), ("shifted", "x2")):
+        with pytest.raises(ValueError):
+            quadrature(QuadratureSpec("loggas", 2, desc, (2, 1, 0), 16))
+    base, _ = quadrature(QuadratureSpec("loggas", 2, ("one",), (2, 1, 0), 36))
+    m22, _ = quadrature(QuadratureSpec("loggas", 2, ("monomial", (2, 2)), (2, 1, 0), 36))
+    assert m22 / base == pytest.approx(float(full_matrix_moment_ratio("x2x2", 2, 1)), abs=1e-10)
+
+
+def test_rejection_low_acceptance_raises(monkeypatch):
+    # full-complex n = 4 accepts none of its first proposals
+    monkeypatch.setattr(oracle, "REJECTION_MIN_PROPOSALS", 20_000)
+    with pytest.raises(LowAcceptanceError):
+        next(rejection_sample_ball("full-complex", 4, 10, seed=1, batch=20_000))
+    assert issubclass(LowAcceptanceError, ArithmeticError)
 
 
 def test_haar_unitary_moments():

@@ -168,6 +168,19 @@ def test_haar_moment_orthogonal_eighth_power():
         assert v == F(105, n * (n + 2) * (n + 4) * (n + 6))
 
 
+@pytest.mark.parametrize(
+    "moment, seqs",
+    [
+        (haar_moment_orthogonal, ((1, 1, 1), (1, 1, 1))),  # odd length
+        (haar_moment_orthogonal, ((1, 1), (1, 1, 1, 1))),  # unequal lengths
+        (haar_moment_unitary, ((1, 2), (1,), (1, 2), (1,))),  # unequal lengths
+    ],
+)
+def test_haar_moment_index_validation(moment, seqs):
+    with pytest.raises(ValueError):
+        moment(*seqs, 5)
+
+
 def test_conj_unitary_moments_and_identity():
     spec = ensemble("hermitian")
     for n in (2, 3, 7, 20):
