@@ -393,18 +393,49 @@ def _loggas_a2(n, b, c, f, symmetric, p) -> float:
 
 BALL_ENSEMBLES = ("hermitian", "symmetric", "full-real", "full-complex")
 # rejection gives up once this many proposals have been made at an acceptance
-# rate below REJECTION_MIN_ACCEPTANCE (full-complex n = 4 accepts none of 200k)
+# rate below REJECTION_MIN_ACCEPTANCE (full-complex n = 4 accepts none of 200k),
+# or at a rate that projects more than REJECTION_MAX_PROPOSALS proposals for the
+# requested count.  Measured rates: C10 needs 6.8e7 hermitian n = 3 stage-1
+# draws (1.5 %); full-complex n = 3 accepts 1.2e-5, so its default 1e5
+# samples would need 8e9 box proposals, some 11 hours.
 REJECTION_MIN_PROPOSALS = 4_000_000
 REJECTION_MIN_ACCEPTANCE = 1e-6
+REJECTION_MAX_PROPOSALS = 1_000_000_000
 
 
 def _propose_self_adjoint(kind: str, n: int, rng, m: int):
-    """m proposals as flat entry columns; returns (columns dict, accept mask)."""
-    cols = {"diag": rng.uniform(-1, 1, (m, n))}
-    npairs = n * (n - 1) // 2
-    cols["re"] = rng.uniform(-1, 1, (m, npairs))
+    """m stage-1 diagonal draws; returns (columns dict, accept mask) of the survivors.
+
+    Every 2x2 principal submatrix of a contraction is a contraction, so
+    |T_ij|^2 <= r_ij^2 = min((1-d_i)(1-d_j), (1+d_i)(1+d_j)) with d = diag T.
+    Stage 1 draws d uniformly and keeps it with probability prod r_ij^2
+    (hermitian) or prod r_ij (symmetric); stage 2 draws each T_ij uniformly in
+    the disc (hermitian) or interval (symmetric) of radius r_ij; stage 3 is the
+    exact norm test.  The stage-2 density, prod 1/(pi r_ij^2) or prod
+    1/(2 r_ij), cancels the stage-1 weight, so accepted matrices have constant
+    density on the ball: they are exactly uniform.
+    """
+    d = rng.uniform(-1, 1, (n, m))
+    pairs = list(zip(*np.triu_indices(n, 1)))  # (1,2), (1,3), (2,3), ...
+    r2 = np.empty((len(pairs), m))
+    for row, (i, j) in zip(r2, pairs):
+        # min((1-d_i)(1-d_j), (1+d_i)(1+d_j)) = 1 + d_i d_j - |d_i + d_j|
+        np.multiply(d[i], d[j], out=row)
+        row += 1.0
+        row -= np.abs(d[i] + d[j])
+    w = r2.prod(axis=0)  # prod r_ij^2
+    u = rng.random(m)
+    if kind == "symmetric":
+        u *= u  # keep with probability sqrt(w): u < sqrt(w) iff u^2 < w
+    keep = u < w
+    r = np.sqrt(np.maximum(r2[:, keep].T, 0.0))  # the difference can round below 0
+    cols = {"diag": d[:, keep].T}
     if kind == "hermitian":
-        cols["im"] = rng.uniform(-1, 1, (m, npairs))
+        rad = r * np.sqrt(rng.random(r.shape))
+        theta = rng.uniform(0.0, 2.0 * np.pi, r.shape)
+        cols["re"], cols["im"] = rad * np.cos(theta), rad * np.sin(theta)
+    else:
+        cols["re"] = r * rng.uniform(-1, 1, r.shape)
     if n <= 3:
         mask = _self_adjoint_mask_minors(kind, n, cols)
     else:
@@ -488,10 +519,15 @@ def _propose_full(kind: str, n: int, rng, m: int):
 def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, batch: int = 250_000):
     """Yield batches of matrices uniform on the operator-norm unit ball.
 
-    Entrywise-uniform proposals on the bounding box, accepted iff the spectral
-    norm is at most 1.  Yields (batch_array, n_proposed) tuples until `count`
-    accepted samples have been produced; raises LowAcceptanceError once
-    REJECTION_MIN_PROPOSALS proposals accept below REJECTION_MIN_ACCEPTANCE.
+    hermitian and symmetric use the exact three-stage 2x2-minor sampler of
+    _propose_self_adjoint, and a proposal is one stage-1 diagonal draw;
+    full-real and full-complex propose entrywise-uniform on the bounding box,
+    accepted iff the spectral norm is at most 1.  Each batch makes `batch`
+    proposals.  Yields (batch_array, n_proposed) tuples until `count` accepted
+    samples have been produced.  Once REJECTION_MIN_PROPOSALS proposals have
+    been made, raises LowAcceptanceError if they accept below
+    REJECTION_MIN_ACCEPTANCE or if count / rate projects more than
+    REJECTION_MAX_PROPOSALS proposals.
     """
     kind = ensemble_name.lower()
     if kind not in BALL_ENSEMBLES:
@@ -511,13 +547,20 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, bat
             T, mask = _propose_full(kind, n, rng, batch)
             out = T[mask][: count - produced]
         proposed_total += batch
-        accepted_total += len(out)
+        accepted_total += int(np.count_nonzero(mask))  # also those past count
         rate = accepted_total / proposed_total
-        if proposed_total >= REJECTION_MIN_PROPOSALS and rate < REJECTION_MIN_ACCEPTANCE:
-            raise LowAcceptanceError(
-                f"{ensemble_name} n={n}: acceptance rate {rate:.2e} after {proposed_total}"
-                f" proposals is below {REJECTION_MIN_ACCEPTANCE:g}"
+        if proposed_total >= REJECTION_MIN_PROPOSALS:
+            where = (
+                f"{ensemble_name} n={n}: acceptance rate {rate:.2e}"
+                f" after {proposed_total} proposals"
             )
+            if rate < REJECTION_MIN_ACCEPTANCE:
+                raise LowAcceptanceError(f"{where} is below {REJECTION_MIN_ACCEPTANCE:g}")
+            if count > rate * REJECTION_MAX_PROPOSALS:
+                raise LowAcceptanceError(
+                    f"{where} projects {count / rate:.2e} proposals for {count} samples,"
+                    f" above {REJECTION_MAX_PROPOSALS:g}"
+                )
         if len(out):
             produced += len(out)
             yield out, proposed_total
@@ -534,6 +577,8 @@ def ball_moment_estimate(
     """SampleEstimates of entry moments over `count` accepted ball samples.
 
     moment_fns maps names to vectorised callables f(T_batch) -> (B,) floats.
+    The acceptance_rate diagnostic is accepted samples per proposal: per
+    stage-1 diagonal draw for hermitian and symmetric, per box draw otherwise.
     """
     acc = {name: [] for name in moment_fns}
     total = 0
@@ -644,20 +689,24 @@ def loggas_moment_estimate(
 
 
 def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:
-    """Haar-distributed matrices via QR of a Gaussian with phase correction."""
+    """Haar-distributed matrices via QR of a Gaussian with phase correction.
+
+    The QR factorisations are stacked, in chunks of max(1, 2^22 // n^2)
+    matrices so scratch memory stays bounded.
+    """
     if n > 64:
         raise UnsupportedDimensionError("haar sampling capped at n <= 64")
+    if group not in ("unitary", "orthogonal"):
+        raise ValueError(f"group must be unitary|orthogonal, got {group!r}")
     rng = np.random.default_rng(seed)
-    out = np.zeros((count, n, n), dtype=complex if group == "unitary" else float)
-    for k in range(count):
+    out = np.empty((count, n, n), dtype=complex if group == "unitary" else float)
+    chunk = max(1, 2**22 // n**2)
+    for start in range(0, count, chunk):
+        m = min(chunk, count - start)
+        z = rng.standard_normal((m, n, n))
         if group == "unitary":
-            z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-        elif group == "orthogonal":
-            z = rng.standard_normal((n, n))
-        else:
-            raise ValueError(f"group must be unitary|orthogonal, got {group!r}")
+            z = (z + 1j * rng.standard_normal((m, n, n))) / math.sqrt(2)
         q, r = np.linalg.qr(z)
-        d = np.diagonal(r)
-        ph = d / np.abs(d)
-        out[k] = q * ph
+        d = np.diagonal(r, axis1=1, axis2=2)
+        out[start : start + m] = q * (d / np.abs(d))[:, None, :]
     return out

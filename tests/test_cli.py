@@ -138,9 +138,9 @@ def test_oracle_loggas(capsys):
 
 
 def test_rejection_low_acceptance_exit_2(capsys, monkeypatch):
-    # hermitian n = 3 accepts 0.7 % of proposals: below a 1 % floor after one batch
+    # hermitian n = 3 accepts 1.5 % of stage-1 draws: below a 5 % floor after one batch
     monkeypatch.setattr(oracle, "REJECTION_MIN_PROPOSALS", 20_000)
-    monkeypatch.setattr(oracle, "REJECTION_MIN_ACCEPTANCE", 0.01)
+    monkeypatch.setattr(oracle, "REJECTION_MIN_ACCEPTANCE", 0.05)
     code, recs = run_cli(
         capsys, "oracle", "sample", "--ensemble", "hermitian", "--n", "3", "--count", "10"
     )

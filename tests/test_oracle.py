@@ -137,21 +137,38 @@ def test_rejection_n1_uniform():
     assert abs(e.mean - 1 / 3) <= 4 * e.stderr
 
 
-def test_rejection_matches_exact_engine_n3():
-    tm = trace_moments(ensemble("hermitian"), 3, "forced")
-    want = float(conj_invariant_moment_unitary((1, 2), (1, 2), tm, 3))
-    est = ball_moment_estimate(
-        "hermitian", 3, {"T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real}, 80_000, seed=9
-    )
-    e = est["T11T22"]
-    assert abs(e.mean - want) <= 4 * e.stderr
-    tm = trace_moments(ensemble("symmetric"), 3, "forced")
-    want = float(conj_invariant_moment_orthogonal((1, 2, 1, 2), tm, 3))
-    est = ball_moment_estimate(
-        "symmetric", 3, {"T12sq": lambda T: T[:, 0, 1] ** 2}, 80_000, seed=10
-    )
-    e = est["T12sq"]
-    assert abs(e.mean - want) <= 4 * e.stderr
+SELF_ADJOINT_MOMENTS = {
+    # name: (payload on T, conj_invariant_moment_unitary indices, _orthogonal indices)
+    "T11T22": (lambda T: (T[:, 0, 0] * T[:, 1, 1]).real, ((1, 2), (1, 2)), (1, 1, 2, 2)),
+    "absT12sq": (lambda T: np.abs(T[:, 0, 1]) ** 2, ((1, 2), (2, 1)), (1, 2, 1, 2)),
+    "T11sq": (lambda T: (T[:, 0, 0] ** 2).real, ((1, 1), (1, 1)), (1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,n,count",
+    [
+        ("hermitian", 2, 80_000),
+        ("hermitian", 3, 80_000),  # hermitian n = 4 takes ~3 s per 10^3 accepted
+        ("symmetric", 2, 80_000),
+        ("symmetric", 3, 80_000),
+        ("symmetric", 4, 20_000),
+    ],
+)
+def test_rejection_moments_match_exact_engine(kind, n, count):
+    # the nested 2x2-minor sampler is exactly uniform: second moments of the
+    # entries agree with the exact engine's forced convention
+    tm = trace_moments(ensemble(kind), n, "forced")
+    fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
+    est = ball_moment_estimate(kind, n, fns, count, seed=9)
+    for name, (_, u_idx, o_idx) in SELF_ADJOINT_MOMENTS.items():
+        if kind == "hermitian":
+            want = float(conj_invariant_moment_unitary(*u_idx, tm, n))
+        else:
+            want = float(conj_invariant_moment_orthogonal(o_idx, tm, n))
+        e = est[name]
+        assert e.n_samples == count
+        assert abs(e.mean - want) <= 4 * e.stderr, (name, e.mean, want, e.stderr)
 
 
 def test_rejection_full_real_n2():
@@ -278,6 +295,16 @@ def test_rejection_low_acceptance_raises(monkeypatch):
     assert issubclass(LowAcceptanceError, ArithmeticError)
 
 
+def test_rejection_projected_proposals_raise(monkeypatch):
+    # hermitian n = 3 accepts 1.5 % of stage-1 draws: 10^5 samples project 6.7e6 proposals
+    monkeypatch.setattr(oracle, "REJECTION_MIN_PROPOSALS", 20_000)
+    monkeypatch.setattr(oracle, "REJECTION_MAX_PROPOSALS", 1_000_000)
+    with pytest.raises(LowAcceptanceError, match="projects"):
+        next(rejection_sample_ball("hermitian", 3, 100_000, seed=1, batch=20_000))
+    T, proposed = next(rejection_sample_ball("hermitian", 3, 1_000, seed=1, batch=20_000))
+    assert proposed == 20_000 and len(T) > 0
+
+
 def test_haar_unitary_moments():
     U = haar_sample("unitary", 3, seed=1, count=30_000)
     err = np.abs(U @ np.conj(np.transpose(U, (0, 2, 1))) - np.eye(3)).max()
@@ -308,3 +335,19 @@ def test_haar_determinism():
     a = haar_sample("unitary", 4, seed=9, count=3)
     b = haar_sample("unitary", 4, seed=9, count=3)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("group", ["unitary", "orthogonal"])
+def test_haar_sample_matches_per_matrix_qr(group):
+    # reference: one QR per matrix on the same Gaussian draws, each column of Q
+    # multiplied by the phase of the matching diagonal entry of R
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((50, 4, 4))
+    if group == "unitary":
+        z = (z + 1j * rng.standard_normal((50, 4, 4))) / math.sqrt(2)
+    want = []
+    for zk in z:
+        q, r = np.linalg.qr(zk)
+        ph = np.diagonal(r) / np.abs(np.diagonal(r))
+        want.append(q * ph)
+    assert np.allclose(haar_sample(group, 4, seed=4, count=50), want, rtol=0, atol=1e-12)
