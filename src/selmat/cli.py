@@ -76,6 +76,30 @@ def _n_list(s: str) -> list[int]:
     return out
 
 
+LIMIT_NODES = 6
+
+
+def _limit_nodes(pairs: list) -> list:
+    """At most LIMIT_NODES (n, value) pairs, evenly spread in 1/n, for Neville.
+
+    Float Neville through every point of a long list amplifies rounding
+    without bound (2:700 gives NaN).  The nodes come from the upper half of
+    the list by n, or from its last LIMIT_NODES points if that is more, so a
+    list of at most LIMIT_NODES points is used whole.
+    """
+    pts = sorted(pairs)
+    pool = pts[min(len(pts) // 2, max(len(pts) - LIMIT_NODES, 0)) :]
+    if len(pool) <= LIMIT_NODES:
+        return pool
+    lo, hi = 1 / pool[-1][0], 1 / pool[0][0]
+    step = (hi - lo) / (LIMIT_NODES - 1)
+    picked = {
+        min(range(len(pool)), key=lambda i: abs(1 / pool[i][0] - (lo + k * step)))
+        for k in range(LIMIT_NODES)
+    }
+    return [pool[i] for i in sorted(picked)]
+
+
 def _exact_record(value, extra=None) -> dict:
     ap = to_float(value)
     rec = dict(extra or {})
@@ -292,7 +316,7 @@ def _dispatch(args, em: Emitter) -> int:
             )
         if len(reports) >= 3:
             lim = richardson_limit(
-                [(r.n, float(getattr(r, fieldname))) for r in reports]
+                _limit_nodes([(r.n, float(getattr(r, fieldname))) for r in reports])
             )
             em.emit({"extrapolated_limit": lim, "ensemble": spec.name, "quantity": fieldname})
         return 0

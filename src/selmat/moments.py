@@ -2,9 +2,13 @@
 
 Reduces operator-norm-ball moments to Selberg/Kadell ratios and assembles
 variances, the thin-shell constant sigma^2, and the general-beta box
-combination.  Asymptotic expansions are extracted exactly: per-n rational
-values are interpolated by a rational function of n (exact linear solve) and
-expanded at infinity, never fitted in floating point.
+combination.  The monomial moment ratios J(m_mu)/J(1) are exact rational
+functions of n: each Kadell ratio is a falling-factorial polynomial times a
+product of factors linear in n.  They are built once per (mu, kappa,
+min(n, |mu|)) and evaluated at each n in integer arithmetic.  Asymptotic
+expansions are extracted exactly: per-n rational values are interpolated by a
+rational function of n (exact linear solve) and expanded at infinity, never
+fitted in floating point.
 
 Scaling conventions.  For the self-adjoint families the eigenvalue density
 lives on [-1, 1]^n while the Kadell machinery lives on [0, 1]^n; the
@@ -23,7 +27,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exact import Rational, format_rational
-from .jack import kadell_ratio, monomial_to_jack
+from .jack import jack_in_monomials, monomial_to_jack
+from .jack import kadell_ratio  # noqa: F401  re-exported; perfbench traces its bindings
 
 CONVENTIONS = ("forced", "paper")
 
@@ -117,13 +122,75 @@ def ensemble(name: str) -> EnsembleSpec:
 
 @lru_cache(maxsize=None)
 def monomial_moment_ratio(mu: tuple, n: int, kappa: Fraction) -> Fraction:
-    """J(m_mu)/J(1) over [0,1]^n with weight prod |t_i - t_j|^(2 kappa)."""
+    """J(m_mu)/J(1) over [0,1]^n with weight prod |t_i - t_j|^(2 kappa).
+
+    m_mu = sum_lambda c_lambda P_lambda (``monomial_to_jack``), so the ratio is
+    sum_lambda c_lambda K_lambda(n) with the Kadell ratio at (u, w) = (1, 1),
+
+        K_lambda(n) = P_lambda(1^n) prod_i (1+(n-i)kappa)_{lambda_i} / (2+(2n-i-1)kappa)_{lambda_i},
+        P_lambda(1^n) = sum_nu [m_nu]P_lambda (n)_{l(nu)} / prod_j m_j(nu)!,
+
+    a falling-factorial polynomial (``jack_in_monomials``) times factors
+    linear in n.  K_lambda = 0 for n < l(lambda): the polynomial vanishes
+    there, but the product can sit at a pole, so only the lambda with
+    l(lambda) <= min(n, |mu|) are summed.  The sum is built once as a rational
+    function of n per (mu, kappa, min(n, |mu|)) (monomial_moment_function)
+    and evaluated here; ``kadell_ratio`` is the per-n reference.
+    """
     if not mu:
         return Fraction(1)
-    total = Fraction(0)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return monomial_moment_function(mu, Fraction(kappa), min(n, sum(mu)))(n)
+
+
+@lru_cache(maxsize=None)
+def monomial_moment_function(mu: tuple, kappa: Fraction, m: int) -> RationalFunction:
+    """sum_{l(lambda) <= m} c_lambda K_lambda(n) as one rational function of n.
+
+    Equals J(m_mu)/J(1) at every n with min(n, |mu|) = m (see
+    monomial_moment_ratio).  The terms are put over the lcm of their linear
+    denominator factors, giving one integer numerator/denominator pair.
+    """
+    kappa = Fraction(kappa)
+    p, q = kappa.numerator, kappa.denominator
+    terms = []  # (polynomial in n, denominator factors (b, a) of b n + a)
     for lam, c in monomial_to_jack(mu, kappa).items():
-        total += c * kadell_ratio(lam, n, 1, 1, kappa)
-    return total
+        if len(lam) > m:
+            continue
+        poly = [Fraction(0)]  # P_lambda(1^n)
+        for nu, coef in jack_in_monomials(lam, kappa).coeffs:
+            falling = [coef / math.prod(math.factorial(nu.count(v)) for v in set(nu))]
+            for k in range(len(nu)):
+                falling = _poly_mul_linear(falling, 1, -k)
+            poly = _poly_add(poly, falling)
+        den = {}
+        # with kappa = p/q, q (1+(n-i)kappa+j) = p n + q(1+j) - i p and
+        # q (2+(2n-i-1)kappa+j) = 2p n + q(2+j) - (i+1)p; the q's cancel
+        for i, part in enumerate(lam, start=1):
+            for j in range(part):
+                poly = _poly_mul_linear(poly, p, q * (1 + j) - i * p)
+                b, a = 2 * p, q * (2 + j) - (i + 1) * p
+                g = math.gcd(b, a)
+                factor = (b // g, a // g)
+                den[factor] = den.get(factor, 0) + 1
+                c /= g
+        terms.append(([c * x for x in poly], den))
+    lcm = {}
+    for _, den in terms:
+        for f, k in den.items():
+            lcm[f] = max(lcm.get(f, 0), k)
+    num = [Fraction(0)]
+    for poly, den in terms:
+        for (b, a), k in lcm.items():
+            for _ in range(k - den.get((b, a), 0)):
+                poly = _poly_mul_linear(poly, b, a)
+        num = _poly_add(num, poly)
+    den_poly = [Fraction(1)]
+    for (b, a), k in lcm.items():
+        for _ in range(k):
+            den_poly = _poly_mul_linear(den_poly, b, a)
+    return RationalFunction.from_fraction_polys(num, den_poly)
 
 
 def shifted_moment_ratio(payload: str, n: int, kappa) -> Rational:
@@ -303,10 +370,26 @@ def beta_remark_combination(n: int, beta) -> Rational:
 # ---------------------------------------------------------------------------
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _homogeneous_eval(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^(len(coeffs) - 1) * poly(p/q) for integer coefficients, in integers."""
+    out, qk = 0, 1
     for c in reversed(coeffs):
-        out = out * x + c
+        out = out * p + c * qk
+        qk *= q
+    return out
+
+
+def _poly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b) :]
+
+
+def _poly_mul_linear(coeffs: list, b: int, a: int) -> list:
+    """coeffs (ascending) times b n + a."""
+    out = [a * c for c in coeffs] + [0]
+    for k, c in enumerate(coeffs):
+        out[k + 1] += b * c
     return out
 
 
@@ -375,11 +458,16 @@ class RationalFunction:
         return cls(tuple(ni), tuple(di))
 
     def __call__(self, n) -> Fraction:
+        # integer Horner on q^deg * poly(p/q), then one Fraction
         x = Fraction(n)
-        den = _poly_eval([Fraction(c) for c in self.denominator], x)
+        p, q = x.numerator, x.denominator
+        den = _homogeneous_eval(self.denominator, p, q)
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at n={n}")
-        return _poly_eval([Fraction(c) for c in self.numerator], x) / den
+        value = Fraction(_homogeneous_eval(self.numerator, p, q), den)
+        if q != 1:
+            value *= Fraction(q) ** (len(self.denominator) - len(self.numerator))
+        return value
 
     def to_json(self) -> dict:
         return {"numerator": list(self.numerator), "denominator": list(self.denominator)}

@@ -523,11 +523,13 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, bat
     _propose_self_adjoint, and a proposal is one stage-1 diagonal draw;
     full-real and full-complex propose entrywise-uniform on the bounding box,
     accepted iff the spectral norm is at most 1.  Each batch makes `batch`
-    proposals.  Yields (batch_array, n_proposed) tuples until `count` accepted
-    samples have been produced.  Once REJECTION_MIN_PROPOSALS proposals have
-    been made, raises LowAcceptanceError if they accept below
-    REJECTION_MIN_ACCEPTANCE or if count / rate projects more than
-    REJECTION_MAX_PROPOSALS proposals.
+    proposals.  Yields (batch_array, n_proposed) tuples, batch_array holding
+    every matrix the batch accepted and n_proposed the proposals so far, until
+    at least `count` have been accepted; the last batch can overshoot `count`,
+    so a caller that wants exactly `count` keeps the first ones.  Once
+    REJECTION_MIN_PROPOSALS proposals have been made, raises
+    LowAcceptanceError if they accept below REJECTION_MIN_ACCEPTANCE or if
+    count / rate projects more than REJECTION_MAX_PROPOSALS proposals.
     """
     kind = ensemble_name.lower()
     if kind not in BALL_ENSEMBLES:
@@ -537,18 +539,16 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, bat
     rng = np.random.default_rng(seed)
     produced = 0
     proposed_total = 0
-    accepted_total = 0
     while produced < count:
         if kind in ("hermitian", "symmetric"):
             cols, mask = _propose_self_adjoint(kind, n, rng, batch)
-            idx = np.flatnonzero(mask)[: count - produced]
-            out = _assemble_self_adjoint(kind, n, cols, idx)
+            out = _assemble_self_adjoint(kind, n, cols, np.flatnonzero(mask))
         else:
             T, mask = _propose_full(kind, n, rng, batch)
-            out = T[mask][: count - produced]
+            out = T[mask]
         proposed_total += batch
-        accepted_total += int(np.count_nonzero(mask))  # also those past count
-        rate = accepted_total / proposed_total
+        produced += len(out)
+        rate = produced / proposed_total
         if proposed_total >= REJECTION_MIN_PROPOSALS:
             where = (
                 f"{ensemble_name} n={n}: acceptance rate {rate:.2e}"
@@ -562,7 +562,6 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, bat
                     f" above {REJECTION_MAX_PROPOSALS:g}"
                 )
         if len(out):
-            produced += len(out)
             yield out, proposed_total
 
 
@@ -577,19 +576,23 @@ def ball_moment_estimate(
     """SampleEstimates of entry moments over `count` accepted ball samples.
 
     moment_fns maps names to vectorised callables f(T_batch) -> (B,) floats.
-    The acceptance_rate diagnostic is accepted samples per proposal: per
-    stage-1 diagonal draw for hermitian and symmetric, per box draw otherwise.
+    The acceptance_rate diagnostic is accepted matrices per proposal, counting
+    those past `count` in the last batch: per stage-1 diagonal draw for
+    hermitian and symmetric, per box draw otherwise.
     """
     acc = {name: [] for name in moment_fns}
     total = 0
+    accepted = 0
     proposed = 0
     for T, prop in rejection_sample_ball(ensemble_name, n, count, seed, batch):
-        total += len(T)
+        accepted += len(T)
         proposed = prop
+        T = T[: count - total]
+        total += len(T)
         for name, fn in moment_fns.items():
             acc[name].append(np.asarray(fn(T), dtype=float))
     out = {}
-    rate = total / proposed if proposed else 0.0
+    rate = accepted / proposed if proposed else 0.0
     for name, chunks in acc.items():
         vals = np.concatenate(chunks)
         mean, stderr, ess = _batch_means(vals)

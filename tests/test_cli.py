@@ -70,6 +70,22 @@ def test_sigma_subcommand(capsys):
     assert limit["extrapolated_limit"] == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "command,name,n_list,want",
+    [
+        ("sigma", "symmetric", "2:700", 0.5),
+        ("sigma", "symmetric", "2:100", 0.5),
+        ("variance", "hermitian", "2:300", 0.125),
+    ],
+)
+def test_extrapolated_limit_on_long_lists(capsys, command, name, n_list, want):
+    # Neville through every point of these lists printed NaN, 2.6e37 and 2.2e146
+    code, recs = run_cli(capsys, command, "--ensemble", name, "--n-list", n_list)
+    assert code == 0
+    limit = [r for r in recs if "extrapolated_limit" in r][0]
+    assert limit["extrapolated_limit"] == pytest.approx(want, abs=1e-9)
+
+
 def test_asympt_remark(capsys):
     code, recs = run_cli(capsys, "asympt", "--quantity", "remark", "--beta", "2", "--order", "0")
     assert code == 0

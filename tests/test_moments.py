@@ -1,8 +1,14 @@
 import json
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selmat import moments
+from selmat.combinat import partitions_of
+from selmat.jack import kadell_ratio, monomial_to_jack
 from selmat.moments import (
     ENSEMBLES,
     InconsistentSamplesError,
@@ -13,6 +19,7 @@ from selmat.moments import (
     ensemble_moments,
     full_matrix_moment_ratio,
     laurent_coefficients,
+    monomial_moment_ratio,
     reconstruct_rational,
     richardson_limit,
     shifted_moment_ratio,
@@ -197,3 +204,68 @@ def test_laurent_with_polynomial_part_removed():
 def test_richardson_limit():
     pairs = [(n, 0.5 - 0.25 / n + 0.125 / n**2) for n in (10, 20, 40, 80, 160)]
     assert richardson_limit(pairs) == pytest.approx(0.5, abs=1e-10)
+
+
+def test_rational_function_at_fractional_n():
+    rf = RationalFunction.from_fraction_polys([F(1), F(2), F(3)], [F(5), F(0), F(0), F(7)])
+    for x in (F(3, 7), F(-2, 5), F(4), F(1, 1)):
+        assert rf(x) == (1 + 2 * x + 3 * x**2) / (5 + 7 * x**3)
+    zero = RationalFunction.from_fraction_polys([], [F(1), F(1)])
+    assert zero(F(2, 3)) == 0 and zero(5) == 0
+
+
+# -- the monomial moment ratios as rational functions of n ---------------------
+
+MONOMIALS = [mu for d in range(1, 5) for mu in partitions_of(d)]
+# kappa = 1/2, 1, 2, and beta/2 for every remark-beta beta of the benchmark
+CLOSED_FORM_KAPPAS = sorted(
+    {F(1, 2), F(1), F(2)} | {F(b) / 2 for b in ("1", "2", "4", "6", "1/2", "3/2", "5/2")}
+)
+
+
+def kadell_sum(mu, n, kappa):
+    """J(m_mu)/J(1) at one n: sum over lambda of c_lambda times kadell_ratio."""
+    return sum(
+        (c * kadell_ratio(lam, n, 1, 1, kappa) for lam, c in monomial_to_jack(mu, kappa).items()),
+        F(0),
+    )
+
+
+@pytest.mark.parametrize("kappa", CLOSED_FORM_KAPPAS, ids=str)
+def test_monomial_moment_ratio_matches_per_n_kadell(kappa):
+    assert len(MONOMIALS) == 11
+    for mu in MONOMIALS:
+        for n in range(1, 61):
+            assert monomial_moment_ratio(mu, n, kappa) == kadell_sum(mu, n, kappa), (mu, n)
+
+
+def test_monomial_moment_ratio_vanishes_below_the_length():
+    # m_(1,1) = P_(1,1) and m_(1,1,1,1) = P_(1,1,1,1) vanish in fewer variables;
+    # at kappa = 2 and 3 their Kadell products sit at a pole there
+    for kappa in (F(1, 2), F(1), F(2), F(3)):
+        assert monomial_moment_ratio((1, 1), 1, kappa) == 0
+        for n in (1, 2, 3):
+            assert monomial_moment_ratio((1, 1, 1, 1), n, kappa) == 0
+        assert monomial_moment_ratio((1, 1, 1, 1), 4, kappa) > 0
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    kappa=st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12),
+    mu=st.sampled_from(MONOMIALS),
+    n=st.integers(min_value=1, max_value=40),
+)
+def test_monomial_moment_ratio_property(kappa, mu, n):
+    assert monomial_moment_ratio(mu, n, kappa) == kadell_sum(mu, n, kappa)
+
+
+def test_ensemble_moments_match_per_n_reference(monkeypatch):
+    fields = ("M2", "M4", "M22", "M11", "var", "sigma2")
+    grid = [(name, conv, n) for name in sorted(ENSEMBLES) for conv in ("forced", "paper")
+            for n in range(2, 61)]
+    closed = {key: ensemble_moments(ensemble(key[0]), key[2], key[1]) for key in grid}
+    monkeypatch.setattr(moments, "monomial_moment_ratio", lru_cache(maxsize=None)(kadell_sum))
+    for key in grid:
+        ref = ensemble_moments(ensemble(key[0]), key[2], key[1])
+        for f in fields:
+            assert getattr(closed[key], f) == getattr(ref, f), (key, f)

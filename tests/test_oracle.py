@@ -171,6 +171,20 @@ def test_rejection_moments_match_exact_engine(kind, n, count):
         assert abs(e.mean - want) <= 4 * e.stderr, (name, e.mean, want, e.stderr)
 
 
+def test_acceptance_rate_counts_the_whole_last_batch():
+    # at count 100 one 250 000-draw batch overshoots count; the rate must still
+    # be accepted per proposal, as at 10^5 (hermitian n = 3 accepts ~1.5 %)
+    fns = {"T11sq": lambda T: (T[:, 0, 0] ** 2).real}
+    small = ball_moment_estimate("hermitian", 3, fns, 100, seed=4)["T11sq"]
+    large = ball_moment_estimate("hermitian", 3, fns, 100_000, seed=5)["T11sq"]
+    assert small.n_samples == 100 and large.n_samples == 100_000
+    r1, r2 = small.diagnostics["acceptance_rate"], large.diagnostics["acceptance_rate"]
+    # binomial stderr of accepted / proposed over 250 000 and ~10^5 / r2 proposals
+    se = math.hypot(math.sqrt(r1 * (1 - r1) / 250_000), math.sqrt(r2 * (1 - r2) * r2 / 100_000))
+    assert abs(r1 - r2) <= 4 * se, (r1, r2, se)
+    assert 0.01 < r1 < 0.02
+
+
 def test_rejection_full_real_n2():
     est = ball_moment_estimate(
         "full-real", 2, {"T11sq": lambda T: T[:, 0, 0] ** 2}, 80_000, seed=3
