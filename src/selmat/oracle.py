@@ -4,10 +4,13 @@ Nothing here touches the exact engine's algebra; integrals are done with
 tensor-product Gauss-Legendre rules and expectations with seeded Monte Carlo,
 so agreement with the exact modules is evidence, not circularity.
 
-Quadrature handles the two integrand families of the package:
-
-* Selberg type on [0,1]^n: payload * prod t^(u-1)(1-t)^(w-1) * prod|t_i-t_j|^(2k).
-* Log-gas type on [-1,1]^n: payload * prod|x_i^a - x_j^a|^b * prod|x_i|^c.
+Quadrature has one integrand family, the Selberg type on [0,1]^n:
+payload * prod t^(u-1)(1-t)^(w-1) * prod|t_i-t_j|^(2k).  The log-gas type on
+[-1,1]^n, payload * prod|x_i^a - x_j^a|^b * prod|x_i|^c, is reduced to it by
+the change of variables that the beta-Jacobi sampler also uses: x = 2t - 1
+for a = 1 (c = 0), and t = x^2 for a = 2 with an even payload.  One
+payload-independent rule serves every payload at the same (n, u, w, kappa)
+and resolution.
 
 Odd interaction exponents make the integrand non-smooth across the diagonal
 hyperplanes; those cases are integrated over the ordered sector t_1 < ... < t_n
@@ -25,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -207,13 +211,17 @@ def _symmetrized(f, n):
 # ---------------------------------------------------------------------------
 
 
+QUADRATURE_MAX_NODES = 2**22  # 40^4 fits; the mesh alone takes 8 n bytes per node
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Deterministic tensor-product rule for one integrand.
 
     kind: "selberg" (params u, w, kappa on [0,1]^n) or "loggas"
     (params a, b, c on [-1,1]^n).  payload is a descriptor tuple, see
-    payload_from_descriptor.
+    payload_from_descriptor.  The rule has points_per_axis^n nodes, at most
+    QUADRATURE_MAX_NODES.
     """
 
     kind: str
@@ -227,6 +235,11 @@ class QuadratureSpec:
             raise UnsupportedDimensionError("quadrature capped at n <= 4")
         if self.points_per_axis < 8:
             raise ValueError("need points_per_axis >= 8")
+        if self.points_per_axis**self.n > QUADRATURE_MAX_NODES:
+            raise UnsupportedDimensionError(
+                f"quadrature capped at {QUADRATURE_MAX_NODES} nodes,"
+                f" got {self.points_per_axis}^{self.n}"
+            )
 
 
 def quadrature(spec: QuadratureSpec) -> tuple[float, float]:
@@ -237,19 +250,52 @@ def quadrature(spec: QuadratureSpec) -> tuple[float, float]:
     return fine, abs(fine - coarse)
 
 
+def _loggas_selberg_params(a: int, b: int, c: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(u, w, kappa) of the Selberg weight that the (a, b, c) box log-gas maps to.
+
+    |Delta(x)|^b on [-1,1]^n is (1, 1, b/2) under x = 2t - 1, and
+    |Delta(x^2)|^b prod |x_i|^c is ((c + 1)/2, 1, b/2) under t = x^2.
+    """
+    if a == 1 and c == 0:
+        u = Fraction(1)
+    elif a == 2 and c >= 0:
+        u = Fraction(c + 1, 2)
+    else:
+        raise ValueError(f"log-gas covers (a, c) = (1, 0) or (2, c >= 0), not ({a}, {c})")
+    return u, Fraction(1), Fraction(b, 2)
+
+
 def _quadrature_once(spec: QuadratureSpec, pts_per_axis: int) -> float:
     f, symmetric = payload_from_descriptor(spec.payload)
+    n = spec.n
     if spec.kind == "selberg":
         u, w, kap = (Fraction(x) for x in spec.params)
-        return _selberg_quad(spec.n, u, w, kap, f, symmetric, pts_per_axis)
-    if spec.kind == "loggas":
+        scale = 1
+    elif spec.kind == "loggas":
         a, b, c = (int(x) for x in spec.params)
+        u, w, kap = _loggas_selberg_params(a, b, c)
         if a == 2 and not _even_payload(spec.payload):
             raise ValueError(
                 f"a=2 log-gas quadrature needs a payload even per variable, got {spec.payload!r}"
             )
-        return _loggas_quad(spec.n, a, b, c, f, symmetric, pts_per_axis)
-    raise ValueError(f"unknown quadrature kind {spec.kind!r}")
+        on_box = f
+        if a == 1:
+            # dx = 2^n dt and |Delta(x)|^b = 2^(b n(n-1)/2) |Delta(t)|^b
+            scale = 2.0 ** (n + b * n * (n - 1) // 2)
+            f = lambda t: on_box(2.0 * t - 1.0)
+        else:
+            # an even integrand is 2^n times its [0,1]^n part, and dx = dt / (2 sqrt(t))
+            scale = 1
+            f = lambda t: on_box(np.sqrt(t))
+    else:
+        raise ValueError(f"unknown quadrature kind {spec.kind!r}")
+    pts, factors, rule_scale, sector = _selberg_rule(n, u, w, kap, pts_per_axis)
+    if sector and not symmetric:
+        f = _symmetrized(f, n)
+    acc = factors[0] * f(pts)
+    for factor in factors[1:]:
+        acc = acc * factor
+    return float(np.sum(acc) * (rule_scale * scale))
 
 
 def _gl01(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +308,25 @@ def _mesh(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _selberg_quad(n, u, w, kap, f, symmetric, p) -> float:
-    two_kappa = 2 * kap
+def _interaction(pts: np.ndarray, e: float) -> np.ndarray:
+    """prod_{i<j} |t_i - t_j|^e for each row of pts."""
+    inter = np.ones(len(pts))
+    for i in range(pts.shape[1]):
+        for j in range(i + 1, pts.shape[1]):
+            inter = inter * np.abs(pts[:, i] - pts[:, j]) ** e
+    return inter
+
+
+@lru_cache(maxsize=2)  # quadrature alternates a fine and a coarse rule
+def _selberg_rule(n: int, u: Fraction, w: Fraction, kappa: Fraction, p: int):
+    """(points, factors, scale, sector) of the p-per-axis Selberg rule.
+
+    The integral of g against prod t^(u-1)(1-t)^(w-1) |Delta(t)|^(2 kappa) is
+    scale * sum(factors[0] * g(points) * factors[1] * ...).  When sector is
+    true the points cover only the ordered sector, so g must be symmetric.
+    The cached arrays are read-only, as every payload shares them.
+    """
+    two_kappa = 2 * kappa
     sector = not (two_kappa.denominator == 1 and two_kappa.numerator % 2 == 0)
     trig = (
         (2 * u).denominator == 1
@@ -287,104 +350,36 @@ def _selberg_quad(n, u, w, kap, f, symmetric, p) -> float:
             t_ax = x
             w_ax = wt * t_ax ** (uf - 1) * (1 - t_ax) ** (wf - 1)
         pts = _mesh([t_ax] * n)
-        wgt = _mesh([w_ax] * n).prod(axis=1)
-        inter = np.ones(len(pts))
-        for i in range(n):
-            for j in range(i + 1, n):
-                inter = inter * np.abs(pts[:, i] - pts[:, j]) ** bexp
-        return float(np.sum(wgt * f(pts) * inter))
-    # ordered sector: t_1 <= ... <= t_n via the telescoping product map
-    g = f if symmetric else _symmetrized(f, n)
-    ubox = _mesh([x] * n)
-    wgt = _mesh([wt] * n).prod(axis=1)
-    jac = np.ones(len(ubox))
-    for j in range(n):
-        jac = jac * ubox[:, j] ** j  # prod u_j^(j-1), 0-indexed
-    # cumulative products from the right: coordinate i = prod_{j >= i} u_j
-    cum = np.cumprod(ubox[:, ::-1], axis=1)[:, ::-1]
-    if trig:
-        theta = (math.pi / 2) * cum
-        pts = np.sin(theta) ** 2
-        dens = np.ones(len(ubox))
-        for i in range(n):
-            dens = dens * 2.0 * np.sin(theta[:, i]) ** (2 * uf - 1) * np.cos(
-                theta[:, i]
-            ) ** (2 * wf - 1)
-        jac = jac * (math.pi / 2) ** n
+        factors = (_mesh([w_ax] * n).prod(axis=1), _interaction(pts, bexp))
+        scale = 1
     else:
-        pts = cum
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dens = pts ** (uf - 1) * (1 - pts) ** (wf - 1)
-        dens = np.where(np.isfinite(dens), dens, 0.0).prod(axis=1)
-    inter = np.ones(len(ubox))
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = inter * np.abs(pts[:, j] - pts[:, i]) ** bexp
-    total = np.sum(wgt * g(pts) * dens * inter * jac)
-    return float(total * math.factorial(n))
-
-
-def _loggas_quad(n, a, b, c, f, symmetric, p) -> float:
-    if a == 1:
-        if c != 0:
-            raise ValueError("a=1 log-gas quadrature implemented for c=0 only")
-        return _loggas_a1(n, b, f, symmetric, p)
-    if a == 2:
-        return _loggas_a2(n, b, c, f, symmetric, p)
-    raise ValueError("a must be 1 or 2")
-
-
-def _loggas_a1(n, b, f, symmetric, p) -> float:
-    x, wt = _gl01(p)
-    if b % 2 == 0:
-        ax = 2.0 * x - 1.0
-        pts = _mesh([ax] * n)
-        wgt = _mesh([2.0 * wt] * n).prod(axis=1)
-        inter = np.ones(len(pts))
-        for i in range(n):
-            for j in range(i + 1, n):
-                inter = inter * np.abs(pts[:, i] - pts[:, j]) ** b
-        return float(np.sum(wgt * f(pts) * inter))
-    g = f if symmetric else _symmetrized(f, n)
-    ubox = _mesh([x] * n)
-    wgt = _mesh([wt] * n).prod(axis=1)
-    jac = np.ones(len(ubox))
-    for j in range(n):
-        jac = jac * ubox[:, j] ** j
-    cum = np.cumprod(ubox[:, ::-1], axis=1)[:, ::-1]
-    pts = 2.0 * cum - 1.0  # ordered ascending in [-1, 1]
-    inter = np.ones(len(ubox))
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = inter * np.abs(pts[:, j] - pts[:, i]) ** b
-    total = np.sum(wgt * g(pts) * inter * jac) * 2.0**n
-    return float(total * math.factorial(n))
-
-
-def _loggas_a2(n, b, c, f, symmetric, p) -> float:
-    # density is even per variable; even payloads reduce to [0,1]^n times 2^n
-    x, wt = _gl01(p)
-    if b % 2 == 0:
-        pts = _mesh([x] * n)
-        wgt = _mesh([wt] * n).prod(axis=1)
-    else:
-        g = f if symmetric else _symmetrized(f, n)
-        f = g
+        # ordered sector: t_1 <= ... <= t_n via the telescoping product map
         ubox = _mesh([x] * n)
         wgt = _mesh([wt] * n).prod(axis=1)
         jac = np.ones(len(ubox))
         for j in range(n):
-            jac = jac * ubox[:, j] ** j
-        pts = np.cumprod(ubox[:, ::-1], axis=1)[:, ::-1]
-        wgt = wgt * jac * math.factorial(n)
-    dens = np.ones(len(pts))
-    if c:
-        dens = dens * np.prod(pts**c, axis=1)
-    inter = np.ones(len(pts))
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = inter * np.abs(pts[:, i] ** 2 - pts[:, j] ** 2) ** b
-    return float(np.sum(wgt * f(pts) * dens * inter) * 2.0**n)
+            jac = jac * ubox[:, j] ** j  # prod u_j^(j-1), 0-indexed
+        # cumulative products from the right: coordinate i = prod_{j >= i} u_j
+        cum = np.cumprod(ubox[:, ::-1], axis=1)[:, ::-1]
+        if trig:
+            theta = (math.pi / 2) * cum
+            pts = np.sin(theta) ** 2
+            dens = np.ones(len(ubox))
+            for i in range(n):
+                dens = dens * 2.0 * np.sin(theta[:, i]) ** (2 * uf - 1) * np.cos(
+                    theta[:, i]
+                ) ** (2 * wf - 1)
+            jac = jac * (math.pi / 2) ** n
+        else:
+            pts = cum
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dens = pts ** (uf - 1) * (1 - pts) ** (wf - 1)
+            dens = np.where(np.isfinite(dens), dens, 0.0).prod(axis=1)
+        factors = (wgt, dens, _interaction(pts, bexp), jac)
+        scale = math.factorial(n)
+    for arr in (pts, *factors):
+        arr.flags.writeable = False
+    return pts, factors, scale, sector
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +585,7 @@ def ball_moment_estimate(
         T = T[: count - total]
         total += len(T)
         for name, fn in moment_fns.items():
-            acc[name].append(np.asarray(fn(T), dtype=float))
+            acc[name].append(np.ascontiguousarray(fn(T), dtype=float))  # not a view of T
     out = {}
     rate = accepted / proposed if proposed else 0.0
     for name, chunks in acc.items():
@@ -655,14 +650,7 @@ def loggas_moment_estimate(
     (count, n) array of points, or names one of LOGGAS_PAYLOADS.  Draws come
     in chunks of max(1, 2^22 // n^2) matrices, so memory is bounded at any n.
     """
-    # Selberg weight (u, w = 1, kappa = b/2): |Delta(x)|^b is u = 1 under x = 2t - 1,
-    # and |Delta(x^2)|^b |x|^c is u = (c + 1)/2 under t = x^2
-    if a == 1 and c == 0:
-        u = 1.0
-    elif a == 2 and c >= 0:
-        u = (c + 1) / 2
-    else:
-        raise ValueError(f"log-gas sampler covers (a, c) = (1, 0) or (2, c >= 0), not ({a}, {c})")
+    u, w, kappa = (float(x) for x in _loggas_selberg_params(a, b, c))
     if b <= 0 or n < 1 or count < BATCHES:
         raise ValueError(
             f"log-gas sampler needs b > 0, n >= 1, count >= {BATCHES}; got {b}, {n}, {count}"
@@ -675,10 +663,10 @@ def loggas_moment_estimate(
     chunk = max(1, 2**22 // n**2)
     acc = {name: [] for name in fns}
     for start in range(0, count, chunk):
-        t = _beta_jacobi(rng, min(chunk, count - start), n, u, 1.0, b / 2)
+        t = _beta_jacobi(rng, min(chunk, count - start), n, u, w, kappa)
         x = 2.0 * t - 1.0 if a == 1 else np.sqrt(t) * rng.choice((-1.0, 1.0), t.shape)
         for name, f in fns.items():
-            acc[name].append(np.asarray(f(x), dtype=float))
+            acc[name].append(np.ascontiguousarray(f(x), dtype=float))
     out = {}
     for name, chunks in acc.items():
         mean, stderr, ess = _batch_means(np.concatenate(chunks))

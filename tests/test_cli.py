@@ -197,6 +197,7 @@ def test_bad_flags_exit_2():
         ("weingarten", "unitary", "--k", "2", "--z", "5"),
         ("weingarten", "orthogonal", "--k", "7", "--coset-type", "7", "--z", "20"),
         ("oracle", "loggas", "--a", "1", "--b", "2", "--c", "1", "--n", "3"),
+        ("oracle", "quad", "--kind", "loggas", "--a", "1", "--c", "1", "--n", "2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -205,6 +206,14 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "config" in recs[0]
     err = recs[-1]["error"]
     assert err["type"] and err["message"]
+
+
+def test_oracle_quad_node_cap_exit_2(capsys, monkeypatch):
+    # 200^4 nodes would need ~51 GB for the mesh: refused before any rule is built
+    monkeypatch.setattr(oracle, "_quadrature_once", lambda *a: pytest.fail("rule built past the cap"))
+    code, recs = run_cli(capsys, "oracle", "quad", "--n", "4", "--points", "200")
+    assert code == 2
+    assert recs[-1]["error"]["type"] == "UnsupportedDimensionError"
 
 
 def test_verify_fast_subset(capsys):

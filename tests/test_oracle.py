@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -75,14 +76,29 @@ def test_quadrature_aomoto_payload():
 
 
 def test_quadrature_loggas_matches_engine():
-    for name, beta in (("symmetric", 1), ("hermitian", 2)):
-        r = ensemble_moments(ensemble(name), 3, "forced")
-        base, _ = quadrature(QuadratureSpec("loggas", 3, ("one",), (1, beta, 0), 36))
-        m2, _ = quadrature(QuadratureSpec("loggas", 3, ("monomial", (2,)), (1, beta, 0), 36))
-        assert m2 / base / 3 == pytest.approx(float(r.M2), abs=1e-10)
-    base, _ = quadrature(QuadratureSpec("loggas", 2, ("one",), (2, 1, 0), 36))
-    m2, _ = quadrature(QuadratureSpec("loggas", 2, ("monomial", (2,)), (2, 1, 0), 36))
-    assert m2 / base / 2 == pytest.approx(float(full_matrix_moment_ratio("x2", 2, 1)), abs=1e-10)
+    # the log-gas rides the Selberg rule: (1, b, 0) under x = 2t - 1 and
+    # (2, b, c) under t = x^2; base, ratios and a non-symmetric payload all check the map
+    for name, n in itertools.product(sorted(ENSEMBLES), (2, 3)):
+        spec = ensemble(name)
+        abc = (spec.a, spec.b, spec.c)
+        r = ensemble_moments(spec, n, "forced")
+        quad = lambda desc: quadrature(QuadratureSpec("loggas", n, desc, abc, 36))[0]
+        base = quad(("one",))
+        # u = (c + 1)/a: 1 for (1, b, 0), (c + 1)/2 for (2, b, c)
+        want = selberg_I0(SelbergParams(n, F(spec.c + 1, spec.a), 1, F(spec.b, 2)))
+        if spec.a == 1:  # dx = 2^n dt and |Delta(x)|^b = 2^(b n(n-1)/2) |Delta(t)|^b
+            want *= 2 ** (n + spec.b * n * (n - 1) // 2)
+        assert base == pytest.approx(to_float(want).value, rel=1e-10), (name, n)
+        ratios = {
+            ("monomial", (2,)): n * r.M2,
+            ("monomial", (4,)): n * r.M4,
+            ("monomial", (2, 2)): n * (n - 1) * r.M22 / 2,
+        }
+        if spec.a == 1:
+            # (x_1 - 1/2)^2 singles out x_1: an odd b needs the sector payload symmetrised
+            ratios[("shifted", "x2")] = r.M2 + F(1, 4)
+        for desc, want in ratios.items():
+            assert quad(desc) / base == pytest.approx(float(want), abs=1e-10), (name, n, desc)
 
 
 def test_quadrature_error_estimate_covers_truth():
@@ -122,6 +138,45 @@ def test_quadrature_loggas_beta4():
 def test_quadrature_dimension_cap():
     with pytest.raises(UnsupportedDimensionError):
         QuadratureSpec("selberg", 5, ("one",), (1, 1, 1), 16)
+
+
+def test_quadrature_node_cap():
+    # 200^4 nodes would need ~51 GB for the mesh alone; the spec refuses it unbuilt
+    QuadratureSpec("selberg", 4, ("one",), (1, 1, 1), 40)
+    QuadratureSpec("selberg", 2, ("one",), (1, 1, 1), 2**11)
+    for n, p in ((4, 200), (2, 2**11 + 1), (3, 162)):
+        with pytest.raises(UnsupportedDimensionError, match="nodes"):
+            QuadratureSpec("loggas", n, ("one",), (1, 2, 0), p)
+
+
+def test_selberg_rule_built_once_and_read_only():
+    # every payload at one (n, u, w, kappa) shares the fine and the coarse rule
+    oracle._selberg_rule.cache_clear()
+    for desc in (("one",), ("elementary", 1), ("aomoto", (1, 1, 0)), ("monomial", (2,))):
+        quadrature(QuadratureSpec("selberg", 3, desc, (F(3, 2), 1, F(1, 2)), 16))
+    info = oracle._selberg_rule.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+    pts, factors, scale, sector = oracle._selberg_rule(3, F(3, 2), F(1), F(1, 2), 16)
+    assert sector and scale == 6
+    for arr in (pts, *factors):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("c", [-1, 0, 1, 2])
+@pytest.mark.parametrize("a", [0, 1, 2, 3])
+def test_loggas_quadrature_and_sampler_accept_the_same_a_c(a, c):
+    def outcome(run):
+        try:
+            run()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    quad = outcome(lambda: quadrature(QuadratureSpec("loggas", 2, ("one",), (a, 2, c), 8)))
+    sample = outcome(lambda: loggas_moment_estimate(a, 2, c, 2, {"s": "sum_sq"}, 100, seed=1))
+    assert quad == sample
+    assert (quad is None) == ((a, c) == (1, 0) or (a == 2 and c >= 0))
 
 
 def test_quadrature_points_floor():
@@ -169,6 +224,26 @@ def test_rejection_moments_match_exact_engine(kind, n, count):
         e = est[name]
         assert e.n_samples == count
         assert abs(e.mean - want) <= 4 * e.stderr, (name, e.mean, want, e.stderr)
+
+
+def test_ball_moment_chunks_own_their_data(monkeypatch):
+    # .real of a complex batch is a strided view; a kept chunk must not hold the
+    # complex batch alive at 16 B per value
+    seen = []
+
+    class NumpySpy:  # numpy for the oracle module only, recording what it concatenates
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def concatenate(self, chunks, *args, **kwargs):
+            seen.extend(chunks)
+            return np.concatenate(chunks, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "np", NumpySpy())
+    fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
+    ball_moment_estimate("hermitian", 2, fns, 2_000, seed=3, batch=20_000)
+    assert len(seen) >= len(fns)
+    assert all(chunk.base is None and chunk.dtype == np.float64 for chunk in seen)
 
 
 def test_acceptance_rate_counts_the_whole_last_batch():
