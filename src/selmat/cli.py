@@ -15,8 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import verify as verify_mod
 from .combinat import format_partition, parse_partition
 from .exact import format_rational, to_float
@@ -62,6 +60,12 @@ class Emitter:
 
 def _frac(s: str) -> Fraction:
     return Fraction(s)
+
+
+def _nonempty(n_list: list[int]) -> list[int]:
+    if not n_list:
+        raise ValueError("--n-list names no n (a range a:b needs a <= b)")
+    return n_list
 
 
 def _n_list(s: str) -> list[int]:
@@ -301,7 +305,7 @@ def _dispatch(args, em: Emitter) -> int:
         return 0
     if cmd in ("variance", "sigma"):
         spec = ensemble(args.ensemble)
-        reports = [ensemble_moments(spec, n, args.convention) for n in args.n_list]
+        reports = [ensemble_moments(spec, n, args.convention) for n in _nonempty(args.n_list)]
         fieldname = "var" if cmd == "variance" else "sigma2"
         for rep in reports:
             v = getattr(rep, fieldname)
@@ -339,7 +343,7 @@ def _dispatch(args, em: Emitter) -> int:
         )
         return 0
     if cmd == "remark-beta":
-        for n in args.n_list:
+        for n in _nonempty(args.n_list):
             v = beta_remark_combination(n, args.beta)
             em.emit(_exact_record(v, {"n": n, "beta": format_rational(args.beta)}))
         _, lc = asymptotic_expansion("remark", 0, beta=args.beta)
@@ -429,14 +433,14 @@ def _dispatch_oracle(args, em: Emitter) -> int:
         if args.ensemble in ("hermitian",):
             fns = {
                 "T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real,
-                "absT12sq": lambda T: np.abs(T[:, 0, 1]) ** 2,
+                "absT12sq": lambda T: abs(T[:, 0, 1]) ** 2,
                 "T11sq": lambda T: (T[:, 0, 0] ** 2).real,
             }
         else:
             fns = {
                 "T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real,
-                "T12sq": lambda T: (np.abs(T[:, 0, 1]) ** 2),
-                "T11sq": lambda T: (np.abs(T[:, 0, 0]) ** 2),
+                "T12sq": lambda T: abs(T[:, 0, 1]) ** 2,
+                "T11sq": lambda T: abs(T[:, 0, 0]) ** 2,
             }
         if n < 2:
             fns = {"T11sq": fns["T11sq"]}
@@ -453,8 +457,10 @@ def _dispatch_oracle(args, em: Emitter) -> int:
             em.emit({"payload": name, **e.to_json()})
         return 0
     if oc == "haar":
+        if args.count < 2:
+            raise ValueError(f"oracle haar needs --count >= 2 for its stderr, got {args.count}")
         U = haar_sample(args.group, args.n, args.seed, args.count)
-        m11 = np.abs(U[:, 0, 0]) ** 2
+        m11 = abs(U[:, 0, 0]) ** 2
         em.emit(
             {
                 "group": args.group,

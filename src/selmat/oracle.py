@@ -19,6 +19,9 @@ by n!, with the payload symmetrised.  Half-integer u or w gets the per-axis
 t = sin^2(theta) substitution, which turns the weight into a smooth
 trigonometric density.  Every acceptance-grid case is smooth after these two
 moves, so the rules converge spectrally.
+
+numpy is imported inside the functions that use it: the CLI imports this
+module for every command, and the exact commands never need numpy.
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .combinat import partition
+from .selberg import SelbergParams
 
 
 class UnsupportedDimensionError(ValueError):
@@ -91,6 +93,7 @@ def _batch_means(values: np.ndarray) -> tuple[float, float, float]:
 
 def eval_monomial(lam, pts: np.ndarray) -> np.ndarray:
     """m_lambda(t_1..t_n) at pts of shape (N, n)."""
+    import numpy as np
     lam = partition(lam)
     n = pts.shape[1]
     if len(lam) > n:
@@ -107,6 +110,7 @@ def eval_monomial(lam, pts: np.ndarray) -> np.ndarray:
 
 
 def payload_one(pts):
+    import numpy as np
     return np.ones(pts.shape[0])
 
 
@@ -121,6 +125,7 @@ def payload_elementary(m: int):
 
 def payload_aomoto(m1: int, m2: int, m3: int):
     """prod_{i<=m1} t_i * prod_{j=m1+1-m3}^{m1+m2-m3} (1-t_j); not symmetric."""
+    import numpy as np
 
     def f(pts):
         out = np.ones(pts.shape[0])
@@ -153,6 +158,7 @@ def payload_shifted(name: str):
 
 def payload_from_descriptor(desc) -> tuple:
     """(callable, symmetric?) from a serialisable descriptor tuple."""
+    import numpy as np
     kind = desc[0]
     if kind == "one":
         return payload_one, True
@@ -195,6 +201,7 @@ def _even_payload(desc) -> bool:
 
 
 def _symmetrized(f, n):
+    import numpy as np
     perms = list(itertools.permutations(range(n)))
 
     def g(pts):
@@ -221,7 +228,8 @@ class QuadratureSpec:
     kind: "selberg" (params u, w, kappa on [0,1]^n) or "loggas"
     (params a, b, c on [-1,1]^n).  payload is a descriptor tuple, see
     payload_from_descriptor.  The rule has points_per_axis^n nodes, at most
-    QUADRATURE_MAX_NODES.
+    QUADRATURE_MAX_NODES.  Parameters at which the integral diverges raise
+    ParamOutOfRangeError, checked on the Selberg weight they map to.
     """
 
     kind: str
@@ -231,6 +239,11 @@ class QuadratureSpec:
     points_per_axis: int = 40
 
     def __post_init__(self):
+        self.weight()  # an unknown kind or a divergent integral fails here, before any rule
+        if self.kind == "loggas" and int(self.params[0]) == 2 and not _even_payload(self.payload):
+            raise ValueError(
+                f"a=2 log-gas quadrature needs a payload even per variable, got {self.payload!r}"
+            )
         if self.n > 4:
             raise UnsupportedDimensionError("quadrature capped at n <= 4")
         if self.points_per_axis < 8:
@@ -240,6 +253,14 @@ class QuadratureSpec:
                 f"quadrature capped at {QUADRATURE_MAX_NODES} nodes,"
                 f" got {self.points_per_axis}^{self.n}"
             )
+
+    def weight(self) -> SelbergParams:
+        """The Selberg weight on [0,1]^n that the integrand reduces to."""
+        if self.kind == "selberg":
+            return SelbergParams(self.n, *self.params)
+        if self.kind == "loggas":
+            return SelbergParams(self.n, *_loggas_selberg_params(*(int(x) for x in self.params)))
+        raise ValueError(f"unknown quadrature kind {self.kind!r}")
 
 
 def quadrature(spec: QuadratureSpec) -> tuple[float, float]:
@@ -266,18 +287,12 @@ def _loggas_selberg_params(a: int, b: int, c: int) -> tuple[Fraction, Fraction, 
 
 
 def _quadrature_once(spec: QuadratureSpec, pts_per_axis: int) -> float:
+    import numpy as np
     f, symmetric = payload_from_descriptor(spec.payload)
     n = spec.n
-    if spec.kind == "selberg":
-        u, w, kap = (Fraction(x) for x in spec.params)
-        scale = 1
-    elif spec.kind == "loggas":
-        a, b, c = (int(x) for x in spec.params)
-        u, w, kap = _loggas_selberg_params(a, b, c)
-        if a == 2 and not _even_payload(spec.payload):
-            raise ValueError(
-                f"a=2 log-gas quadrature needs a payload even per variable, got {spec.payload!r}"
-            )
+    scale = 1
+    if spec.kind == "loggas":
+        a, b, _ = (int(x) for x in spec.params)
         on_box = f
         if a == 1:
             # dx = 2^n dt and |Delta(x)|^b = 2^(b n(n-1)/2) |Delta(t)|^b
@@ -285,11 +300,9 @@ def _quadrature_once(spec: QuadratureSpec, pts_per_axis: int) -> float:
             f = lambda t: on_box(2.0 * t - 1.0)
         else:
             # an even integrand is 2^n times its [0,1]^n part, and dx = dt / (2 sqrt(t))
-            scale = 1
             f = lambda t: on_box(np.sqrt(t))
-    else:
-        raise ValueError(f"unknown quadrature kind {spec.kind!r}")
-    pts, factors, rule_scale, sector = _selberg_rule(n, u, w, kap, pts_per_axis)
+    p = spec.weight()
+    pts, factors, rule_scale, sector = _selberg_rule(n, p.u, p.w, p.kappa, pts_per_axis)
     if sector and not symmetric:
         f = _symmetrized(f, n)
     acc = factors[0] * f(pts)
@@ -299,17 +312,20 @@ def _quadrature_once(spec: QuadratureSpec, pts_per_axis: int) -> float:
 
 
 def _gl01(p: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     x, w = np.polynomial.legendre.leggauss(p)
     return (x + 1.0) / 2.0, w / 2.0
 
 
 def _mesh(axes: list[np.ndarray]) -> np.ndarray:
+    import numpy as np
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def _interaction(pts: np.ndarray, e: float) -> np.ndarray:
     """prod_{i<j} |t_i - t_j|^e for each row of pts."""
+    import numpy as np
     inter = np.ones(len(pts))
     for i in range(pts.shape[1]):
         for j in range(i + 1, pts.shape[1]):
@@ -326,6 +342,7 @@ def _selberg_rule(n: int, u: Fraction, w: Fraction, kappa: Fraction, p: int):
     true the points cover only the ordered sector, so g must be symmetric.
     The cached arrays are read-only, as every payload shares them.
     """
+    import numpy as np
     two_kappa = 2 * kappa
     sector = not (two_kappa.denominator == 1 and two_kappa.numerator % 2 == 0)
     trig = (
@@ -410,6 +427,7 @@ def _propose_self_adjoint(kind: str, n: int, rng, m: int):
     1/(2 r_ij), cancels the stage-1 weight, so accepted matrices have constant
     density on the ball: they are exactly uniform.
     """
+    import numpy as np
     d = rng.uniform(-1, 1, (n, m))
     pairs = list(zip(*np.triu_indices(n, 1)))  # (1,2), (1,3), (2,3), ...
     r2 = np.empty((len(pairs), m))
@@ -439,6 +457,7 @@ def _propose_self_adjoint(kind: str, n: int, rng, m: int):
 
 
 def _self_adjoint_mask_minors(kind, n, cols) -> np.ndarray:
+    import numpy as np
     d = cols["diag"]
     if n == 1:
         return np.abs(d[:, 0]) <= 1.0
@@ -472,12 +491,14 @@ def _self_adjoint_mask_minors(kind, n, cols) -> np.ndarray:
 
 
 def _self_adjoint_mask_eig(kind, n, cols) -> np.ndarray:
+    import numpy as np
     T = _assemble_self_adjoint(kind, n, cols, np.arange(len(cols["diag"])))
     vals = np.linalg.eigvalsh(T)
     return np.abs(vals).max(axis=1) <= 1.0
 
 
 def _assemble_self_adjoint(kind, n, cols, idx) -> np.ndarray:
+    import numpy as np
     m = len(idx)
     dtype = complex if kind == "hermitian" else float
     T = np.zeros((m, n, n), dtype=dtype)
@@ -495,6 +516,7 @@ def _assemble_self_adjoint(kind, n, cols, idx) -> np.ndarray:
 
 
 def _propose_full(kind: str, n: int, rng, m: int):
+    import numpy as np
     if kind == "full-real":
         T = rng.uniform(-1, 1, (m, n, n))
     else:
@@ -526,9 +548,12 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, bat
     LowAcceptanceError if they accept below REJECTION_MIN_ACCEPTANCE or if
     count / rate projects more than REJECTION_MAX_PROPOSALS proposals.
     """
+    import numpy as np
     kind = ensemble_name.lower()
     if kind not in BALL_ENSEMBLES:
         raise ValueError(f"rejection sampler covers {BALL_ENSEMBLES}, got {ensemble_name!r}")
+    if n < 1 or count < 1:
+        raise ValueError(f"rejection sampling needs n >= 1 and count >= 1, got {n}, {count}")
     if n > 4:
         raise UnsupportedDimensionError("rejection sampling capped at n <= 4")
     rng = np.random.default_rng(seed)
@@ -575,6 +600,7 @@ def ball_moment_estimate(
     those past `count` in the last batch: per stage-1 diagonal draw for
     hermitian and symmetric, per box draw otherwise.
     """
+    import numpy as np
     acc = {name: [] for name in moment_fns}
     total = 0
     accepted = 0
@@ -621,6 +647,7 @@ def _beta_jacobi(rng, m: int, n: int, u: float, w: float, kappa: float) -> np.nd
     are the squared singular values of an upper bidiagonal matrix with
     independent Beta-distributed entries (Edelman and Sutton, FoCM 8 (2008)).
     """
+    import numpy as np
     p, q = u / kappa - 1, w / kappa - 1
     i = np.arange(n, 0, -1)
     c = np.sqrt(rng.beta(kappa * (p + i), kappa * (q + i), (m, n)))
@@ -650,6 +677,7 @@ def loggas_moment_estimate(
     (count, n) array of points, or names one of LOGGAS_PAYLOADS.  Draws come
     in chunks of max(1, 2^22 // n^2) matrices, so memory is bounded at any n.
     """
+    import numpy as np
     u, w, kappa = (float(x) for x in _loggas_selberg_params(a, b, c))
     if b <= 0 or n < 1 or count < BATCHES:
         raise ValueError(
@@ -685,6 +713,9 @@ def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:
     The QR factorisations are stacked, in chunks of max(1, 2^22 // n^2)
     matrices so scratch memory stays bounded.
     """
+    import numpy as np
+    if n < 1 or count < 1:
+        raise ValueError(f"haar sampling needs n >= 1 and count >= 1, got {n}, {count}")
     if n > 64:
         raise UnsupportedDimensionError("haar sampling capped at n <= 64")
     if group not in ("unitary", "orthogonal"):

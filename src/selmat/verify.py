@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .combinat import Permutation, partitions_of
 from .exact import format_rational, to_float
 from .jack import jack_in_monomials, kadell_ratio, monomial_to_jack
@@ -546,7 +544,7 @@ def check_oracle_concordance(seed: int = DEFAULT_SEED, count: int = 1_000_000) -
     n = 3
     herm_fns = {
         "T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real,
-        "absT12sq": lambda T: np.abs(T[:, 0, 1]) ** 2,
+        "absT12sq": lambda T: abs(T[:, 0, 1]) ** 2,
         "T11sq": lambda T: (T[:, 0, 0] ** 2).real,
     }
     sym_fns = {

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import selmat
 from selmat import oracle
 from selmat.cli import main
 
@@ -198,6 +202,13 @@ def test_bad_flags_exit_2():
         ("weingarten", "orthogonal", "--k", "7", "--coset-type", "7", "--z", "20"),
         ("oracle", "loggas", "--a", "1", "--b", "2", "--c", "1", "--n", "3"),
         ("oracle", "quad", "--kind", "loggas", "--a", "1", "--c", "1", "--n", "2"),
+        ("oracle", "sample", "--ensemble", "hermitian", "--n", "0"),
+        ("oracle", "sample", "--ensemble", "hermitian", "--n", "2", "--count", "0"),
+        ("oracle", "haar", "--group", "unitary", "--n", "0"),
+        ("oracle", "haar", "--group", "unitary", "--n", "2", "--count", "1"),
+        ("sigma", "--ensemble", "hermitian", "--n-list", "5:2"),
+        ("variance", "--ensemble", "hermitian", "--n-list", "5:2"),
+        ("remark-beta", "--beta", "2", "--n-list", "5:2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -206,6 +217,61 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "config" in recs[0]
     err = recs[-1]["error"]
     assert err["type"] and err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--kind", "loggas", "--n", "2", "--b", "-2"),  # printed Infinity
+        ("--n", "2", "--kappa", "-1"),  # printed NaN
+        ("--n", "2", "--u", "-1"),  # printed a finite value with a large error estimate
+        ("--n", "0"),  # failed inside numpy
+    ],
+)
+def test_oracle_quad_divergent_params_exit_2(capsys, argv):
+    code, recs = run_cli(capsys, "oracle", "quad", *argv)
+    assert code == 2
+    assert recs[-1]["error"]["type"] == "ParamOutOfRangeError"
+
+
+EXACT_COMMANDS = [
+    ("selberg", "--n", "2", "--u", "1/2", "--w", "1", "--kappa", "1"),
+    ("aomoto", "--n", "3", "--u", "1", "--w", "1", "--kappa", "1/2", "--m", "2"),
+    ("jack", "expand", "--lam", "2,1", "--kappa", "1/2"),
+    ("kadell", "--lam", "2,1", "--n", "3", "--u", "1", "--w", "1", "--kappa", "2"),
+    ("moments", "--ensemble", "hermitian", "--n", "4"),
+    ("sigma", "--ensemble", "symmetric", "--n-list", "2:5"),
+    ("variance", "--ensemble", "full-complex", "--n-list", "2:5"),
+    ("asympt", "--quantity", "x2", "--kappa", "1", "--order", "1"),
+    ("remark-beta", "--beta", "2", "--n-list", "4,8"),
+    ("covariance", "--ensemble", "hermitian", "--n", "3"),
+    ("negcorr", "--field", "r", "--n", "5"),
+    ("weingarten", "unitary", "--k", "2", "--cycle-type", "2", "--z", "5"),
+]
+
+
+def test_exact_commands_run_without_numpy():
+    # each CLI call is a fresh process, so an exact command must not pay numpy's import
+    script = f"""
+import contextlib, io, json, sys
+from selmat.cli import main
+codes, loaded = [], []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {EXACT_COMMANDS!r}:
+        codes.append(main(list(argv)))
+    loaded.append("numpy" in sys.modules)
+    codes.append(main(["oracle", "quad", "--n", "2", "--points", "8"]))
+    loaded.append("numpy" in sys.modules)
+print(json.dumps([codes, loaded]))
+"""
+    src = os.path.dirname(os.path.dirname(selmat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    codes, loaded = json.loads(res.stdout)
+    assert codes == [0] * (len(EXACT_COMMANDS) + 1)
+    # no exact command loads numpy, and the oracle call shows that the check sees it load
+    assert loaded == [False, True]
 
 
 def test_oracle_quad_node_cap_exit_2(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -179,6 +180,11 @@ def test_loggas_quadrature_and_sampler_accept_the_same_a_c(a, c):
     assert (quad is None) == ((a, c) == (1, 0) or (a == 2 and c >= 0))
 
 
+def test_quadrature_unknown_kind():
+    with pytest.raises(ValueError, match="unknown quadrature kind"):
+        QuadratureSpec("gauss", 2, ("one",), (1, 1, 1), 16)
+
+
 def test_quadrature_points_floor():
     with pytest.raises(ValueError):
         QuadratureSpec("selberg", 2, ("one",), (1, 1, 1), 4)
@@ -230,16 +236,14 @@ def test_ball_moment_chunks_own_their_data(monkeypatch):
     # .real of a complex batch is a strided view; a kept chunk must not hold the
     # complex batch alive at 16 B per value
     seen = []
+    concatenate = np.concatenate
 
-    class NumpySpy:  # numpy for the oracle module only, recording what it concatenates
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def concatenate(self, chunks, *args, **kwargs):
+    def spy(chunks, *args, **kwargs):  # default_rng concatenates too; record the estimator only
+        if sys._getframe(1).f_code.co_name == "ball_moment_estimate":
             seen.extend(chunks)
-            return np.concatenate(chunks, *args, **kwargs)
+        return concatenate(chunks, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "np", NumpySpy())
+    monkeypatch.setattr(np, "concatenate", spy)
     fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
     ball_moment_estimate("hermitian", 2, fns, 2_000, seed=3, batch=20_000)
     assert len(seen) >= len(fns)
@@ -258,6 +262,14 @@ def test_acceptance_rate_counts_the_whole_last_batch():
     se = math.hypot(math.sqrt(r1 * (1 - r1) / 250_000), math.sqrt(r2 * (1 - r2) * r2 / 100_000))
     assert abs(r1 - r2) <= 4 * se, (r1, r2, se)
     assert 0.01 < r1 < 0.02
+
+
+@pytest.mark.parametrize("n,count", [(0, 10), (2, 0)])
+def test_samplers_refuse_empty_requests(n, count):
+    with pytest.raises(ValueError, match="n >= 1 and count >= 1"):
+        next(rejection_sample_ball("hermitian", n, count, seed=1))
+    with pytest.raises(ValueError, match="n >= 1 and count >= 1"):
+        haar_sample("unitary", n, seed=1, count=count)
 
 
 def test_rejection_full_real_n2():
