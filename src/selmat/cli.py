@@ -120,6 +120,13 @@ def _exact_record(value, extra=None) -> dict:
     return rec
 
 
+# the parameter flags of `oracle quad` for each --kind, as (type, default)
+QUAD_FLAGS = {
+    "selberg": {"u": (_frac, Fraction(1)), "w": (_frac, Fraction(1)), "kappa": (_frac, Fraction(1))},
+    "loggas": {"a": (int, 1), "b": (int, 2), "c": (int, 0)},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="selmat", description=__doc__)
     ap.add_argument("--format", choices=("json", "csv"), default="json")
@@ -198,18 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="numeric oracles")
     osub = p.add_subparsers(dest="oracle_command", required=True)
     q = osub.add_parser("quad", help="tensor-product quadrature")
-    q.add_argument("--kind", choices=("selberg", "loggas"), default="selberg")
+    q.add_argument("--kind", choices=tuple(QUAD_FLAGS), default="selberg")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--u", type=_frac, default=Fraction(1))
-    q.add_argument("--w", type=_frac, default=Fraction(1))
-    q.add_argument("--kappa", type=_frac, default=Fraction(1))
-    q.add_argument("--a", type=int, default=1)
-    q.add_argument("--b", type=int, default=2)
-    q.add_argument("--c", type=int, default=0)
+    for kind, flags in QUAD_FLAGS.items():
+        for flag, (typ, default) in flags.items():
+            q.add_argument(f"--{flag}", type=typ, default=None, help=f"{kind} only; default {default}")
     q.add_argument("--payload", default="one",
                    help="one | monomial:2,1 | elementary:2 | aomoto:1,1,0 | shifted:x2")
     q.add_argument("--points", type=int, default=40)
-    s = osub.add_parser("sample", help="rejection sampling from an operator-norm ball")
+    s = osub.add_parser("sample", help="uniform sampling from an operator-norm ball")
     s.add_argument("--ensemble", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--count", type=int, default=100_000)
@@ -237,6 +241,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _settle_quad_flags(args) -> list:
+    """Fill the defaults of the chosen kind's flags and drop the other kind's.
+
+    Returns the flags of the other kind that were given, which are an error.
+    """
+    if args.command != "oracle" or args.oracle_command != "quad":
+        return []
+    given = []
+    for kind, flags in QUAD_FLAGS.items():
+        for flag, (_, default) in flags.items():
+            value = getattr(args, flag)
+            if kind == args.kind:
+                setattr(args, flag, default if value is None else value)
+                continue
+            if value is not None:
+                given.append(f"--{flag}")
+            delattr(args, flag)
+    return given
+
+
 def _config_record(args) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "format"}
     for k, v in list(cfg.items()):
@@ -250,9 +274,12 @@ def _config_record(args) -> dict:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    unused = _settle_quad_flags(args)
     em = Emitter(args.format, sys.stdout)
     em.emit(_config_record(args))
     try:
+        if unused:
+            raise ValueError(f"oracle quad --kind {args.kind} does not use {', '.join(unused)}")
         code = _dispatch(args, em)
     except (ValueError, ArithmeticError) as exc:
         em.emit({"error": {"type": type(exc).__name__, "message": str(exc)}})

@@ -20,6 +20,13 @@ t = sin^2(theta) substitution, which turns the weight into a smooth
 trigonometric density.  Every acceptance-grid case is smooth after these two
 moves, so the rules converge spectrally.
 
+Every sampler is exact.  The self-adjoint operator-norm balls are grown one
+row and column at a time from Beta laws (the conditional-distribution method;
+Devroye, Non-Uniform Random Variate Generation, 1986), so nothing is rejected;
+the full balls are rejection-sampled from their bounding box.  The eigenvalue
+log-gas is drawn from the beta-Jacobi matrix model, and Haar matrices from a
+phase-corrected QR.
+
 numpy is imported inside the functions that use it: the CLI imports this
 module for every command, and the exact commands never need numpy.
 """
@@ -400,119 +407,100 @@ def _selberg_rule(n: int, u: Fraction, w: Fraction, kappa: Fraction, p: int):
 
 
 # ---------------------------------------------------------------------------
-# rejection sampling from operator-norm balls
+# uniform sampling from operator-norm balls
 # ---------------------------------------------------------------------------
 
 BALL_ENSEMBLES = ("hermitian", "symmetric", "full-real", "full-complex")
-# rejection gives up once this many proposals have been made at an acceptance
-# rate below REJECTION_MIN_ACCEPTANCE (full-complex n = 4 accepts none of 200k),
-# or at a rate that projects more than REJECTION_MAX_PROPOSALS proposals for the
-# requested count.  Measured rates: C10 needs 6.8e7 hermitian n = 3 stage-1
-# draws (1.5 %); full-complex n = 3 accepts 1.2e-5, so its default 1e5
-# samples would need 8e9 box proposals, some 11 hours.
+# The self-adjoint balls are drawn exactly, one accepted matrix per draw.  The
+# full balls propose from the bounding box, and rejection gives up once this
+# many box proposals have been made at an acceptance rate below
+# REJECTION_MIN_ACCEPTANCE (full-complex n = 4 accepts none of 200k), or at a
+# rate that projects more than REJECTION_MAX_PROPOSALS proposals for the
+# requested count.  Measured rates: full-complex n = 2 accepts 3.2 %; n = 3
+# accepts 1.2e-5, so its default 1e5 samples would need 8e9 box proposals,
+# some 11 hours.
 REJECTION_MIN_PROPOSALS = 4_000_000
 REJECTION_MIN_ACCEPTANCE = 1e-6
 REJECTION_MAX_PROPOSALS = 1_000_000_000
 
 
-def _propose_self_adjoint(kind: str, n: int, rng, m: int):
-    """m stage-1 diagonal draws; returns (columns dict, accept mask) of the survivors.
+def _sequential_self_adjoint(kind: str, n: int, rng, m: int) -> np.ndarray:
+    """m exactly uniform draws from the self-adjoint operator-norm ball, shape (m, n, n).
 
-    Every 2x2 principal submatrix of a contraction is a contraction, so
-    |T_ij|^2 <= r_ij^2 = min((1-d_i)(1-d_j), (1+d_i)(1+d_j)) with d = diag T.
-    Stage 1 draws d uniformly and keeps it with probability prod r_ij^2
-    (hermitian) or prod r_ij (symmetric); stage 2 draws each T_ij uniformly in
-    the disc (hermitian) or interval (symmetric) of radius r_ij; stage 3 is the
-    exact norm test.  The stage-2 density, prod 1/(pi r_ij^2) or prod
-    1/(2 r_ij), cancels the stage-1 weight, so accepted matrices have constant
-    density on the ball: they are exactly uniform.
+    T grows one row and column at a time.  Let beta = 1 (symmetric, F = R) or
+    2 (hermitian, F = C), and write a leading block of T as [[A, b], [b*, d]],
+    A k x k, b in F^k, d real.  By the Schur complement,
+    det(I -+ T) = det(I -+ A) (1 -+ d - b*(I -+ A)^-1 b), so given A inside the
+    ball the block is inside iff q - 1 <= d <= 1 - p, where
+    p = b*(I - A)^-1 b and q = b*(I + A)^-1 b.
+
+    Claim: the leading k x k block of a uniform T has density proportional to
+    det(I - A^2)^((n - k) beta / 2).  At k = n this is the uniform law.  Going
+    from k + 1 to k, put s = (n - k - 1) beta / 2; the Schur identity gives
+    det(I - T_{k+1}^2) = det(I - A^2) (1 - p - d)(1 + d - q).  Integrating d
+    over [q - 1, 1 - p], of length L = 2 - p - q, leaves L^(2s + 1) B(s+1, s+1),
+    and (d - q + 1) / L ~ Beta(s + 1, s + 1) given (A, b).  Since
+    (I - A)^-1 + (I + A)^-1 = 2 (I - A^2)^-1, p + q = 2 b*(I - A^2)^-1 b, which
+    is 2|y|^2 under b = R y with R R* = I - A^2; then db = det(I - A^2)^(beta/2) dy
+    and L = 2 (1 - |y|^2).  So (A, y) has density proportional to
+    det(I - A^2)^(s + beta/2) (1 - |y|^2)^(2s + 1) on |y| < 1: A has exponent
+    (n - k) beta / 2, as claimed, and y is independent of A and rotation
+    invariant, with |y|^2 ~ Beta(beta k / 2, 2s + 2) (its radial density is
+    r^(beta k - 1) (1 - r^2)^(2s + 1)).  At k = 1, (1 + T_11) / 2 ~ Beta(s+1, s+1)
+    with s = (n - 1) beta / 2.  For example E[T_11^2] = 1/7 for hermitian
+    n = 3, as the exact engine gives.
+
+    So the sampler draws T_11, then for k = 1..n-1 draws y, puts b = R y with R
+    the Cholesky factor of I - A^2, and draws d.  Nothing is rejected.  Every
+    entry is an m-vector; (I -+ A)^-1 are updated by bordering.  The output is
+    not exchangeable, because the last row is drawn last; callers conjugate it
+    by a uniform permutation.
     """
     import numpy as np
-    d = rng.uniform(-1, 1, (n, m))
-    pairs = list(zip(*np.triu_indices(n, 1)))  # (1,2), (1,3), (2,3), ...
-    r2 = np.empty((len(pairs), m))
-    for row, (i, j) in zip(r2, pairs):
-        # min((1-d_i)(1-d_j), (1+d_i)(1+d_j)) = 1 + d_i d_j - |d_i + d_j|
-        np.multiply(d[i], d[j], out=row)
-        row += 1.0
-        row -= np.abs(d[i] + d[j])
-    w = r2.prod(axis=0)  # prod r_ij^2
-    u = rng.random(m)
-    if kind == "symmetric":
-        u *= u  # keep with probability sqrt(w): u < sqrt(w) iff u^2 < w
-    keep = u < w
-    r = np.sqrt(np.maximum(r2[:, keep].T, 0.0))  # the difference can round below 0
-    cols = {"diag": d[:, keep].T}
-    if kind == "hermitian":
-        rad = r * np.sqrt(rng.random(r.shape))
-        theta = rng.uniform(0.0, 2.0 * np.pi, r.shape)
-        cols["re"], cols["im"] = rad * np.cos(theta), rad * np.sin(theta)
-    else:
-        cols["re"] = r * rng.uniform(-1, 1, r.shape)
-    if n <= 3:
-        mask = _self_adjoint_mask_minors(kind, n, cols)
-    else:
-        mask = _self_adjoint_mask_eig(kind, n, cols)
-    return cols, mask
+    beta = 2 if kind == "hermitian" else 1
 
+    def symmetric_beta(s):  # Beta(s + 1, s + 1) draws; uniform at s = 0
+        return rng.random(m) if s == 0 else rng.beta(s + 1, s + 1, m)
 
-def _self_adjoint_mask_minors(kind, n, cols) -> np.ndarray:
-    import numpy as np
-    d = cols["diag"]
-    if n == 1:
-        return np.abs(d[:, 0]) <= 1.0
-    re = cols["re"]
-    im = cols.get("im")
-    if n == 2:
-        q12 = re[:, 0] ** 2 + (im[:, 0] ** 2 if im is not None else 0.0)
-        ok = np.ones(len(d), dtype=bool)
-        for s in (1.0, -1.0):
-            e1, e2 = 1.0 + s * d[:, 0], 1.0 + s * d[:, 1]
-            ok &= (e1 > 0) & (e1 * e2 - q12 > 0)
-        return ok
-    # n == 3; pair order (1,2), (1,3), (2,3)
-    r12, r13, r23 = re[:, 0], re[:, 1], re[:, 2]
-    if im is not None:
-        i12, i13, i23 = im[:, 0], im[:, 1], im[:, 2]
-    else:
-        i12 = i13 = i23 = 0.0
-    q12 = r12**2 + i12**2
-    q13 = r13**2 + i13**2
-    q23 = r23**2 + i23**2
-    # Re(a12 a23 conj(a13))
-    tri = r12 * (r23 * r13 + i23 * i13) - i12 * (i23 * r13 - r23 * i13)
-    ok = np.ones(len(d), dtype=bool)
-    for s in (1.0, -1.0):
-        e1, e2, e3 = 1.0 + s * d[:, 0], 1.0 + s * d[:, 1], 1.0 + s * d[:, 2]
-        m2 = e1 * e2 - q12
-        m3 = e1 * e2 * e3 + 2.0 * s * tri - e1 * q23 - e2 * q13 - e3 * q12
-        ok &= (e1 > 0) & (m2 > 0) & (m3 > 0)
-    return ok
-
-
-def _self_adjoint_mask_eig(kind, n, cols) -> np.ndarray:
-    import numpy as np
-    T = _assemble_self_adjoint(kind, n, cols, np.arange(len(cols["diag"])))
-    vals = np.linalg.eigvalsh(T)
-    return np.abs(vals).max(axis=1) <= 1.0
-
-
-def _assemble_self_adjoint(kind, n, cols, idx) -> np.ndarray:
-    import numpy as np
-    m = len(idx)
-    dtype = complex if kind == "hermitian" else float
-    T = np.zeros((m, n, n), dtype=dtype)
-    iu = np.triu_indices(n, 1)
-    re = cols["re"][idx]
-    if kind == "hermitian":
-        off = re + 1j * cols["im"][idx]
-        T[:, iu[0], iu[1]] = off
-        T[:, iu[1], iu[0]] = off.conj()
-    else:
-        T[:, iu[0], iu[1]] = re
-        T[:, iu[1], iu[0]] = re
-    T[:, np.arange(n), np.arange(n)] = cols["diag"][idx]
-    return T
+    a = 2.0 * symmetric_beta((n - 1) * beta / 2) - 1.0
+    A = [[a]]  # A[i][j] holds entry (i, j) of every draw
+    minus, plus = [[1.0 / (1.0 - a)]], [[1.0 / (1.0 + a)]]  # (I - A)^-1, (I + A)^-1
+    for k in range(1, n):
+        s = (n - k - 1) * beta / 2
+        g = rng.standard_normal((k, m))
+        if beta == 2:
+            g = g + 1j * rng.standard_normal((k, m))
+        norm2 = (g.real**2 + g.imag**2).sum(axis=0)
+        y = g * np.sqrt(rng.beta(beta * k / 2, 2 * s + 2, m) / norm2)
+        # R: lower Cholesky factor of I - A^2
+        R = [[None] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1):
+                acc = float(i == j) - sum(A[i][l] * A[l][j] for l in range(k))
+                acc = acc - sum(R[i][l] * np.conj(R[j][l]) for l in range(j))
+                R[i][j] = np.sqrt(acc.real) if i == j else acc / R[j][j]
+        b = [sum(R[i][j] * y[j] for j in range(i + 1)) for i in range(k)]
+        v = [sum(minus[i][j] * b[j] for j in range(k)) for i in range(k)]
+        w = [sum(plus[i][j] * b[j] for j in range(k)) for i in range(k)]
+        p = sum((np.conj(b[i]) * v[i]).real for i in range(k))
+        q = sum((np.conj(b[i]) * w[i]).real for i in range(k))
+        d = q - 1.0 + (2.0 - p - q) * symmetric_beta(s)
+        for i in range(k):
+            A[i].append(b[i])
+        A.append([np.conj(bi) for bi in b] + [d])
+        if k == n - 1:
+            break
+        # border (I - A)^-1 and (I + A)^-1 with the Schur complements 1 - d - p, 1 + d - q
+        sm, sp = 1.0 - d - p, 1.0 + d - q
+        minus = [
+            [minus[i][j] + v[i] * np.conj(v[j]) / sm for j in range(k)] + [v[i] / sm]
+            for i in range(k)
+        ] + [[np.conj(vj) / sm for vj in v] + [1.0 / sm]]
+        plus = [
+            [plus[i][j] + w[i] * np.conj(w[j]) / sp for j in range(k)] + [-w[i] / sp]
+            for i in range(k)
+        ] + [[-np.conj(wj) / sp for wj in w] + [1.0 / sp]]
+    return np.array(A, dtype=complex if beta == 2 else float).transpose(2, 0, 1)
 
 
 def _propose_full(kind: str, n: int, rng, m: int):
@@ -536,15 +524,16 @@ def _propose_full(kind: str, n: int, rng, m: int):
 def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, batch: int = 250_000):
     """Yield batches of matrices uniform on the operator-norm unit ball.
 
-    hermitian and symmetric use the exact three-stage 2x2-minor sampler of
-    _propose_self_adjoint, and a proposal is one stage-1 diagonal draw;
-    full-real and full-complex propose entrywise-uniform on the bounding box,
-    accepted iff the spectral norm is at most 1.  Each batch makes `batch`
-    proposals.  Yields (batch_array, n_proposed) tuples, batch_array holding
-    every matrix the batch accepted and n_proposed the proposals so far, until
-    at least `count` have been accepted; the last batch can overshoot `count`,
-    so a caller that wants exactly `count` keeps the first ones.  Once
-    REJECTION_MIN_PROPOSALS proposals have been made, raises
+    hermitian and symmetric are drawn exactly by _sequential_self_adjoint, in
+    chunks of max(1, 2^16 // n^2) matrices, each conjugated by a uniform random
+    permutation; every draw is accepted, and the last chunk stops at `count`.
+    full-real and full-complex propose `batch` entrywise-uniform matrices at a
+    time on the bounding box, accepted iff the spectral norm is at most 1.
+    Yields (batch_array, n_proposed) tuples, batch_array holding every matrix
+    the batch accepted and n_proposed the proposals so far, until at least
+    `count` have been accepted; the last box batch can overshoot `count`, so a
+    caller that wants exactly `count` keeps the first ones.  Once
+    REJECTION_MIN_PROPOSALS box proposals have been made, raises
     LowAcceptanceError if they accept below REJECTION_MIN_ACCEPTANCE or if
     count / rate projects more than REJECTION_MAX_PROPOSALS proposals.
     """
@@ -557,15 +546,19 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, bat
     if n > 4:
         raise UnsupportedDimensionError("rejection sampling capped at n <= 4")
     rng = np.random.default_rng(seed)
+    if kind in ("hermitian", "symmetric"):
+        chunk = max(1, 2**16 // n**2)
+        for start in range(0, count, chunk):
+            m = min(chunk, count - start)
+            T = _sequential_self_adjoint(kind, n, rng, m)
+            perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+            yield T[np.arange(m)[:, None, None], perm[:, :, None], perm[:, None, :]], start + m
+        return
     produced = 0
     proposed_total = 0
     while produced < count:
-        if kind in ("hermitian", "symmetric"):
-            cols, mask = _propose_self_adjoint(kind, n, rng, batch)
-            out = _assemble_self_adjoint(kind, n, cols, np.flatnonzero(mask))
-        else:
-            T, mask = _propose_full(kind, n, rng, batch)
-            out = T[mask]
+        T, mask = _propose_full(kind, n, rng, batch)
+        out = T[mask]
         proposed_total += batch
         produced += len(out)
         rate = produced / proposed_total
@@ -597,8 +590,8 @@ def ball_moment_estimate(
 
     moment_fns maps names to vectorised callables f(T_batch) -> (B,) floats.
     The acceptance_rate diagnostic is accepted matrices per proposal, counting
-    those past `count` in the last batch: per stage-1 diagonal draw for
-    hermitian and symmetric, per box draw otherwise.
+    those past `count` in the last batch: per box draw for the full balls, and
+    1 for hermitian and symmetric, whose every draw is accepted.
     """
     import numpy as np
     acc = {name: [] for name in moment_fns}

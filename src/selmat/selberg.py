@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GammaProduct, Rational
+from .exact import GammaProduct, Rational, format_rational
 
 
 class ParamOutOfRangeError(ValueError):
@@ -47,7 +47,8 @@ class SelbergParams:
         if n > 1:
             bounds += [u / (n - 1), w / (n - 1)]
         if k <= -min(bounds):  # strict: boundary equality rejected
-            raise ParamOutOfRangeError(f"kappa={k} violates kappa > -min{bounds}")
+            listed = ", ".join(format_rational(b) for b in bounds)
+            raise ParamOutOfRangeError(f"kappa={k} violates kappa > -min[{listed}]")
 
 
 def selberg_I0(p: SelbergParams) -> GammaProduct:

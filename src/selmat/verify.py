@@ -534,7 +534,7 @@ def check_negcorr() -> CheckResult:
 
 
 def check_oracle_concordance(seed: int = DEFAULT_SEED, count: int = 1_000_000) -> CheckResult:
-    """Rejection-sampled n=3 balls against the forced-convention exact engine.
+    """Exactly sampled n=3 balls against the forced-convention exact engine.
 
     Also adjudicates the scaling convention: the paper-convention second
     moments sit far outside the Monte Carlo error band.

@@ -158,11 +158,11 @@ def test_oracle_loggas(capsys):
 
 
 def test_rejection_low_acceptance_exit_2(capsys, monkeypatch):
-    # hermitian n = 3 accepts 1.5 % of stage-1 draws: below a 5 % floor after one batch
+    # full-complex n = 2 accepts 3.2 % of box proposals: below a 5 % floor after one batch
     monkeypatch.setattr(oracle, "REJECTION_MIN_PROPOSALS", 20_000)
     monkeypatch.setattr(oracle, "REJECTION_MIN_ACCEPTANCE", 0.05)
     code, recs = run_cli(
-        capsys, "oracle", "sample", "--ensemble", "hermitian", "--n", "3", "--count", "10"
+        capsys, "oracle", "sample", "--ensemble", "full-complex", "--n", "2", "--count", "10"
     )
     assert code == 2
     assert recs[-1]["error"]["type"] == "LowAcceptanceError"
@@ -209,6 +209,8 @@ def test_bad_flags_exit_2():
         ("sigma", "--ensemble", "hermitian", "--n-list", "5:2"),
         ("variance", "--ensemble", "hermitian", "--n-list", "5:2"),
         ("remark-beta", "--beta", "2", "--n-list", "5:2"),
+        ("oracle", "quad", "--kind", "loggas", "--n", "2", "--kappa", "-1"),
+        ("oracle", "quad", "--kind", "selberg", "--n", "2", "--b", "-2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -232,6 +234,38 @@ def test_oracle_quad_divergent_params_exit_2(capsys, argv):
     code, recs = run_cli(capsys, "oracle", "quad", *argv)
     assert code == 2
     assert recs[-1]["error"]["type"] == "ParamOutOfRangeError"
+
+
+@pytest.mark.parametrize(
+    "argv,unused",
+    [
+        (("--kind", "loggas", "--kappa", "-1", "--u", "2"), "--u, --kappa"),
+        (("--b", "-2"), "--b"),
+    ],
+)
+def test_oracle_quad_names_flags_of_the_other_kind(capsys, argv, unused):
+    # the other kind's flags were once ignored, and echoed as though they were used
+    code, recs = run_cli(capsys, "oracle", "quad", "--n", "2", *argv)
+    assert code == 2
+    assert recs[-1]["error"]["message"].endswith(f"does not use {unused}")
+    kind = recs[0]["config"]["kind"]
+    flags = {"selberg": {"u", "w", "kappa"}, "loggas": {"a", "b", "c"}}
+    assert flags[kind] <= set(recs[0]["config"])
+    assert not (flags["selberg"] | flags["loggas"]) - flags[kind] & set(recs[0]["config"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("selberg", "--n", "2", "--u", "1", "--w", "1", "--kappa", "-5"),
+        ("oracle", "quad", "--n", "2", "--kappa", "-1"),
+    ],
+)
+def test_param_errors_print_rationals_as_p_q(capsys, argv):
+    # the bounds were printed as Fraction(1, 2) reprs
+    code, recs = run_cli(capsys, *argv)
+    assert code == 2
+    assert recs[-1]["error"]["message"].endswith("violates kappa > -min[1/2, 1, 1]")
 
 
 EXACT_COMMANDS = [
