@@ -62,9 +62,15 @@ def _frac(s: str) -> Fraction:
     return Fraction(s)
 
 
-def _nonempty(n_list: list[int]) -> list[int]:
+def _checked_n_list(n_list: list[int]) -> list[int]:
+    """The n-list, if it names at least one n and none twice."""
     if not n_list:
         raise ValueError("--n-list names no n (a range a:b needs a <= b)")
+    seen = set()
+    for n in n_list:
+        if n in seen:
+            raise ValueError(f"--n-list names n = {n} twice")
+        seen.add(n)
     return n_list
 
 
@@ -332,7 +338,8 @@ def _dispatch(args, em: Emitter) -> int:
         return 0
     if cmd in ("variance", "sigma"):
         spec = ensemble(args.ensemble)
-        reports = [ensemble_moments(spec, n, args.convention) for n in _nonempty(args.n_list)]
+        n_list = _checked_n_list(args.n_list)
+        reports = [ensemble_moments(spec, n, args.convention) for n in n_list]
         fieldname = "var" if cmd == "variance" else "sigma2"
         for rep in reports:
             v = getattr(rep, fieldname)
@@ -370,7 +377,7 @@ def _dispatch(args, em: Emitter) -> int:
         )
         return 0
     if cmd == "remark-beta":
-        for n in _nonempty(args.n_list):
+        for n in _checked_n_list(args.n_list):
             v = beta_remark_combination(n, args.beta)
             em.emit(_exact_record(v, {"n": n, "beta": format_rational(args.beta)}))
         _, lc = asymptotic_expansion("remark", 0, beta=args.beta)

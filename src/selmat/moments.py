@@ -2,13 +2,18 @@
 
 Reduces operator-norm-ball moments to Selberg/Kadell ratios and assembles
 variances, the thin-shell constant sigma^2, and the general-beta box
-combination.  The monomial moment ratios J(m_mu)/J(1) are exact rational
-functions of n: each Kadell ratio is a falling-factorial polynomial times a
-product of factors linear in n.  They are built once per (mu, kappa,
-min(n, |mu|)) and evaluated at each n in integer arithmetic.  Asymptotic
-expansions are extracted exactly: per-n rational values are interpolated by a
-rational function of n (exact linear solve) and expanded at infinity, never
-fitted in floating point.
+combination.  For a fixed ensemble all of these are exact rational functions
+of n, and ``RationalFunction`` does exact arithmetic on them.  The monomial
+moment ratios J(m_mu)/J(1) are built once per (mu, kappa, min(n, |mu|)): each
+Kadell ratio is a falling-factorial polynomial times a product of factors
+linear in n.  The payload formulas and the variance assembly are written once,
+generic in n; at the identity function of n they compose those ratios (or, for
+the full balls, Aomoto's linear-factor products) into one function per
+(ensemble, convention) and one per beta, which every n >= 4 evaluates in
+integer arithmetic.  The asymptotics of var, sigma^2 and the box combination
+are the Laurent expansions of those functions at infinity.  The J-level and
+full-matrix payloads are still sampled per n and interpolated by a rational
+function of n (exact linear solve).  Nothing is fitted in floating point.
 
 Scaling conventions.  For the self-adjoint families the eigenvalue density
 lives on [-1, 1]^n while the Kadell machinery lives on [0, 1]^n; the
@@ -37,6 +42,7 @@ FULL_MATRIX = "full_matrix"
 
 SHIFTED_PAYLOADS = ("x2", "x1x1", "x2x2", "x4")
 FULL_PAYLOADS = ("x2", "x2x2", "x4")
+MOMENT_FIELDS = ("M2", "M4", "M22", "M11", "var", "sigma2")  # MomentReport's exact fields
 
 
 class InconsistentSamplesError(ValueError):
@@ -116,6 +122,229 @@ def ensemble(name: str) -> EnsembleSpec:
 
 
 # ---------------------------------------------------------------------------
+# exact rational functions of n
+# ---------------------------------------------------------------------------
+
+
+def _homogeneous_eval(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^(len(coeffs) - 1) * poly(p/q) for integer coefficients, in integers."""
+    out, qk = 0, 1
+    for c in reversed(coeffs):
+        out = out * p + c * qk
+        qk *= q
+    return out
+
+
+def _poly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b) :]
+
+
+def _poly_trim(coeffs: list) -> list:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_primitive(a: Sequence[int]) -> list:
+    """a over its content, with a positive leading coefficient ([] for zero)."""
+    if not a:
+        return []
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _poly_prem(a: Sequence[int], b: Sequence[int]) -> list:
+    """Pseudo-remainder of a by b (len(b) >= 2) in Z[x]."""
+    a = list(a)
+    lead = b[-1]
+    while len(a) >= len(b):
+        top, k = a[-1], len(a) - len(b)
+        a = [lead * c for c in a]
+        for i, c in enumerate(b):
+            a[k + i] -= top * c
+        a.pop()
+        _poly_trim(a)
+    return a
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list:
+    """The primitive gcd in Z[x] (positive leading coefficient); [1] if coprime.
+
+    Euclid on primitive pseudo-remainders, so coefficients stay integers and
+    small; by Gauss's lemma this is the gcd over Q up to a unit.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _poly_primitive(a)
+    if len(b) == 1:
+        return [1]
+    a, b = _poly_primitive(a), _poly_primitive(b)
+    while len(b) > 1:
+        a, b = b, _poly_primitive(_poly_prem(a, b))
+    return a if not b else [1]
+
+
+def _poly_exact_div(a: Sequence[int], b: Sequence[int]) -> list:
+    """a / b in Z[x] for a primitive divisor b of a (the quotient is integral)."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + len(b) - 1] // b[-1]
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+    return q
+
+
+def _cancel(num: list, den: list, g: list) -> tuple:
+    """(num, den) divided by their common factor g, unless g is a unit."""
+    if len(g) < 2:
+        return num, den
+    return _poly_exact_div(num, g), _poly_exact_div(den, g)
+
+
+def _rf_parts(x) -> Optional[tuple]:
+    """(numerator, denominator) of a RationalFunction, int or Fraction."""
+    if isinstance(x, RationalFunction):
+        return x.numerator, x.denominator
+    if isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+        return ((x.numerator,) if x else ()), (x.denominator,)
+    return None
+
+
+@dataclass(frozen=True)
+class RationalFunction:
+    """p(n)/q(n) with coprime integer-coefficient polynomials, q normalised.
+
+    Normal form: coefficients ascending in degree, integer, with no common
+    integer factor; numerator and denominator coprime; the denominator's
+    leading coefficient positive; the zero function is 0/1.  Arithmetic with
+    other functions, ints and Fractions (+, -, *, /, integer powers) returns
+    the normal form, cancelling common factors as it goes (Henrici's
+    gcd-of-denominators scheme), so equal functions compare equal.
+    """
+
+    numerator: tuple  # int coefficients, ascending degree
+    denominator: tuple
+
+    @classmethod
+    def _normal(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
+        """The normal form of num/den for coprime integer polynomials."""
+        num, den = _poly_trim(list(num)), _poly_trim(list(den))
+        if not den:
+            raise ZeroDivisionError("zero denominator polynomial")
+        if not num:
+            return cls((), (1,))
+        g = math.gcd(*num, *den)
+        if den[-1] < 0:
+            g = -g
+        return cls(tuple(c // g for c in num), tuple(c // g for c in den))
+
+    @classmethod
+    def from_fraction_polys(cls, num: Sequence[Fraction], den: Sequence[Fraction]) -> "RationalFunction":
+        num, den = _poly_trim(list(num)), _poly_trim(list(den))
+        if not den:
+            raise ZeroDivisionError("zero denominator polynomial")
+        mult = math.lcm(*(c.denominator for c in num + den))
+        num = [int(c * mult) for c in num]
+        den = [int(c * mult) for c in den]
+        return cls._normal(*_cancel(num, den, _poly_gcd(num, den)))
+
+    def __call__(self, n) -> Fraction:
+        # integer Horner on q^deg * poly(p/q), then one Fraction
+        x = n if type(n) is int else Fraction(n)
+        p, q = x.numerator, x.denominator
+        den = _homogeneous_eval(self.denominator, p, q)
+        if den == 0:
+            raise ZeroDivisionError(f"denominator vanishes at n={n}")
+        value = Fraction(_homogeneous_eval(self.numerator, p, q), den)
+        if q != 1:
+            value *= Fraction(q) ** (len(self.denominator) - len(self.numerator))
+        return value
+
+    def __add__(self, other):
+        o = _rf_parts(other)
+        if o is None:
+            return NotImplemented
+        (a, b), (c, d) = (self.numerator, self.denominator), o
+        g = _poly_gcd(b, d)
+        b1, d1 = _cancel(b, d, g)
+        num = _poly_trim(_poly_add(_poly_mul(a, d1), _poly_mul(c, b1)))
+        den = _poly_mul(b, d1)
+        if len(g) > 1 and num:  # a common factor of num and den divides g
+            num, den = _cancel(num, den, _poly_gcd(num, g))
+        return self._normal(num, den)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "RationalFunction":
+        return RationalFunction(tuple(-c for c in self.numerator), self.denominator)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = _rf_parts(other)
+        if o is None:
+            return NotImplemented
+        (a, b), (c, d) = (self.numerator, self.denominator), o
+        if not a or not c:
+            return RationalFunction((), (1,))
+        a, d = _cancel(a, d, _poly_gcd(a, d))
+        c, b = _cancel(c, b, _poly_gcd(c, b))
+        return self._normal(_poly_mul(a, c), _poly_mul(b, d))
+
+    __rmul__ = __mul__
+
+    def _reciprocal(self) -> "RationalFunction":
+        if not self.numerator:
+            raise ZeroDivisionError("division by the zero function")
+        return self._normal(self.denominator, self.numerator)
+
+    def __truediv__(self, other):
+        o = _rf_parts(other)
+        if o is None:
+            return NotImplemented
+        return self * RationalFunction(*o)._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        base = self if k >= 0 else self._reciprocal()
+        k = abs(k)
+        # coprime parts stay coprime, and content 1 survives powers (Gauss)
+        num, den = [1], [1]
+        for _ in range(k):
+            num, den = _poly_mul(num, base.numerator), _poly_mul(den, base.denominator)
+        return self._normal(num, den)
+
+    def to_json(self) -> dict:
+        return {"numerator": list(self.numerator), "denominator": list(self.denominator)}
+
+
+# ---------------------------------------------------------------------------
 # J-level building blocks (self-adjoint reduction, box [0,1]^n, u = w = 1)
 # ---------------------------------------------------------------------------
 
@@ -154,43 +383,71 @@ def monomial_moment_function(mu: tuple, kappa: Fraction, m: int) -> RationalFunc
     """
     kappa = Fraction(kappa)
     p, q = kappa.numerator, kappa.denominator
-    terms = []  # (polynomial in n, denominator factors (b, a) of b n + a)
+    terms = []  # (scalar, integer polynomial in n, denominator factors (b, a) of b n + a)
     for lam, c in monomial_to_jack(mu, kappa).items():
         if len(lam) > m:
             continue
-        poly = [Fraction(0)]  # P_lambda(1^n)
+        poly = []  # P_lambda(1^n)
         for nu, coef in jack_in_monomials(lam, kappa).coeffs:
-            falling = [coef / math.prod(math.factorial(nu.count(v)) for v in set(nu))]
+            coef /= math.prod(math.factorial(nu.count(v)) for v in set(nu))
+            falling = [1]
             for k in range(len(nu)):
-                falling = _poly_mul_linear(falling, 1, -k)
-            poly = _poly_add(poly, falling)
+                falling = _poly_mul(falling, (-k, 1))
+            poly = _poly_add(poly, [coef * x for x in falling])
+        scale = math.lcm(*(x.denominator for x in poly))
+        poly = [int(x * scale) for x in poly]
+        c /= scale
         den = {}
         # with kappa = p/q, q (1+(n-i)kappa+j) = p n + q(1+j) - i p and
         # q (2+(2n-i-1)kappa+j) = 2p n + q(2+j) - (i+1)p; the q's cancel
         for i, part in enumerate(lam, start=1):
             for j in range(part):
-                poly = _poly_mul_linear(poly, p, q * (1 + j) - i * p)
+                poly = _poly_mul(poly, (q * (1 + j) - i * p, p))
                 b, a = 2 * p, q * (2 + j) - (i + 1) * p
                 g = math.gcd(b, a)
                 factor = (b // g, a // g)
                 den[factor] = den.get(factor, 0) + 1
                 c /= g
-        terms.append(([c * x for x in poly], den))
+        terms.append((c, poly, den))
     lcm = {}
-    for _, den in terms:
+    for _, _, den in terms:
         for f, k in den.items():
             lcm[f] = max(lcm.get(f, 0), k)
-    num = [Fraction(0)]
-    for poly, den in terms:
+    common = math.lcm(*(c.denominator for c, _, _ in terms))
+    num = []
+    for c, poly, den in terms:
         for (b, a), k in lcm.items():
             for _ in range(k - den.get((b, a), 0)):
-                poly = _poly_mul_linear(poly, b, a)
-        num = _poly_add(num, poly)
-    den_poly = [Fraction(1)]
+                poly = _poly_mul(poly, (a, b))
+        num = _poly_add(num, [int(c * common) * x for x in poly])
+    den_poly = [common]
     for (b, a), k in lcm.items():
         for _ in range(k):
-            den_poly = _poly_mul_linear(den_poly, b, a)
+            den_poly = _poly_mul(den_poly, (a, b))
     return RationalFunction.from_fraction_polys(num, den_poly)
+
+
+def _shifted_payload(payload: str, n, R):
+    """J((t1-1/2)-power payload)/J(1) from the monomial ratios R(mu), generic in n.
+
+    n is an int (R returns Fractions) or the identity function of n (R returns
+    RationalFunctions): the per-n path and the Q(n) builders share this formula.
+    """
+    if payload == "x2":
+        return (R((2,)) - R((1,))) / n + Fraction(1, 4)
+    if payload == "x1x1":
+        return 2 * R((1, 1)) / (n * (n - 1)) - R((1,)) / n + Fraction(1, 4)
+    if payload == "x2x2":
+        return (
+            2 * (R((2, 2)) - R((2, 1)) + R((1, 1))) / (n * (n - 1))
+            + (R((2,)) - R((1,))) / (2 * n)
+            + Fraction(1, 16)
+        )
+    if payload == "x4":
+        return (
+            (R((4,)) - 2 * R((3,)) + Fraction(3, 2) * R((2,)) - R((1,)) / 2) / n + Fraction(1, 16)
+        )
+    raise ValueError(f"unknown payload {payload!r}; choose from {SHIFTED_PAYLOADS}")
 
 
 def shifted_moment_ratio(payload: str, n: int, kappa) -> Rational:
@@ -200,56 +457,46 @@ def shifted_moment_ratio(payload: str, n: int, kappa) -> Rational:
     "x2x2" -> (t1-1/2)^2 (t2-1/2)^2, "x4" -> (t1-1/2)^4.
     """
     kappa = Fraction(kappa)
-    R = lambda mu: monomial_moment_ratio(tuple(mu), n, kappa)
-    if payload == "x2":
-        return R((2,)) / n - R((1,)) / n + Fraction(1, 4)
-    if payload == "x1x1":
-        if n < 2:
-            raise ValueError("two-variable payload needs n >= 2")
-        return 2 * R((1, 1)) / (n * (n - 1)) - R((1,)) / n + Fraction(1, 4)
-    if payload == "x2x2":
-        if n < 2:
-            raise ValueError("two-variable payload needs n >= 2")
-        return (
-            2 * R((2, 2)) / (n * (n - 1))
-            - 2 * R((2, 1)) / (n * (n - 1))
-            + R((2,)) / (2 * n)
-            + 2 * R((1, 1)) / (n * (n - 1))
-            - R((1,)) / (2 * n)
-            + Fraction(1, 16)
-        )
-    if payload == "x4":
-        return (
-            R((4,)) / n
-            - 2 * R((3,)) / n
-            + 3 * R((2,)) / (2 * n)
-            - R((1,)) / (2 * n)
-            + Fraction(1, 16)
-        )
-    raise ValueError(f"unknown payload {payload!r}; choose from {SHIFTED_PAYLOADS}")
+    if payload in ("x1x1", "x2x2") and n < 2:
+        raise ValueError("two-variable payload needs n >= 2")
+    return _shifted_payload(payload, n, lambda mu: monomial_moment_ratio(mu, n, kappa))
+
+
+def _aomoto_product(n, k: Fraction, m1: int, m2: int, m3: int):
+    """``selberg.aomoto_general_ratio`` at (u, w, kappa) = (k, 1, k), generic in n."""
+    u, w = k, 1
+    out = Fraction(1)
+    for i in range(1, m3 + 1):
+        out = out * (u + w + (n - i - 1) * k) / (u + w + 1 + (2 * n - i - 1) * k)
+    for i in range(1, m1 + 1):
+        out = out * (u + (n - i) * k)
+    for i in range(1, m2 + 1):
+        out = out * (w + (n - i) * k)
+    for i in range(1, m1 + m2 + 1):
+        out = out / (u + w + (2 * n - i - 1) * k)
+    return out
+
+
+def _full_payloads(n, k: Fraction) -> tuple:
+    """The FULL_PAYLOADS ratios N(payload)/N(1) at kappa = k, generic in n.
+
+    The x -> sqrt(x) substitution turns the singular-value density into the
+    Selberg weight at (u, w, kappa) = (k, 1, k); payloads map to Aomoto ratios:
+    x1^2 -> t1, x1^2 x2^2 -> t1 t2 = t1 - t1(1-t2), x1^4 -> t1^2 = t1 - t1(1-t1).
+    """
+    t1 = _aomoto_product(n, k, 1, 0, 0)
+    return t1, t1 - _aomoto_product(n, k, 1, 1, 0), t1 - _aomoto_product(n, k, 1, 1, 1)
 
 
 def full_matrix_moment_ratio(payload: str, n: int, beta: int) -> Rational:
-    """N(payload)/N(1) for the full-matrix singular-value density, exactly.
-
-    The x -> sqrt(x) substitution turns the density into the Selberg weight at
-    (u, w, kappa) = (beta/2, 1, beta/2); payloads map to Aomoto ratios:
-    x1^2 -> t1, x1^2 x2^2 -> t1 t2 = t1 - t1(1-t2), x1^4 -> t1^2 = t1 - t1(1-t1).
-    """
-    from .selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio
-
-    half = Fraction(beta, 2)
-    p = SelbergParams(n, half, 1, half)
-    t1 = aomoto_ratio(p, 1) / n  # single-coordinate mean of t1
-    if payload == "x2":
-        return t1
-    if payload == "x2x2":
-        if n < 2:
-            raise ValueError("two-variable payload needs n >= 2")
-        return t1 - aomoto_general_ratio(p, 1, 1, 0)
-    if payload == "x4":
-        return t1 - aomoto_general_ratio(p, 1, 1, 1)
-    raise ValueError(f"unknown payload {payload!r}; choose from {FULL_PAYLOADS}")
+    """N(payload)/N(1) for the full-matrix singular-value density, exactly."""
+    if payload not in FULL_PAYLOADS:
+        raise ValueError(f"unknown payload {payload!r}; choose from {FULL_PAYLOADS}")
+    if payload == "x2x2" and n < 2:
+        raise ValueError("two-variable payload needs n >= 2")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return _full_payloads(n, Fraction(beta, 2))[FULL_PAYLOADS.index(payload)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +550,66 @@ def _scales(convention: str) -> tuple[Fraction, Fraction]:
     raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
 
 
+# From this n on every monomial ratio of the payloads has m = min(n, |mu|) =
+# |mu|, so one rational function of n holds; below it the formulas run per n.
+Q_N_FROM = 4
+
+# the identity function of n, for the formulas written generic in n
+_N = RationalFunction((0, 1), (1,))
+
+
+def _monomial_ratios(n, kappa: Fraction):
+    """mu -> J(m_mu)/J(1): at an int n, or as a function of n (m = |mu|) at _N."""
+    if n is _N:
+        return lambda mu: monomial_moment_function(mu, kappa, sum(mu))
+    return lambda mu: monomial_moment_ratio(mu, n, kappa)
+
+
+def _sum_sq_moments(n, M2, M22, M4) -> tuple:
+    """E[S] and E[S^2] of S = sum x_i^2 from the reduced moments."""
+    return n * M2, n * M4 + n * (n - 1) * M22
+
+
+def _moment_fields(spec: EnsembleSpec, n, convention: str) -> tuple:
+    """The MOMENT_FIELDS at an int n, or as functions of n at _N."""
+    s2, s4 = _scales(convention)
+    if spec.family == SELF_ADJOINT:
+        R = _monomial_ratios(n, spec.kappa)
+        M2 = s2 * _shifted_payload("x2", n, R)
+        M11 = s2 * _shifted_payload("x1x1", n, R)
+        M22 = s4 * _shifted_payload("x2x2", n, R)
+        M4 = s4 * _shifted_payload("x4", n, R)
+        dim = n + Fraction(spec.beta, 2) * n * (n - 1)
+    else:  # the convention has no effect on the full balls
+        M2, M22, M4 = _full_payloads(n, spec.kappa)
+        M11 = None
+        dim = spec.beta * n * n
+    T2, T4 = _sum_sq_moments(n, M2, M22, M4)
+    T2sq = T2**2
+    return M2, M4, M22, M11, T4 - T2sq, dim * (T4 / T2sq - 1)
+
+
+@lru_cache(maxsize=None)
+def ensemble_moment_functions(spec: EnsembleSpec, convention: str = "forced") -> tuple:
+    """The MOMENT_FIELDS of ``ensemble_moments`` as functions of n.
+
+    Each is one RationalFunction, equal to the report's field at every
+    n >= Q_N_FROM (M11 is None for the full balls): the self-adjoint balls
+    compose the monomial ratios at m = |mu|, the full balls the Aomoto
+    linear-factor products.
+    """
+    return _moment_fields(spec, _N, convention)
+
+
 def ensemble_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> MomentReport:
     """Exact moment report for one ensemble at one n."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if spec.family == SELF_ADJOINT:
-        s2, s4 = _scales(convention)
-        kap = spec.kappa
-        M2 = s2 * shifted_moment_ratio("x2", n, kap)
-        M11 = s2 * shifted_moment_ratio("x1x1", n, kap)
-        M22 = s4 * shifted_moment_ratio("x2x2", n, kap)
-        M4 = s4 * shifted_moment_ratio("x4", n, kap)
+    if n < Q_N_FROM:
+        fields = _moment_fields(spec, n, convention)
     else:
-        _scales(convention)  # validate the flag even though it has no effect
-        M2 = full_matrix_moment_ratio("x2", n, spec.beta)
-        M22 = full_matrix_moment_ratio("x2x2", n, spec.beta)
-        M4 = full_matrix_moment_ratio("x4", n, spec.beta)
-        M11 = None
-    var = n * M4 + n * (n - 1) * M22 - (n * M2) ** 2
-    T2 = n * M2
-    T4 = n * M4 + n * (n - 1) * M22
-    sigma2 = spec.dim(n) * (T4 / T2**2 - 1)
-    return MomentReport(n, spec, convention, M2, M4, M22, M11, var, sigma2)
+        fields = [None if f is None else f(n) for f in ensemble_moment_functions(spec, convention)]
+    return MomentReport(n, spec, convention, *fields)
 
 
 def trace_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> dict:
@@ -349,128 +634,44 @@ def trace_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> dic
     }
 
 
+def _remark(n, beta: Fraction):
+    """The box combination at an int n, or as a function of n at _N."""
+    R = _monomial_ratios(n, beta / 2)
+    j2, j22, j4 = (_shifted_payload(p, n, R) for p in ("x2", "x2x2", "x4"))
+    T2, T4 = _sum_sq_moments(n, j2, j22, j4)
+    return T4 - T2**2
+
+
+def _positive_beta(beta) -> Fraction:
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    return beta
+
+
+@lru_cache(maxsize=None)
+def beta_remark_function(beta: Fraction) -> RationalFunction:
+    """``beta_remark_combination`` as one rational function of n, for n >= Q_N_FROM."""
+    return _remark(_N, _positive_beta(beta))
+
+
 def beta_remark_combination(n: int, beta) -> Rational:
     """Var of sum x_i^2 for the |Delta|^beta log-gas on [-1/2, 1/2]^n, exactly.
 
     This is the normalised m_(4) + 2 m_(2^2) combination minus the squared
     m_(2) term; its constant term in 1/n is 1/(64 beta).
     """
-    beta = Fraction(beta)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    kap = beta / 2
-    j2 = shifted_moment_ratio("x2", n, kap)
-    j22 = shifted_moment_ratio("x2x2", n, kap)
-    j4 = shifted_moment_ratio("x4", n, kap)
-    return n * j4 + n * (n - 1) * j22 - (n * j2) ** 2
+    beta = _positive_beta(beta)
+    if n < Q_N_FROM:
+        if n < 2:
+            raise ValueError("two-variable payload needs n >= 2")
+        return _remark(n, beta)
+    return beta_remark_function(beta)(n)
 
 
 # ---------------------------------------------------------------------------
 # exact rational-function reconstruction and Laurent expansion
 # ---------------------------------------------------------------------------
-
-
-def _homogeneous_eval(coeffs: Sequence[int], p: int, q: int) -> int:
-    """q^(len(coeffs) - 1) * poly(p/q) for integer coefficients, in integers."""
-    out, qk = 0, 1
-    for c in reversed(coeffs):
-        out = out * p + c * qk
-        qk *= q
-    return out
-
-
-def _poly_add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b) :]
-
-
-def _poly_mul_linear(coeffs: list, b: int, a: int) -> list:
-    """coeffs (ascending) times b n + a."""
-    out = [a * c for c in coeffs] + [0]
-    for k, c in enumerate(coeffs):
-        out[k + 1] += b * c
-    return out
-
-
-def _poly_trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and _poly_trim(a):
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while _poly_trim(b):
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """p(n)/q(n) with coprime integer-coefficient polynomials, q normalised."""
-
-    numerator: tuple  # int coefficients, ascending degree
-    denominator: tuple
-
-    @classmethod
-    def from_fraction_polys(cls, num: Sequence[Fraction], den: Sequence[Fraction]) -> "RationalFunction":
-        num, den = _poly_trim(list(num)), _poly_trim(list(den))
-        if not den:
-            raise ZeroDivisionError("zero denominator polynomial")
-        g = _poly_gcd(num, den) if num else [Fraction(1)]
-        if len(g) > 1:
-            num = _poly_divmod(num, g)[0]
-            den = _poly_divmod(den, g)[0]
-        # clear rational content, make denominator's leading coefficient positive
-        mult = 1
-        for c in num + den:
-            mult = mult * c.denominator // math.gcd(mult, c.denominator)
-        ni = [int(c * mult) for c in num]
-        di = [int(c * mult) for c in den]
-        content = 0
-        for c in ni + di:
-            content = math.gcd(content, abs(c))
-        content = content or 1
-        ni = [c // content for c in ni]
-        di = [c // content for c in di]
-        if di[-1] < 0:
-            ni = [-c for c in ni]
-            di = [-c for c in di]
-        return cls(tuple(ni), tuple(di))
-
-    def __call__(self, n) -> Fraction:
-        # integer Horner on q^deg * poly(p/q), then one Fraction
-        x = Fraction(n)
-        p, q = x.numerator, x.denominator
-        den = _homogeneous_eval(self.denominator, p, q)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator vanishes at n={n}")
-        value = Fraction(_homogeneous_eval(self.numerator, p, q), den)
-        if q != 1:
-            value *= Fraction(q) ** (len(self.denominator) - len(self.numerator))
-        return value
-
-    def to_json(self) -> dict:
-        return {"numerator": list(self.numerator), "denominator": list(self.denominator)}
 
 
 def reconstruct_rational(samples: Sequence[tuple], deg_bound: int) -> RationalFunction:
@@ -592,13 +793,15 @@ def asympt_quantity(
     ensemble_name: Optional[str] = None,
     convention: str = "forced",
 ):
-    """(fn, min_n, deg_bound) for a named exactly-reconstructible quantity of n.
+    """A named quantity of n, for ``asymptotic_expansion``.
 
-    J-level payload names need kappa; "remark" needs beta; "var" and "sigma2"
-    need an ensemble.  min_n is 4 for anything involving weight-4 monomials:
-    below the longest partition length the integral values are correct but sit
-    off the rational-in-n continuation (the Kadell pole-zero cancellation
-    fails), so reconstruction starts at n = 4.
+    "remark" (needs beta) and "var"/"sigma2" (need an ensemble) are built in
+    closed form and returned as their RationalFunction.  The J-level payloads
+    (need kappa) and the "fm-" payloads (need beta) are returned as
+    (fn, min_n, deg_bound) for sample-and-reconstruct.  min_n is 4 for anything
+    involving weight-4 monomials: below the longest partition length the
+    integral values are correct but sit off the rational-in-n continuation
+    (the Kadell pole-zero cancellation fails), so reconstruction starts at n = 4.
     """
     if name in SHIFTED_PAYLOADS:
         if kappa is None:
@@ -619,16 +822,12 @@ def asympt_quantity(
     if name == "remark":
         if beta is None:
             raise ValueError("quantity 'remark' needs beta")
-        bt = Fraction(beta)
-        return (lambda n: beta_remark_combination(n, bt)), 4, 10
+        return beta_remark_function(_positive_beta(beta))
     if name in ("var", "sigma2"):
         if ensemble_name is None:
             raise ValueError(f"quantity {name!r} needs an ensemble")
-        spec = ensemble(ensemble_name)
-        field = name
-        return (
-            lambda n: getattr(ensemble_moments(spec, n, convention), field)
-        ), 4, 10
+        fns = ensemble_moment_functions(ensemble(ensemble_name), convention)
+        return fns[MOMENT_FIELDS.index(name)]
     raise ValueError(f"unknown quantity {name!r}")
 
 
@@ -644,14 +843,19 @@ def asymptotic_expansion(
 ) -> tuple:
     """Exact Laurent coefficients (n^0 .. n^-order) of a named quantity.
 
-    Returns (rational_function, [coefficients]).
+    Returns (rational_function, [coefficients]).  A quantity built in closed
+    form is expanded directly; any other is sampled at n = min_n .. n_max (or
+    more, as its degree bound needs) and reconstructed first.
     """
-    fn, min_n, deg = asympt_quantity(
+    q = asympt_quantity(
         name, kappa=kappa, beta=beta, ensemble_name=ensemble_name, convention=convention
     )
-    n_hi = max(n_max, min_n + 2 * deg + 1)
-    samples = [(n, fn(n)) for n in range(min_n, n_hi + 1)]
-    rf = reconstruct_rational(samples, deg)
+    if isinstance(q, RationalFunction):
+        rf = q
+    else:
+        fn, min_n, deg = q
+        n_hi = max(n_max, min_n + 2 * deg + 1)
+        rf = reconstruct_rational([(n, fn(n)) for n in range(min_n, n_hi + 1)], deg)
     return rf, laurent_coefficients(rf, order)
 
 

@@ -211,14 +211,37 @@ def test_bad_flags_exit_2():
         ("remark-beta", "--beta", "2", "--n-list", "5:2"),
         ("oracle", "quad", "--kind", "loggas", "--n", "2", "--kappa", "-1"),
         ("oracle", "quad", "--kind", "selberg", "--n", "2", "--b", "-2"),
+        ("variance", "--ensemble", "full-real", "--n-list", "2,2,3"),
+        ("remark-beta", "--beta", "2", "--n-list", "4,8,4"),
+        ("remark-beta", "--beta", "0", "--n-list", "4,8"),
+        ("asympt", "--quantity", "remark", "--beta", "0"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code, recs = run_cli(capsys, *argv)
     assert code == 2
     assert "config" in recs[0]
+    assert len(recs) == 2  # no result record before the error
     err = recs[-1]["error"]
     assert err["type"] and err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # a repeated n once printed its record twice and ended in a float division by zero
+        (("variance", "--ensemble", "full-real", "--n-list", "2,2,3"),
+         "--n-list names n = 2 twice"),
+        (("sigma", "--ensemble", "hermitian", "--n-list", "4:6,5"), "--n-list names n = 5 twice"),
+        (("asympt", "--quantity", "remark", "--beta", "0"), "beta must be positive"),
+        (("asympt", "--quantity", "remark", "--beta", "-2"), "beta must be positive"),
+        (("remark-beta", "--beta", "-2", "--n-list", "2:5"), "beta must be positive"),
+    ],
+)
+def test_usage_error_messages(capsys, argv, message):
+    code, recs = run_cli(capsys, *argv)
+    assert code == 2
+    assert recs[-1]["error"] == {"type": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 import json
+import math
 from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selmat import moments
@@ -15,7 +16,9 @@ from selmat.moments import (
     RationalFunction,
     asymptotic_expansion,
     beta_remark_combination,
+    beta_remark_function,
     ensemble,
+    ensemble_moment_functions,
     ensemble_moments,
     full_matrix_moment_ratio,
     laurent_coefficients,
@@ -25,6 +28,7 @@ from selmat.moments import (
     shifted_moment_ratio,
     trace_moments,
 )
+from selmat.selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio
 
 
 def test_ensemble_specs():
@@ -259,13 +263,227 @@ def test_monomial_moment_ratio_property(kappa, mu, n):
     assert monomial_moment_ratio(mu, n, kappa) == kadell_sum(mu, n, kappa)
 
 
-def test_ensemble_moments_match_per_n_reference(monkeypatch):
-    fields = ("M2", "M4", "M22", "M11", "var", "sigma2")
-    grid = [(name, conv, n) for name in sorted(ENSEMBLES) for conv in ("forced", "paper")
-            for n in range(2, 61)]
-    closed = {key: ensemble_moments(ensemble(key[0]), key[2], key[1]) for key in grid}
-    monkeypatch.setattr(moments, "monomial_moment_ratio", lru_cache(maxsize=None)(kadell_sum))
-    for key in grid:
-        ref = ensemble_moments(ensemble(key[0]), key[2], key[1])
-        for f in fields:
-            assert getattr(closed[key], f) == getattr(ref, f), (key, f)
+# -- the Q(n) builders against per-n references --------------------------------
+
+REFERENCE_NS = list(range(2, 61)) + [100, 700, 2000]
+REMARK_BETAS = [F(b) for b in ("1", "2", "4", "6", "1/2", "3/2", "5/2")]
+
+
+@lru_cache(maxsize=None)
+def kadell_sum_cached(mu, n, kappa):
+    return kadell_sum(mu, n, kappa)
+
+
+def shifted_reference(payload, n, kappa):
+    """The (t1-1/2)-power payloads at one n from per-n Kadell sums."""
+    R = lambda mu: kadell_sum_cached(mu, n, kappa)
+    if payload == "x2":
+        return R((2,)) / n - R((1,)) / n + F(1, 4)
+    if payload == "x1x1":
+        return 2 * R((1, 1)) / (n * (n - 1)) - R((1,)) / n + F(1, 4)
+    if payload == "x2x2":
+        return (2 * R((2, 2)) / (n * (n - 1)) - 2 * R((2, 1)) / (n * (n - 1)) + R((2,)) / (2 * n)
+                + 2 * R((1, 1)) / (n * (n - 1)) - R((1,)) / (2 * n) + F(1, 16))
+    assert payload == "x4"
+    return R((4,)) / n - 2 * R((3,)) / n + 3 * R((2,)) / (2 * n) - R((1,)) / (2 * n) + F(1, 16)
+
+
+def box_variance_reference(n, M2, M22, M4):
+    return n * M4 + n * (n - 1) * M22 - (n * M2) ** 2
+
+
+def moments_reference(spec, n, convention):
+    """(M2, M4, M22, M11, var, sigma2) at one n: Kadell sums or Aomoto ratios."""
+    if spec.family == moments.SELF_ADJOINT:
+        s2, s4 = {"forced": (4, 16), "paper": (2, 4)}[convention]
+        M2, M11, M22, M4 = (
+            s * shifted_reference(p, n, spec.kappa)
+            for s, p in ((s2, "x2"), (s2, "x1x1"), (s4, "x2x2"), (s4, "x4"))
+        )
+    else:
+        half = F(spec.beta, 2)
+        p = SelbergParams(n, half, 1, half)
+        M2 = aomoto_ratio(p, 1) / n
+        M22 = M2 - aomoto_general_ratio(p, 1, 1, 0)
+        M4 = M2 - aomoto_general_ratio(p, 1, 1, 1)
+        M11 = None
+    T2, T4 = n * M2, n * M4 + n * (n - 1) * M22
+    return M2, M4, M22, M11, box_variance_reference(n, M2, M22, M4), spec.dim(n) * (T4 / T2**2 - 1)
+
+
+def test_ensemble_moments_match_per_n_reference():
+    # n < 4 takes the per-n formulas, n >= 4 the functions of n from the builder
+    fields = moments.MOMENT_FIELDS
+    for name in sorted(ENSEMBLES):
+        spec = ensemble(name)
+        for conv in ("forced", "paper"):
+            for n in REFERENCE_NS:
+                got = ensemble_moments(spec, n, conv)
+                for f, want in zip(fields, moments_reference(spec, n, conv)):
+                    assert getattr(got, f) == want, (name, conv, n, f)
+
+
+@pytest.mark.parametrize("beta", REMARK_BETAS, ids=str)
+def test_remark_matches_per_n_reference(beta):
+    kap = beta / 2
+    for n in REFERENCE_NS:
+        j2, j22, j4 = (shifted_reference(p, n, kap) for p in ("x2", "x2x2", "x4"))
+        assert beta_remark_combination(n, beta) == box_variance_reference(n, j2, j22, j4), n
+
+
+def test_built_functions_equal_the_reconstruction():
+    def reconstructed(fn):
+        return reconstruct_rational([(n, fn(n)) for n in range(4, 26)], 10)
+
+    for name in sorted(ENSEMBLES):
+        spec = ensemble(name)
+        fns = ensemble_moment_functions(spec, "forced")
+        assert fns[-2] == reconstructed(lambda n: ensemble_moments(spec, n).var)
+        assert fns[-1] == reconstructed(lambda n: ensemble_moments(spec, n).sigma2)
+    for beta in (F(1), F(5, 2)):
+        assert beta_remark_function(beta) == reconstructed(
+            lambda n: box_variance_reference(
+                n, *(shifted_reference(p, n, beta / 2) for p in ("x2", "x2x2", "x4"))))
+
+
+def test_closed_form_quantities_are_not_reconstructed(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reconstruct_rational called")
+
+    monkeypatch.setattr(moments, "reconstruct_rational", refuse)
+    rf, lc = asymptotic_expansion("var", 1, ensemble_name="hermitian", convention="paper")
+    assert rf == ensemble_moment_functions(ensemble("hermitian"), "paper")[-2]
+    assert lc[0] == F(1, 32)
+    _, lc = asymptotic_expansion("sigma2", 0, ensemble_name="full-real")
+    assert lc == [F(1, 2)]
+    _, lc = asymptotic_expansion("remark", 0, beta=F(5, 2))
+    assert lc == [F(1, 160)]
+
+
+def test_bad_convention_raises_before_any_builder_is_cached():
+    # the builders' caches store nothing; the monomial tables are not even asked
+    builders = (moments.ensemble_moment_functions, moments.beta_remark_function)
+    tables = (moments.monomial_moment_function, moments.monomial_moment_ratio)
+    before = [c.cache_info().currsize for c in builders] + [c.cache_info() for c in tables]
+    for name in ("quaternion", "full-complex"):
+        for n in (3, 5):
+            with pytest.raises(ValueError, match="unknown convention"):
+                ensemble_moments(ensemble(name), n, "bogus")
+        with pytest.raises(ValueError, match="unknown convention"):
+            asymptotic_expansion("var", 1, ensemble_name=name, convention="bogus")
+        with pytest.raises(ValueError, match="unknown convention"):
+            ensemble_moment_functions(ensemble(name), "bogus")
+    for beta in (0, -2):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            asymptotic_expansion("remark", 0, beta=beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            beta_remark_combination(5, beta)
+    assert [c.cache_info().currsize for c in builders] + [c.cache_info() for c in tables] == before
+
+
+# -- RationalFunction arithmetic ------------------------------------------------
+
+X = RationalFunction((0, 1), (1,))  # the identity function n
+
+
+def poly_gcd_over_q(a, b):
+    """Monic gcd over Q by Fraction Euclid: an independent check of coprimality."""
+    a, b = [F(c) for c in a], [F(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            f, k = a[-1] / b[-1], len(a) - len(b)
+            a = [c - f * b[i - k] if i >= k else c for i, c in enumerate(a)][:-1]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+def assert_normal_form(rf):
+    num, den = rf.numerator, rf.denominator
+    assert all(type(c) is int for c in num + den)
+    assert den and den[-1] > 0
+    if not num:
+        assert den == (1,)
+        return
+    assert num[-1] != 0
+    assert math.gcd(*num, *den) == 1
+    assert poly_gcd_over_q(num, den) == [1]
+
+
+def test_rational_function_arithmetic_examples():
+    one = RationalFunction((1,), (1,))
+    assert X / (2 * X + 1) + 1 == (3 * X + 1) / (2 * X + 1)
+    assert X / (X + 1) * ((X + 1) / X) == one
+    assert 1 / X - 1 / (X + 1) == 1 / (X * (X + 1))
+    assert (1 / X - 1 / (X + 1)).denominator == (0, 1, 1)
+    assert (X - 1) ** 2 == X * X - 2 * X + 1
+    assert (X / 2) ** -2 == 4 / X**2
+    assert X**0 == one
+    assert F(1, 2) - X / 2 == (1 - X) / 2
+    assert 3 / (X / 3) == 9 / X
+    assert -(X / (1 - X)) == X / (X - 1)
+    assert (X / (X - 1)).denominator == (-1, 1)  # leading denominator coefficient positive
+    assert (X - X) == RationalFunction((), (1,))
+    # (2n^2 - 2)/(4n + 4) cancels to (n - 1)/2
+    assert (2 * X * X - 2) / (4 * X + 4) == RationalFunction((-1, 1), (2,))
+
+
+def test_rational_function_zero_division():
+    zero = X - X
+    with pytest.raises(ZeroDivisionError):
+        X / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / zero
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
+    with pytest.raises(ZeroDivisionError):
+        X / 0
+    with pytest.raises(TypeError):
+        X + 0.5
+
+
+small_polys = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4)
+
+
+@st.composite
+def small_functions(draw):
+    num = draw(small_polys)
+    den = draw(small_polys.filter(any))
+    return RationalFunction.from_fraction_polys([F(c) for c in num], [F(c) for c in den])
+
+
+def value_at(f, x):
+    """f(x) from its coefficients directly, or None at a pole."""
+    den = sum(c * x**k for k, c in enumerate(f.denominator))
+    if den == 0:
+        return None
+    return sum(c * x**k for k, c in enumerate(f.numerator)) / den
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    f=small_functions(),
+    g=st.one_of(small_functions(), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5)),
+    x=st.fractions(min_value=-10, max_value=10, max_denominator=20),
+)
+def test_rational_function_arithmetic_property(f, g, x):
+    fx = value_at(f, x)
+    gx = value_at(g, x) if isinstance(g, RationalFunction) else F(g)
+    assume(fx is not None and gx is not None)
+    results = [(f + g, fx + gx), (g + f, fx + gx), (f - g, fx - gx), (g - f, gx - fx),
+               (f * g, fx * gx), (g * f, fx * gx), (f**2, fx**2), (-f, -fx)]
+    if gx != 0:
+        results.append((f / g, fx / gx))
+    if fx != 0:
+        results += [(g / f, gx / fx), (f**-3, fx**-3)]
+    for h, want in results:
+        assert_normal_form(h)
+        if value_at(h, x) is not None:  # a cancelled common factor can leave no pole at x
+            assert h(x) == want
+    assert f - f == RationalFunction((), (1,))
+    assert f * 1 == f and f + 0 == f
+    g_is_zero = not isinstance(g, RationalFunction) and g == 0 or g == RationalFunction((), (1,))
+    if g_is_zero:
+        with pytest.raises(ZeroDivisionError):
+            f / g
