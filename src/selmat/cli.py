@@ -20,6 +20,8 @@ from .combinat import format_partition, parse_partition
 from .exact import format_rational, to_float
 from .jack import jack_in_monomials, kadell_ratio, principal_specialization
 from .moments import (
+    FULL_PAYLOADS,
+    SHIFTED_PAYLOADS,
     asymptotic_expansion,
     beta_remark_combination,
     ensemble,
@@ -126,11 +128,36 @@ def _exact_record(value, extra=None) -> dict:
     return rec
 
 
-# the parameter flags of `oracle quad` for each --kind, as (type, default)
-QUAD_FLAGS = {
-    "selberg": {"u": (_frac, Fraction(1)), "w": (_frac, Fraction(1)), "kappa": (_frac, Fraction(1))},
-    "loggas": {"a": (int, 1), "b": (int, 2), "c": (int, 0)},
+# Flags that only some values of a selector flag use: command -> (selector,
+# {value: {flag: (type or choices, default)}}).  Only the flags of the given
+# value are kept; giving another is an error.
+SELECTOR_FLAGS = {
+    "oracle quad": ("kind", {
+        "selberg": {"u": (_frac, Fraction(1)), "w": (_frac, Fraction(1)), "kappa": (_frac, Fraction(1))},
+        "loggas": {"a": (int, 1), "b": (int, 2), "c": (int, 0)},
+    }),
+    "asympt": ("quantity", {
+        **{q: {"kappa": (_frac, None)} for q in SHIFTED_PAYLOADS},
+        **{f"fm-{q}": {"beta": (_frac, None)} for q in FULL_PAYLOADS},
+        "remark": {"beta": (_frac, None)},
+        **{q: {"ensemble": (str, None), "convention": (("forced", "paper"), "forced")}
+           for q in ("var", "sigma2")},
+    }),
 }
+
+
+def _add_selector_flags(p, command: str) -> None:
+    selector, by_value = SELECTOR_FLAGS[command]
+    users = {}
+    for value, flags in by_value.items():
+        for flag in flags:
+            users.setdefault(flag, []).append(value)
+    for flag, values in users.items():
+        typ, default = by_value[values[0]][flag]
+        kind = {"choices": typ} if isinstance(typ, tuple) else {"type": typ}
+        note = "" if default is None else f"; default {default}"
+        p.add_argument(f"--{flag}", **kind, default=None,
+                       help=f"--{selector} {'|'.join(values)} only{note}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,13 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--convention", choices=("forced", "paper"), default="forced")
 
     p = sub.add_parser("asympt", help="exact Laurent expansion of a named quantity")
-    p.add_argument("--quantity", required=True,
-                   help="x2|x1x1|x2x2|x4|fm-x2|fm-x2x2|fm-x4|remark|var|sigma2")
+    p.add_argument("--quantity", required=True, help="|".join(SELECTOR_FLAGS["asympt"][1]))
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--kappa", type=_frac, default=None)
-    p.add_argument("--beta", type=_frac, default=None)
-    p.add_argument("--ensemble", default=None)
-    p.add_argument("--convention", choices=("forced", "paper"), default="forced")
+    _add_selector_flags(p, "asympt")
 
     p = sub.add_parser("remark-beta", help="general-beta box combination over an n-list")
     p.add_argument("--beta", type=_frac, required=True)
@@ -211,11 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="numeric oracles")
     osub = p.add_subparsers(dest="oracle_command", required=True)
     q = osub.add_parser("quad", help="tensor-product quadrature")
-    q.add_argument("--kind", choices=tuple(QUAD_FLAGS), default="selberg")
+    q.add_argument("--kind", choices=tuple(SELECTOR_FLAGS["oracle quad"][1]), default="selberg")
     q.add_argument("--n", type=int, required=True)
-    for kind, flags in QUAD_FLAGS.items():
-        for flag, (typ, default) in flags.items():
-            q.add_argument(f"--{flag}", type=typ, default=None, help=f"{kind} only; default {default}")
+    _add_selector_flags(q, "oracle quad")
     q.add_argument("--payload", default="one",
                    help="one | monomial:2,1 | elementary:2 | aomoto:1,1,0 | shifted:x2")
     q.add_argument("--points", type=int, default=40)
@@ -247,24 +268,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _settle_quad_flags(args) -> list:
-    """Fill the defaults of the chosen kind's flags and drop the other kind's.
+def _settle_selector_flags(args) -> str:
+    """Fill the defaults of the flags that the selector's value uses, drop the others.
 
-    Returns the flags of the other kind that were given, which are an error.
+    Returns "" or, if some dropped flag was given, the error that names it.
+    An unknown value keeps every flag, for the command to refuse the value.
     """
-    if args.command != "oracle" or args.oracle_command != "quad":
-        return []
+    command = args.command if args.command != "oracle" else f"oracle {args.oracle_command}"
+    if command not in SELECTOR_FLAGS:
+        return ""
+    selector, by_value = SELECTOR_FLAGS[command]
+    used = by_value.get(getattr(args, selector))
+    if used is None:
+        return ""
     given = []
-    for kind, flags in QUAD_FLAGS.items():
-        for flag, (_, default) in flags.items():
-            value = getattr(args, flag)
-            if kind == args.kind:
-                setattr(args, flag, default if value is None else value)
-                continue
-            if value is not None:
-                given.append(f"--{flag}")
-            delattr(args, flag)
-    return given
+    for flag in dict.fromkeys(f for flags in by_value.values() for f in flags):
+        value = getattr(args, flag)
+        if flag in used:
+            setattr(args, flag, used[flag][1] if value is None else value)
+            continue
+        if value is not None:
+            given.append(f"--{flag}")
+        delattr(args, flag)
+    if not given:
+        return ""
+    return f"{command} --{selector} {getattr(args, selector)} does not use {', '.join(given)}"
 
 
 def _config_record(args) -> dict:
@@ -280,12 +308,12 @@ def _config_record(args) -> dict:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    unused = _settle_quad_flags(args)
+    flag_error = _settle_selector_flags(args)
     em = Emitter(args.format, sys.stdout)
     em.emit(_config_record(args))
     try:
-        if unused:
-            raise ValueError(f"oracle quad --kind {args.kind} does not use {', '.join(unused)}")
+        if flag_error:
+            raise ValueError(flag_error)
         code = _dispatch(args, em)
     except (ValueError, ArithmeticError) as exc:
         em.emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
@@ -359,13 +387,14 @@ def _dispatch(args, em: Emitter) -> int:
             em.emit({"extrapolated_limit": lim, "ensemble": spec.name, "quantity": fieldname})
         return 0
     if cmd == "asympt":
+        # _settle_selector_flags kept only the flags that the quantity uses
         rf, coeffs = asymptotic_expansion(
             args.quantity,
             args.order,
-            kappa=args.kappa,
-            beta=args.beta,
-            ensemble_name=args.ensemble,
-            convention=args.convention,
+            kappa=getattr(args, "kappa", None),
+            beta=getattr(args, "beta", None),
+            ensemble_name=getattr(args, "ensemble", None),
+            convention=getattr(args, "convention", "forced"),
         )
         em.emit(
             {

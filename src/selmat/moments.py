@@ -10,10 +10,11 @@ linear in n.  The payload formulas and the variance assembly are written once,
 generic in n; at the identity function of n they compose those ratios (or, for
 the full balls, Aomoto's linear-factor products) into one function per
 (ensemble, convention) and one per beta, which every n >= 4 evaluates in
-integer arithmetic.  The asymptotics of var, sigma^2 and the box combination
-are the Laurent expansions of those functions at infinity.  The J-level and
-full-matrix payloads are still sampled per n and interpolated by a rational
-function of n (exact linear solve).  Nothing is fitted in floating point.
+integer arithmetic.  The asymptotics of var, sigma^2, the box combination and
+the full-matrix payloads are the Laurent expansions of those functions at
+infinity.  The J-level shifted payloads are still sampled per n and
+interpolated by a rational function of n (exact linear solve).  Nothing is
+fitted in floating point.
 
 Scaling conventions.  For the self-adjoint families the eigenvalue density
 lives on [-1, 1]^n while the Kadell machinery lives on [0, 1]^n; the
@@ -792,33 +793,36 @@ def asympt_quantity(
     beta=None,
     ensemble_name: Optional[str] = None,
     convention: str = "forced",
-):
-    """A named quantity of n, for ``asymptotic_expansion``.
+    n_max: int = 16,
+) -> RationalFunction:
+    """A named quantity as one rational function of n, for ``asymptotic_expansion``.
 
-    "remark" (needs beta) and "var"/"sigma2" (need an ensemble) are built in
-    closed form and returned as their RationalFunction.  The J-level payloads
-    (need kappa) and the "fm-" payloads (need beta) are returned as
-    (fn, min_n, deg_bound) for sample-and-reconstruct.  min_n is 4 for anything
-    involving weight-4 monomials: below the longest partition length the
-    integral values are correct but sit off the rational-in-n continuation
-    (the Kadell pole-zero cancellation fails), so reconstruction starts at n = 4.
+    "remark" and the "fm-" payloads (need beta) and "var"/"sigma2" (need an
+    ensemble) are built in closed form.  The J-level payloads (need kappa) are
+    sampled at n = min_n .. max(n_max, min_n + 11) and reconstructed at degree
+    <= 5.  min_n is 4 for anything involving weight-4 monomials: below the
+    longest partition length the integral values are correct but sit off the
+    rational-in-n continuation (the Kadell pole-zero cancellation fails).
     """
     if name in SHIFTED_PAYLOADS:
         if kappa is None:
             raise ValueError(f"quantity {name!r} needs kappa")
         kap = Fraction(kappa)
-        min_n = 2 if name in ("x2", "x1x1") else 4
-        return (lambda n: shifted_moment_ratio(name, n, kap)), min_n, 5
+        min_n, deg = (2 if name in ("x2", "x1x1") else 4), 5
+        n_hi = max(n_max, min_n + 2 * deg + 1)
+        return reconstruct_rational(
+            [(n, shifted_moment_ratio(name, n, kap)) for n in range(min_n, n_hi + 1)], deg
+        )
     if name.startswith("fm-"):
         payload = name[3:]
         if payload not in FULL_PAYLOADS:
             raise ValueError(f"unknown full-matrix payload {payload!r}")
         if beta is None:
             raise ValueError(f"quantity {name!r} needs beta")
-        if Fraction(beta).denominator != 1:
+        beta = _positive_beta(beta)
+        if beta.denominator != 1:
             raise ValueError("full-matrix quantities need integer beta")
-        b = int(Fraction(beta))
-        return (lambda n: full_matrix_moment_ratio(payload, n, b)), 2, 6
+        return _full_payloads(_N, beta / 2)[FULL_PAYLOADS.index(payload)]
     if name == "remark":
         if beta is None:
             raise ValueError("quantity 'remark' needs beta")
@@ -831,31 +835,13 @@ def asympt_quantity(
     raise ValueError(f"unknown quantity {name!r}")
 
 
-def asymptotic_expansion(
-    name: str,
-    order: int,
-    *,
-    kappa=None,
-    beta=None,
-    ensemble_name: Optional[str] = None,
-    convention: str = "forced",
-    n_max: int = 16,
-) -> tuple:
+def asymptotic_expansion(name: str, order: int, **quantity) -> tuple:
     """Exact Laurent coefficients (n^0 .. n^-order) of a named quantity.
 
-    Returns (rational_function, [coefficients]).  A quantity built in closed
-    form is expanded directly; any other is sampled at n = min_n .. n_max (or
-    more, as its degree bound needs) and reconstructed first.
+    Returns (rational_function, [coefficients]); ``quantity`` holds the
+    keyword arguments of ``asympt_quantity``.
     """
-    q = asympt_quantity(
-        name, kappa=kappa, beta=beta, ensemble_name=ensemble_name, convention=convention
-    )
-    if isinstance(q, RationalFunction):
-        rf = q
-    else:
-        fn, min_n, deg = q
-        n_hi = max(n_max, min_n + 2 * deg + 1)
-        rf = reconstruct_rational([(n, fn(n)) for n in range(min_n, n_hi + 1)], deg)
+    rf = asympt_quantity(name, **quantity)
     return rf, laurent_coefficients(rf, order)
 
 

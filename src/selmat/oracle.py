@@ -20,10 +20,11 @@ t = sin^2(theta) substitution, which turns the weight into a smooth
 trigonometric density.  Every acceptance-grid case is smooth after these two
 moves, so the rules converge spectrally.
 
-Every sampler is exact.  The self-adjoint operator-norm balls are grown one
-row and column at a time from Beta laws (the conditional-distribution method;
-Devroye, Non-Uniform Random Variate Generation, 1986), so nothing is rejected;
-the full balls are rejection-sampled from their bounding box.  The eigenvalue
+Every sampler is exact, at any n.  The operator-norm balls are drawn by the
+conditional-distribution method (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. II.3), so nothing is rejected: the self-adjoint balls
+grow one row and column at a time from Beta laws, and the full balls one row
+at a time from Beta radii and Cholesky factors of I - R*R.  The eigenvalue
 log-gas is drawn from the beta-Jacobi matrix model, and Haar matrices from a
 phase-corrected QR.
 
@@ -46,10 +47,6 @@ from .selberg import SelbergParams
 
 class UnsupportedDimensionError(ValueError):
     pass
-
-
-class LowAcceptanceError(ArithmeticError):
-    """Rejection sampling accepts too few proposals to finish."""
 
 
 @dataclass(frozen=True)
@@ -411,17 +408,6 @@ def _selberg_rule(n: int, u: Fraction, w: Fraction, kappa: Fraction, p: int):
 # ---------------------------------------------------------------------------
 
 BALL_ENSEMBLES = ("hermitian", "symmetric", "full-real", "full-complex")
-# The self-adjoint balls are drawn exactly, one accepted matrix per draw.  The
-# full balls propose from the bounding box, and rejection gives up once this
-# many box proposals have been made at an acceptance rate below
-# REJECTION_MIN_ACCEPTANCE (full-complex n = 4 accepts none of 200k), or at a
-# rate that projects more than REJECTION_MAX_PROPOSALS proposals for the
-# requested count.  Measured rates: full-complex n = 2 accepts 3.2 %; n = 3
-# accepts 1.2e-5, so its default 1e5 samples would need 8e9 box proposals,
-# some 11 hours.
-REJECTION_MIN_PROPOSALS = 4_000_000
-REJECTION_MIN_ACCEPTANCE = 1e-6
-REJECTION_MAX_PROPOSALS = 1_000_000_000
 
 
 def _sequential_self_adjoint(kind: str, n: int, rng, m: int) -> np.ndarray:
@@ -503,119 +489,97 @@ def _sequential_self_adjoint(kind: str, n: int, rng, m: int) -> np.ndarray:
     return np.array(A, dtype=complex if beta == 2 else float).transpose(2, 0, 1)
 
 
-def _propose_full(kind: str, n: int, rng, m: int):
+def _sequential_full(kind: str, n: int, rng, m: int) -> np.ndarray:
+    """m exactly uniform draws from the full operator-norm ball, shape (m, n, n).
+
+    T is drawn one row at a time.  Let beta = 1 (full-real, F = R) or 2
+    (full-complex, F = C), let R be the first k rows and M = I - R*R, so that
+    ||T|| <= 1 iff I - T*T = M - (rows k+1..n)*(rows k+1..n) is positive
+    semidefinite.  Adding a row x gives det(M - x*x) = det(M) (1 - x M^-1 x*).
+
+    Claim: R has density proportional to det(M)^((n - k) beta / 2) on M > 0.
+    At k = n this is the uniform law.  Going from k + 1 to k, put
+    s = (n - k - 1) beta / 2; the k + 1 rows have density proportional to
+    det(M)^s (1 - x M^-1 x*)^s on x M^-1 x* < 1.  Write x = y L* with L L* = M:
+    then x M^-1 x* = |y|^2 and dx = det(M)^(beta/2) dy, so integrating y over
+    the unit ball leaves det(M)^(s + beta/2), exponent (n - k) beta / 2 as
+    claimed.  Given R, y is rotation invariant with density proportional to
+    (1 - |y|^2)^s on |y| < 1 in F^n = R^(beta n); its radial density is
+    r^(beta n - 1) (1 - r^2)^s, so |y|^2 ~ Beta(beta n / 2, s + 1).  For example
+    the first row is y itself, so |T_11|^2 ~ Beta(beta / 2, beta (n - 1) + 1):
+    E|T_11|^2 is 1/(2n + 1) for full-real and 1/(2n) for full-complex, as the
+    exact engine gives.
+
+    So the sampler draws, for k = 0..n-1, y with a uniform direction and that
+    radius, puts x = y L* with L the Cholesky factor of M, and sets
+    M <- M - x*x.  Nothing is rejected.  The last row is drawn last; callers
+    conjugate each draw by a uniform permutation, as for the self-adjoint balls.
+    """
     import numpy as np
-    if kind == "full-real":
-        T = rng.uniform(-1, 1, (m, n, n))
-    else:
-        T = rng.uniform(-1, 1, (m, n, n)) + 1j * rng.uniform(-1, 1, (m, n, n))
-    if n == 2:
-        # ||T|| <= 1 iff I - T*T is PSD; Sylvester on the 2x2 Gram matrix
-        G = np.einsum("bij,bik->bjk", T.conj(), T)
-        e1 = 1.0 - G[:, 0, 0].real
-        det = (1.0 - G[:, 0, 0].real) * (1.0 - G[:, 1, 1].real) - np.abs(G[:, 0, 1]) ** 2
-        mask = (e1 > 0) & (det > 0)
-    else:
-        s = np.linalg.svd(T, compute_uv=False)
-        mask = s[:, 0] <= 1.0
-    return T, mask
+    beta = 2 if kind == "full-complex" else 1
+    dtype = complex if beta == 2 else float
+    T = np.empty((m, n, n), dtype=dtype)
+    M = np.tile(np.eye(n, dtype=dtype), (m, 1, 1))
+    for k in range(n):
+        g = rng.standard_normal((m, n))
+        if beta == 2:
+            g = g + 1j * rng.standard_normal((m, n))
+        norm2 = (g.real**2 + g.imag**2).sum(axis=1)
+        y = g * np.sqrt(rng.beta(beta * n / 2, (n - k - 1) * beta / 2 + 1, m) / norm2)[:, None]
+        x = np.einsum("bi,bji->bj", y, np.linalg.cholesky(M).conj())  # x = y L*
+        T[:, k] = x
+        M -= x.conj()[:, :, None] * x[:, None, :]
+    return T
 
 
-def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int, batch: int = 250_000):
+def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
     """Yield batches of matrices uniform on the operator-norm unit ball.
 
-    hermitian and symmetric are drawn exactly by _sequential_self_adjoint, in
-    chunks of max(1, 2^16 // n^2) matrices, each conjugated by a uniform random
-    permutation; every draw is accepted, and the last chunk stops at `count`.
-    full-real and full-complex propose `batch` entrywise-uniform matrices at a
-    time on the bounding box, accepted iff the spectral norm is at most 1.
-    Yields (batch_array, n_proposed) tuples, batch_array holding every matrix
-    the batch accepted and n_proposed the proposals so far, until at least
-    `count` have been accepted; the last box batch can overshoot `count`, so a
-    caller that wants exactly `count` keeps the first ones.  Once
-    REJECTION_MIN_PROPOSALS box proposals have been made, raises
-    LowAcceptanceError if they accept below REJECTION_MIN_ACCEPTANCE or if
-    count / rate projects more than REJECTION_MAX_PROPOSALS proposals.
+    hermitian and symmetric are drawn by _sequential_self_adjoint, full-real
+    and full-complex by _sequential_full, in chunks of max(1, 2^16 // n^2)
+    matrices, each conjugated by a uniform random permutation.  Every draw is
+    accepted.  Yields (batch_array, n_drawn) tuples, n_drawn counting the
+    draws so far, until `count` matrices have been drawn.  The name, the
+    positional signature and the yields are what perfbench/tracer.py wraps.
     """
     import numpy as np
     kind = ensemble_name.lower()
     if kind not in BALL_ENSEMBLES:
-        raise ValueError(f"rejection sampler covers {BALL_ENSEMBLES}, got {ensemble_name!r}")
+        raise ValueError(f"ball sampler covers {BALL_ENSEMBLES}, got {ensemble_name!r}")
     if n < 1 or count < 1:
         raise ValueError(f"rejection sampling needs n >= 1 and count >= 1, got {n}, {count}")
-    if n > 4:
-        raise UnsupportedDimensionError("rejection sampling capped at n <= 4")
+    draw = _sequential_self_adjoint if kind in ("hermitian", "symmetric") else _sequential_full
     rng = np.random.default_rng(seed)
-    if kind in ("hermitian", "symmetric"):
-        chunk = max(1, 2**16 // n**2)
-        for start in range(0, count, chunk):
-            m = min(chunk, count - start)
-            T = _sequential_self_adjoint(kind, n, rng, m)
-            perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-            yield T[np.arange(m)[:, None, None], perm[:, :, None], perm[:, None, :]], start + m
-        return
-    produced = 0
-    proposed_total = 0
-    while produced < count:
-        T, mask = _propose_full(kind, n, rng, batch)
-        out = T[mask]
-        proposed_total += batch
-        produced += len(out)
-        rate = produced / proposed_total
-        if proposed_total >= REJECTION_MIN_PROPOSALS:
-            where = (
-                f"{ensemble_name} n={n}: acceptance rate {rate:.2e}"
-                f" after {proposed_total} proposals"
-            )
-            if rate < REJECTION_MIN_ACCEPTANCE:
-                raise LowAcceptanceError(f"{where} is below {REJECTION_MIN_ACCEPTANCE:g}")
-            if count > rate * REJECTION_MAX_PROPOSALS:
-                raise LowAcceptanceError(
-                    f"{where} projects {count / rate:.2e} proposals for {count} samples,"
-                    f" above {REJECTION_MAX_PROPOSALS:g}"
-                )
-        if len(out):
-            yield out, proposed_total
+    chunk = max(1, 2**16 // n**2)
+    for start in range(0, count, chunk):
+        m = min(chunk, count - start)
+        T = draw(kind, n, rng, m)
+        perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        yield T[np.arange(m)[:, None, None], perm[:, :, None], perm[:, None, :]], start + m
 
 
-def ball_moment_estimate(
-    ensemble_name: str,
-    n: int,
-    moment_fns: dict,
-    count: int,
-    seed: int,
-    batch: int = 250_000,
-) -> dict:
-    """SampleEstimates of entry moments over `count` accepted ball samples.
+def ball_moment_estimate(ensemble_name: str, n: int, moment_fns: dict, count: int, seed: int) -> dict:
+    """SampleEstimates of entry moments over `count` uniform ball draws.
 
     moment_fns maps names to vectorised callables f(T_batch) -> (B,) floats.
-    The acceptance_rate diagnostic is accepted matrices per proposal, counting
-    those past `count` in the last batch: per box draw for the full balls, and
-    1 for hermitian and symmetric, whose every draw is accepted.
+    Every draw is kept, so the acceptance_rate diagnostic is 1.
     """
     import numpy as np
     acc = {name: [] for name in moment_fns}
     total = 0
-    accepted = 0
-    proposed = 0
-    for T, prop in rejection_sample_ball(ensemble_name, n, count, seed, batch):
-        accepted += len(T)
-        proposed = prop
-        T = T[: count - total]
+    for T, _ in rejection_sample_ball(ensemble_name, n, count, seed):
         total += len(T)
         for name, fn in moment_fns.items():
             acc[name].append(np.ascontiguousarray(fn(T), dtype=float))  # not a view of T
     out = {}
-    rate = accepted / proposed if proposed else 0.0
     for name, chunks in acc.items():
-        vals = np.concatenate(chunks)
-        mean, stderr, ess = _batch_means(vals)
+        mean, stderr, ess = _batch_means(np.concatenate(chunks))
         out[name] = SampleEstimate(
             mean,
             stderr,
             total,
             seed,
-            {"acceptance_rate": round(rate, 8), "ess": round(ess, 2)},
+            {"acceptance_rate": 1.0, "ess": round(ess, 2)},
         )
     return out
 

@@ -99,22 +99,6 @@ def wg_unitary(pi_cycle_type: Partition, k: int, z, w=None) -> Rational:
     return _wg_unitary_table(k, Fraction(z), wkey)[mu]
 
 
-@dataclass(frozen=True)
-class WgUnitary:
-    """Unitary Weingarten function at fixed k and parameter(s)."""
-
-    k: int
-    z: Fraction
-    w: object = None
-
-    def __call__(self, pi) -> Rational:
-        mu = cycle_type(pi) if isinstance(pi, Permutation) else partition(pi)
-        return wg_unitary(mu, self.k, self.z, self.w)
-
-    def values(self) -> dict:
-        return dict(_wg_unitary_table(self.k, Fraction(self.z), None if self.w is None else Fraction(self.w)))
-
-
 @lru_cache(maxsize=None)
 def _zonal_table(k: int) -> dict:
     """{(lambda, rho): omega^lambda_rho} over lambda, rho |- k.
@@ -171,21 +155,6 @@ def wg_orthogonal(sigma_coset_type: Partition, k: int, z) -> Rational:
     if sum(mu) != k:
         raise ValueError(f"coset type {mu} is not a partition of k={k}")
     return _wg_orthogonal_table(k, Fraction(z))[mu]
-
-
-@dataclass(frozen=True)
-class WgOrthogonal:
-    """Orthogonal Weingarten function at fixed k and parameter z."""
-
-    k: int
-    z: Fraction
-
-    def __call__(self, sigma) -> Rational:
-        mu = coset_type(sigma) if isinstance(sigma, Permutation) else partition(sigma)
-        return wg_orthogonal(mu, self.k, self.z)
-
-    def values(self) -> dict:
-        return dict(_wg_orthogonal_table(self.k, Fraction(self.z)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +268,6 @@ def lr_moment_real(i_seq, j_seq, trace_moments: dict, n: int) -> Rational:
                     w2 = wg_orthogonal(coset_type(s2_inv * tau2), k, n)
                     total += w1 * w2 * trace_moments[coset_type(t1_inv * tau2)]
     return total
-
-
-def lr_invariant_moment(field: str, *args, **kwargs) -> Rational:
-    """Dispatch to the complex or real left-right invariant moment sum."""
-    if field.lower() in ("c", "complex"):
-        return lr_moment_complex(*args, **kwargs)
-    if field.lower() in ("r", "real"):
-        return lr_moment_real(*args, **kwargs)
-    raise ValueError(f"field must be 'r' or 'c', got {field!r}")
 
 
 def haar_moment_unitary(i_seq, j_seq, ip_seq, jp_seq, n: int) -> Rational:

@@ -157,15 +157,18 @@ def test_oracle_loggas(capsys):
     assert all(r["n_samples"] == 2000 and r["seed"] == 8 for r in recs[1:])
 
 
-def test_rejection_low_acceptance_exit_2(capsys, monkeypatch):
-    # full-complex n = 2 accepts 3.2 % of box proposals: below a 5 % floor after one batch
-    monkeypatch.setattr(oracle, "REJECTION_MIN_PROPOSALS", 20_000)
-    monkeypatch.setattr(oracle, "REJECTION_MIN_ACCEPTANCE", 0.05)
-    code, recs = run_cli(
-        capsys, "oracle", "sample", "--ensemble", "full-complex", "--n", "2", "--count", "10"
-    )
-    assert code == 2
-    assert recs[-1]["error"]["type"] == "LowAcceptanceError"
+def test_oracle_sample_full_complex_n3_default_count(capsys):
+    # box rejection accepted 1.2e-5 of its proposals here and gave up; the
+    # row-by-row sampler keeps every draw
+    code, recs = run_cli(capsys, "oracle", "sample", "--ensemble", "full-complex", "--n", "3")
+    assert code == 0
+    assert [r["moment"] for r in recs[1:]] == ["T11T22", "T11sq", "T12sq"]
+    for rec in recs[1:]:
+        assert rec["n_samples"] == 100_000
+        assert rec["diagnostics"]["acceptance_rate"] == 1.0
+    # E|T_11|^2 = 1/(2n) on the full complex ball
+    t11 = recs[2]
+    assert abs(t11["mean"] - 1 / 6) <= 4 * t11["stderr"]
 
 
 def test_csv_format(capsys):
@@ -215,6 +218,9 @@ def test_bad_flags_exit_2():
         ("remark-beta", "--beta", "2", "--n-list", "4,8,4"),
         ("remark-beta", "--beta", "0", "--n-list", "4,8"),
         ("asympt", "--quantity", "remark", "--beta", "0"),
+        ("asympt", "--quantity", "var", "--ensemble", "hermitian", "--beta", "3", "--kappa", "7"),
+        ("asympt", "--quantity", "x2", "--kappa", "1", "--convention", "paper"),
+        ("asympt", "--quantity", "fm-x2", "--beta", "-1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -236,6 +242,12 @@ def test_usage_errors_exit_2(capsys, argv):
         (("asympt", "--quantity", "remark", "--beta", "0"), "beta must be positive"),
         (("asympt", "--quantity", "remark", "--beta", "-2"), "beta must be positive"),
         (("remark-beta", "--beta", "-2", "--n-list", "2:5"), "beta must be positive"),
+        # fm- printed meaningless functions at beta <= 0, and divided by zero at -1
+        (("asympt", "--quantity", "fm-x2", "--beta", "0"), "beta must be positive"),
+        (("asympt", "--quantity", "fm-x2", "--beta", "-1"), "beta must be positive"),
+        (("asympt", "--quantity", "fm-x4", "--beta", "-2"), "beta must be positive"),
+        (("asympt", "--quantity", "fm-x2x2", "--beta", "1/2"),
+         "full-matrix quantities need integer beta"),
     ],
 )
 def test_usage_error_messages(capsys, argv, message):
@@ -275,6 +287,36 @@ def test_oracle_quad_names_flags_of_the_other_kind(capsys, argv, unused):
     flags = {"selberg": {"u", "w", "kappa"}, "loggas": {"a", "b", "c"}}
     assert flags[kind] <= set(recs[0]["config"])
     assert not (flags["selberg"] | flags["loggas"]) - flags[kind] & set(recs[0]["config"])
+
+
+@pytest.mark.parametrize(
+    "argv,unused,kept",
+    [
+        (("--quantity", "var", "--ensemble", "hermitian", "--beta", "3", "--kappa", "7"),
+         "--kappa, --beta", {"ensemble", "convention"}),
+        (("--quantity", "x2", "--kappa", "1", "--convention", "paper"), "--convention", {"kappa"}),
+        (("--quantity", "fm-x4", "--beta", "2", "--ensemble", "full-real"), "--ensemble", {"beta"}),
+    ],
+)
+def test_asympt_names_flags_its_quantity_does_not_use(capsys, argv, unused, kept):
+    # these flags were once ignored, and echoed as though they were used
+    code, recs = run_cli(capsys, "asympt", *argv)
+    assert code == 2 and len(recs) == 2
+    assert recs[-1]["error"]["message"].endswith(f"does not use {unused}")
+    flags = {"kappa", "beta", "ensemble", "convention"}
+    assert set(recs[0]["config"]) & flags == kept
+
+
+def test_asympt_convention_defaults_for_var_and_sigma2(capsys):
+    # the benchmark passes --convention forced for the full balls too
+    for argv, limit in (
+        (("--quantity", "sigma2", "--ensemble", "full-real"), "1/2"),
+        (("--quantity", "var", "--ensemble", "full-complex", "--convention", "forced"), "1/16"),
+    ):
+        code, recs = run_cli(capsys, "asympt", *argv, "--order", "0")
+        assert code == 0
+        assert recs[0]["config"]["convention"] == "forced"
+        assert recs[1]["laurent"] == [limit]
 
 
 @pytest.mark.parametrize(

@@ -344,6 +344,10 @@ def test_built_functions_equal_the_reconstruction():
         assert beta_remark_function(beta) == reconstructed(
             lambda n: box_variance_reference(
                 n, *(shifted_reference(p, n, beta / 2) for p in ("x2", "x2x2", "x4"))))
+    for beta in range(1, 7):
+        for p in ("x2", "x2x2", "x4"):
+            rf, _ = asymptotic_expansion(f"fm-{p}", 0, beta=beta)
+            assert rf == reconstructed(lambda n: full_matrix_moment_ratio(p, n, beta)), (p, beta)
 
 
 def test_closed_form_quantities_are_not_reconstructed(monkeypatch):
@@ -358,6 +362,8 @@ def test_closed_form_quantities_are_not_reconstructed(monkeypatch):
     assert lc == [F(1, 2)]
     _, lc = asymptotic_expansion("remark", 0, beta=F(5, 2))
     assert lc == [F(1, 160)]
+    _, lc = asymptotic_expansion("fm-x4", 1, beta=3)
+    assert lc == [F(3, 8), F(1, 12)]
 
 
 def test_bad_convention_raises_before_any_builder_is_cached():
@@ -373,9 +379,11 @@ def test_bad_convention_raises_before_any_builder_is_cached():
             asymptotic_expansion("var", 1, ensemble_name=name, convention="bogus")
         with pytest.raises(ValueError, match="unknown convention"):
             ensemble_moment_functions(ensemble(name), "bogus")
-    for beta in (0, -2):
+    for beta in (0, -1, -2):
         with pytest.raises(ValueError, match="beta must be positive"):
             asymptotic_expansion("remark", 0, beta=beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            asymptotic_expansion("fm-x2", 0, beta=beta)
         with pytest.raises(ValueError, match="beta must be positive"):
             beta_remark_combination(5, beta)
     assert [c.cache_info().currsize for c in builders] + [c.cache_info() for c in tables] == before

@@ -17,7 +17,6 @@ from selmat.moments import (
     trace_moments,
 )
 from selmat.oracle import (
-    LowAcceptanceError,
     QuadratureSpec,
     UnsupportedDimensionError,
     ball_moment_estimate,
@@ -33,6 +32,7 @@ from selmat.weingarten import (
     conj_invariant_moment_unitary,
     haar_moment_orthogonal,
     haar_moment_unitary,
+    negcorr_report,
 )
 
 
@@ -226,6 +226,23 @@ def _self_adjoint_exact(kind, n):
     }
 
 
+FULL_MOMENTS = {
+    # name: (payload on T, negcorr_report key); the second half reads the last row
+    "absT11sq": (lambda T: np.abs(T[:, 0, 0]) ** 2, "second_moment"),
+    "cross": (lambda T: np.abs(T[:, 0, 0] * T[:, 1, 1]) ** 2, "cross"),
+    "sameRow": (lambda T: np.abs(T[:, 0, 0] * T[:, 0, 1]) ** 2, "same_row"),
+    "absTnnSq": (lambda T: np.abs(T[:, -1, -1]) ** 2, "second_moment"),
+    "crossLast": (lambda T: np.abs(T[:, -1, -1] * T[:, -2, -2]) ** 2, "cross"),
+    "sameRowLast": (lambda T: np.abs(T[:, -1, -1] * T[:, -1, -2]) ** 2, "same_row"),
+}
+
+
+def _full_exact(kind, n):
+    """{negcorr_report key: exact value}: E|T_11|^2, the cross and the same-row product."""
+    rep = negcorr_report("c" if kind == "full-complex" else "r", n)
+    return {key: float(rep[key]) for key in ("second_moment", "cross", "same_row")}
+
+
 @pytest.mark.parametrize(
     "kind,n,count",
     [
@@ -235,17 +252,30 @@ def _self_adjoint_exact(kind, n):
         ("symmetric", 2, 80_000),
         ("symmetric", 3, 80_000),
         ("symmetric", 4, 20_000),
+        ("full-real", 2, 80_000),
+        ("full-real", 3, 80_000),
+        ("full-real", 4, 80_000),
+        ("full-real", 10, 20_000),
+        ("full-complex", 2, 80_000),
+        ("full-complex", 3, 80_000),
+        ("full-complex", 4, 80_000),
+        ("full-complex", 10, 20_000),
     ],
 )
 def test_rejection_moments_match_exact_engine(kind, n, count):
-    # the sequential sampler is exactly uniform: second moments of the entries,
-    # first row and last row, agree with the exact engine's forced convention
-    exact = _self_adjoint_exact(kind, n)
-    fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
-    want = dict(exact)
-    for name, (f, same_as) in LAST_ROW_MOMENTS.items():
-        fns[name] = f
-        want[name] = exact[same_as]
+    # every sampler is exactly uniform: second moments of the entries, first row
+    # and last row, agree with the exact engine's forced convention
+    if kind in ("hermitian", "symmetric"):
+        exact = _self_adjoint_exact(kind, n)
+        fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
+        want = dict(exact)
+        for name, (f, same_as) in LAST_ROW_MOMENTS.items():
+            fns[name] = f
+            want[name] = exact[same_as]
+    else:
+        exact = _full_exact(kind, n)
+        fns = {name: f for name, (f, _) in FULL_MOMENTS.items()}
+        want = {name: exact[key] for name, (_, key) in FULL_MOMENTS.items()}
     est = ball_moment_estimate(kind, n, fns, count, seed=9)
     for name, e in est.items():
         assert e.n_samples == count
@@ -269,6 +299,70 @@ def test_sequential_stage_uniform_position_by_position(kind, n):
     for vals, name, pos in cases:
         se = vals.std() / math.sqrt(len(vals))
         assert abs(vals.mean() - exact[name]) <= 4 * se, (name, pos, vals.mean(), exact[name], se)
+
+
+@pytest.mark.parametrize("kind,n", [("full-real", 3), ("full-real", 4), ("full-complex", 3), ("full-complex", 4)])
+def test_row_by_row_stage_uniform_position_by_position(kind, n):
+    # the unpermuted full-ball stage: every entry's |T_ij|^2, a same-row product in
+    # every row and a cross product for every pair of rows match the exact values
+    T = oracle._sequential_full(kind, n, np.random.default_rng(17), 100_000)
+    assert np.linalg.norm(T, ord=2, axis=(1, 2)).max() <= 1.0 + 1e-12
+    exact = _full_exact(kind, n)
+    sq = np.abs(T) ** 2
+    cases = [(sq[:, i, j], "second_moment", (i, j)) for i in range(n) for j in range(n)]
+    cases += [(sq[:, i, 0] * sq[:, i, 1], "same_row", (i,)) for i in range(n)]
+    for i, l in itertools.combinations(range(n), 2):
+        cases.append((sq[:, i, 0] * sq[:, l, 1], "cross", (i, l)))
+    for vals, name, pos in cases:
+        se = vals.std() / math.sqrt(len(vals))
+        assert abs(vals.mean() - exact[name]) <= 4 * se, (name, pos, vals.mean(), exact[name], se)
+
+
+def _box_reference(kind, n, count, seed):
+    """count draws uniform on the operator-norm ball, by rejection from its bounding box.
+
+    Every free real coordinate is uniform on [-1, 1]: all entries of a full
+    matrix, the diagonal and upper triangle of a self-adjoint one.  A draw is
+    kept iff the largest eigenvalue of T*T, its squared spectral norm, is at most 1.
+    """
+    rng = np.random.default_rng(seed)
+    kept, got = [], 0
+    while got < count:
+        T = rng.uniform(-1, 1, (200_000, n, n))
+        if kind in ("hermitian", "full-complex"):
+            T = T + 1j * rng.uniform(-1, 1, (200_000, n, n))
+        if kind in ("hermitian", "symmetric"):
+            T = np.triu(T, 1) + np.conj(np.triu(T, 1).transpose(0, 2, 1)) + np.eye(n) * T.real
+        T = T[np.linalg.eigvalsh(np.conj(T.transpose(0, 2, 1)) @ T)[:, -1] <= 1.0]
+        kept.append(T)
+        got += len(T)
+    return np.concatenate(kept)[:count]
+
+
+TWO_SAMPLE_STATS = {
+    "absT11sq": lambda T: np.abs(T[:, 0, 0]) ** 2,
+    "absT11quartic": lambda T: np.abs(T[:, 0, 0]) ** 4,
+    "absT12sq": lambda T: np.abs(T[:, 0, 1]) ** 2,
+    "T11T22": lambda T: (T[:, 0, 0] * np.conj(T[:, 1, 1])).real,
+    "cross": lambda T: np.abs(T[:, 0, 0] * T[:, 1, 1]) ** 2,
+    "sameRow": lambda T: np.abs(T[:, 0, 0] * T[:, 0, 1]) ** 2,
+    "normSq": lambda T: np.linalg.norm(T, ord=2, axis=(1, 2)) ** 2,
+    "absDetSq": lambda T: np.abs(np.linalg.det(T)) ** 2,
+}
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric", "full-real", "full-complex"])
+def test_sampler_agrees_with_box_reference_n2(kind):
+    # two samples, one from each sampler: every statistic, moments of entries as
+    # well as of the norm and the determinant, agrees within 4 joint stderrs
+    count = 40_000
+    ref = _box_reference(kind, 2, count, seed=31)
+    got = np.concatenate([T for T, _ in rejection_sample_ball(kind, 2, count, seed=32)])
+    assert len(got) == len(ref) == count
+    for name, f in TWO_SAMPLE_STATS.items():
+        a, b = f(got), f(ref)
+        se = math.hypot(a.std(), b.std()) / math.sqrt(count)
+        assert abs(a.mean() - b.mean()) <= 4 * se, (name, a.mean(), b.mean(), se)
 
 
 @pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
@@ -330,23 +424,9 @@ def test_ball_moment_chunks_own_their_data(monkeypatch):
 
     monkeypatch.setattr(np, "concatenate", spy)
     fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
-    ball_moment_estimate("hermitian", 2, fns, 2_000, seed=3, batch=20_000)
+    ball_moment_estimate("hermitian", 2, fns, 2_000, seed=3)
     assert len(seen) >= len(fns)
     assert all(chunk.base is None and chunk.dtype == np.float64 for chunk in seen)
-
-
-def test_acceptance_rate_counts_the_whole_last_batch():
-    # at count 100 one 250 000-draw batch overshoots count; the rate must still
-    # be accepted per proposal, as at 10^5 (full-complex n = 2 accepts ~3.2 % of the box)
-    fns = {"T11sq": lambda T: np.abs(T[:, 0, 0]) ** 2}
-    small = ball_moment_estimate("full-complex", 2, fns, 100, seed=4)["T11sq"]
-    large = ball_moment_estimate("full-complex", 2, fns, 100_000, seed=5)["T11sq"]
-    assert small.n_samples == 100 and large.n_samples == 100_000
-    r1, r2 = small.diagnostics["acceptance_rate"], large.diagnostics["acceptance_rate"]
-    # binomial stderr of accepted / proposed over 250 000 and ~10^5 / r2 proposals
-    se = math.hypot(math.sqrt(r1 * (1 - r1) / 250_000), math.sqrt(r2 * (1 - r2) * r2 / 100_000))
-    assert abs(r1 - r2) <= 4 * se, (r1, r2, se)
-    assert 0.03 < r1 < 0.034
 
 
 @pytest.mark.parametrize("n,count", [(0, 10), (2, 0)])
@@ -390,16 +470,18 @@ def test_rejection_conjugation_invariance():
 
 
 def test_rejection_validates_ensemble_and_dim():
+    # there is no sampler for the quaternion ball; every other ball takes any n
     with pytest.raises(ValueError):
         next(rejection_sample_ball("quaternion", 2, 10, seed=1))
-    with pytest.raises(UnsupportedDimensionError):
-        next(rejection_sample_ball("hermitian", 5, 10, seed=1))
+    T, drawn = next(rejection_sample_ball("hermitian", 5, 10, seed=1))
+    assert T.shape == (10, 5, 5) and drawn == 10
+    assert np.abs(np.linalg.eigvalsh(T)).max() <= 1.0 + 1e-12
 
 
 def test_rejection_sampler_eigvalsh_path_n4():
     # n = 4 runs the sequential sampler through its deepest bordering; sanity: spectral norm <= 1
     got = 0
-    for T, _ in rejection_sample_ball("symmetric", 4, 500, seed=2, batch=20_000):
+    for T, _ in rejection_sample_ball("symmetric", 4, 500, seed=2):
         w = np.linalg.eigvalsh(T)
         assert np.abs(w).max() <= 1.0 + 1e-12
         got += len(T)
@@ -471,24 +553,6 @@ def test_loggas_quadrature_needs_even_payload():
     base, _ = quadrature(QuadratureSpec("loggas", 2, ("one",), (2, 1, 0), 36))
     m22, _ = quadrature(QuadratureSpec("loggas", 2, ("monomial", (2, 2)), (2, 1, 0), 36))
     assert m22 / base == pytest.approx(float(full_matrix_moment_ratio("x2x2", 2, 1)), abs=1e-10)
-
-
-def test_rejection_low_acceptance_raises(monkeypatch):
-    # full-complex n = 4 accepts none of its first proposals
-    monkeypatch.setattr(oracle, "REJECTION_MIN_PROPOSALS", 20_000)
-    with pytest.raises(LowAcceptanceError):
-        next(rejection_sample_ball("full-complex", 4, 10, seed=1, batch=20_000))
-    assert issubclass(LowAcceptanceError, ArithmeticError)
-
-
-def test_rejection_projected_proposals_raise(monkeypatch):
-    # full-complex n = 2 accepts 3.2 % of box proposals: 10^5 samples project 3.1e6 proposals
-    monkeypatch.setattr(oracle, "REJECTION_MIN_PROPOSALS", 20_000)
-    monkeypatch.setattr(oracle, "REJECTION_MAX_PROPOSALS", 1_000_000)
-    with pytest.raises(LowAcceptanceError, match="projects"):
-        next(rejection_sample_ball("full-complex", 2, 100_000, seed=1, batch=20_000))
-    T, proposed = next(rejection_sample_ball("full-complex", 2, 1_000, seed=1, batch=20_000))
-    assert proposed == 20_000 and len(T) > 0
 
 
 def test_haar_unitary_moments():

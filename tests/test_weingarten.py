@@ -17,8 +17,6 @@ from selmat.combinat import (
 )
 from selmat.moments import ensemble, ensemble_moments, trace_moments
 from selmat.weingarten import (
-    WgOrthogonal,
-    WgUnitary,
     c_lambda,
     c_lambda_prime,
     conj_invariant_moment_orthogonal,
@@ -26,7 +24,6 @@ from selmat.weingarten import (
     covariance_report,
     haar_moment_orthogonal,
     haar_moment_unitary,
-    lr_invariant_moment,
     lr_moment_complex,
     lr_moment_real,
     negcorr_report,
@@ -55,11 +52,17 @@ def test_wg_unitary_closed_forms():
 
 
 def test_wg_unitary_is_class_function():
-    w = WgUnitary(3, F(7))
-    vals = w.values()
-    for images in itertools.permutations((1, 2, 3)):
-        p = Permutation(images)
-        assert w(p) == vals[cycle_type(p)]
+    # the k = 3 table covers every cycle type, and Wg is the inverse of
+    # z^#cycles in the group algebra: sum_sigma Wg(sigma tau^-1) z^#cycles(sigma) = [tau = e]
+    z = 7
+    assert set(weingarten._wg_unitary_table(3, F(z), None)) == set(partitions_of(3))
+    perms = [Permutation(images) for images in itertools.permutations((1, 2, 3))]
+    for tau in perms:
+        total = sum(
+            wg_unitary(cycle_type(sigma * tau.inverse()), 3, z) * z ** len(cycle_type(sigma))
+            for sigma in perms
+        )
+        assert total == (cycle_type(tau) == (1, 1, 1)), tau
 
 
 def test_wg_unitary_two_parameter():
@@ -136,12 +139,11 @@ def test_wg_orthogonal_k3_consistency():
     # k = 3 table exists and is constant on double cosets
     from selmat.combinat import coset_type
 
-    w = WgOrthogonal(3, F(9))
-    vals = w.values()
+    vals = weingarten._wg_orthogonal_table(3, F(9))
     assert set(vals) == set(partitions_of(3))
     for pp in pair_partitions(3):
         sigma = pp.permutation()
-        assert w(sigma) == vals[coset_type(sigma)]
+        assert wg_orthogonal(coset_type(sigma), 3, 9) == vals[coset_type(sigma)]
 
 
 def test_haar_moment_unitary_known_values():
@@ -289,16 +291,6 @@ def test_negcorr_closed_forms_and_patterns():
         assert r["same_row"] == F(1, (2 * n + 1) * (2 * n + 3))
         assert r["second_moment"] == F(1, 2 * n + 1)
         assert r["cross"] > r["second_moment_sq"] > r["same_row"]
-
-
-def test_lr_dispatcher():
-    tm = trace_moments(ensemble("full-complex"), 4)
-    a = lr_invariant_moment("c", (1, 2), (1, 2), (1, 2), (1, 2), tm, 4)
-    b = lr_moment_complex((1, 2), (1, 2), (1, 2), (1, 2), tm, 4)
-    assert a == b
-    tmr = trace_moments(ensemble("full-real"), 4)
-    a = lr_invariant_moment("r", (1, 1, 2, 2), (1, 1, 2, 2), tmr, 4)
-    assert a == lr_moment_real((1, 1, 2, 2), (1, 1, 2, 2), tmr, 4)
 
 
 def test_lr_real_zero_pattern():
