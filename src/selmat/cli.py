@@ -31,7 +31,8 @@ from .moments import (
 from .oracle import (
     QuadratureSpec,
     ball_moment_estimate,
-    haar_sample,
+    ball_second_moments,
+    haar_u11_sq,
     loggas_moment_estimate,
     quadrature,
 )
@@ -493,18 +494,7 @@ def _dispatch_oracle(args, em: Emitter) -> int:
         return 0
     if oc == "sample":
         n = args.n
-        if args.ensemble in ("hermitian",):
-            fns = {
-                "T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real,
-                "absT12sq": lambda T: abs(T[:, 0, 1]) ** 2,
-                "T11sq": lambda T: (T[:, 0, 0] ** 2).real,
-            }
-        else:
-            fns = {
-                "T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real,
-                "T12sq": lambda T: abs(T[:, 0, 1]) ** 2,
-                "T11sq": lambda T: abs(T[:, 0, 0]) ** 2,
-            }
+        fns = ball_second_moments(args.ensemble)
         if n < 2:
             fns = {"T11sq": fns["T11sq"]}
         est = ball_moment_estimate(args.ensemble, n, fns, args.count, args.seed)
@@ -522,8 +512,7 @@ def _dispatch_oracle(args, em: Emitter) -> int:
     if oc == "haar":
         if args.count < 2:
             raise ValueError(f"oracle haar needs --count >= 2 for its stderr, got {args.count}")
-        U = haar_sample(args.group, args.n, args.seed, args.count)
-        m11 = abs(U[:, 0, 0]) ** 2
+        m11 = haar_u11_sq(args.group, args.n, args.seed, args.count)
         em.emit(
             {
                 "group": args.group,

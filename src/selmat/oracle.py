@@ -75,19 +75,49 @@ class SampleEstimate:
 BATCHES = 25  # batch-means batches; an estimate needs at least one draw per batch
 
 
-def _batch_means(values: np.ndarray) -> tuple[float, float, float]:
-    """(mean, stderr, ess) from BATCHES equal batches."""
-    m = len(values) // BATCHES
-    if m < 1:
-        raise ValueError("too few samples for batch means")
-    trimmed = values[: m * BATCHES].reshape(BATCHES, m)
-    bm = trimmed.mean(axis=1)
-    mean = float(bm.mean())
-    stderr = float(bm.std(ddof=1) / math.sqrt(BATCHES))
-    var_all = float(trimmed.var())
-    var_bm = float(bm.var(ddof=1))
-    ess = float(len(values)) if var_bm == 0 else float(len(values) * var_all / (m * var_bm))
-    return mean, stderr, min(ess, float(len(values)))
+class _BatchMeans:
+    """Batch means of one payload over `count` draws, fed one chunk at a time.
+
+    The first BATCHES * (count // BATCHES) values fill BATCHES contiguous
+    batches through one reused buffer, so memory does not grow with count;
+    later values are dropped.  The stderr comes from the batch means, and the
+    effective sample size from the pooled variance (mean within-batch variance
+    plus the variance of the batch means).
+    """
+
+    def __init__(self, count: int):
+        import numpy as np
+        if count < BATCHES:
+            raise ValueError(f"batch means need count >= {BATCHES}, got {count}")
+        self.count = count
+        self.batch = np.empty(count // BATCHES)
+        self.filled = 0
+        self.means, self.variances = [], []
+
+    def add(self, values) -> None:
+        while len(values) and len(self.means) < BATCHES:
+            take = min(len(values), len(self.batch) - self.filled)
+            self.batch[self.filled : self.filled + take] = values[:take]
+            self.filled += take
+            values = values[take:]
+            if self.filled == len(self.batch):
+                self.means.append(self.batch.mean())
+                self.variances.append(self.batch.var())
+                self.filled = 0
+
+    def estimate(self, seed: int, diagnostics: dict) -> SampleEstimate:
+        import numpy as np
+        bm = np.array(self.means)
+        var_bm = float(bm.var(ddof=1))
+        var_all = float(np.mean(self.variances) + bm.var())
+        ess = self.count if var_bm == 0 else self.count * var_all / (len(self.batch) * var_bm)
+        return SampleEstimate(
+            float(bm.mean()),
+            float(bm.std(ddof=1) / math.sqrt(BATCHES)),
+            self.count,
+            seed,
+            {**diagnostics, "ess": round(float(min(ess, self.count)), 2)},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -558,30 +588,32 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
         yield T[np.arange(m)[:, None, None], perm[:, :, None], perm[:, None, :]], start + m
 
 
+def ball_second_moments(ensemble_name: str) -> dict:
+    """Payloads of the ball second moments Re(T_11 T_22), |T_12|^2 and |T_11|^2.
+
+    Keyed as weingarten.self_adjoint_second_moments keys their exact values:
+    |T_12|^2 is absT12sq on the hermitian ball and T12sq on the others.
+    """
+    off = "absT12sq" if ensemble_name == "hermitian" else "T12sq"
+    return {
+        "T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real,
+        off: lambda T: abs(T[:, 0, 1]) ** 2,
+        "T11sq": lambda T: abs(T[:, 0, 0]) ** 2,
+    }
+
+
 def ball_moment_estimate(ensemble_name: str, n: int, moment_fns: dict, count: int, seed: int) -> dict:
     """SampleEstimates of entry moments over `count` uniform ball draws.
 
     moment_fns maps names to vectorised callables f(T_batch) -> (B,) floats.
-    Every draw is kept, so the acceptance_rate diagnostic is 1.
+    Each payload streams into its own batch means, so memory does not grow
+    with count.  Every draw is kept, so the acceptance_rate diagnostic is 1.
     """
-    import numpy as np
-    acc = {name: [] for name in moment_fns}
-    total = 0
+    acc = {name: _BatchMeans(count) for name in moment_fns}
     for T, _ in rejection_sample_ball(ensemble_name, n, count, seed):
-        total += len(T)
         for name, fn in moment_fns.items():
-            acc[name].append(np.ascontiguousarray(fn(T), dtype=float))  # not a view of T
-    out = {}
-    for name, chunks in acc.items():
-        mean, stderr, ess = _batch_means(np.concatenate(chunks))
-        out[name] = SampleEstimate(
-            mean,
-            stderr,
-            total,
-            seed,
-            {"acceptance_rate": 1.0, "ess": round(ess, 2)},
-        )
-    return out
+            acc[name].add(fn(T))
+    return {name: a.estimate(seed, {"acceptance_rate": 1.0}) for name, a in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -636,27 +668,21 @@ def loggas_moment_estimate(
     """
     import numpy as np
     u, w, kappa = (float(x) for x in _loggas_selberg_params(a, b, c))
-    if b <= 0 or n < 1 or count < BATCHES:
-        raise ValueError(
-            f"log-gas sampler needs b > 0, n >= 1, count >= {BATCHES}; got {b}, {n}, {count}"
-        )
+    if b <= 0 or n < 1:
+        raise ValueError(f"log-gas sampler needs b > 0 and n >= 1; got {b}, {n}")
     unknown = {f for f in payloads.values() if isinstance(f, str)} - set(LOGGAS_PAYLOADS)
     if unknown:
         raise ValueError(f"unknown payloads {sorted(unknown)}; known: {sorted(LOGGAS_PAYLOADS)}")
     fns = {name: LOGGAS_PAYLOADS[f] if isinstance(f, str) else f for name, f in payloads.items()}
+    acc = {name: _BatchMeans(count) for name in fns}
     rng = np.random.default_rng(seed)
     chunk = max(1, 2**22 // n**2)
-    acc = {name: [] for name in fns}
     for start in range(0, count, chunk):
         t = _beta_jacobi(rng, min(chunk, count - start), n, u, w, kappa)
         x = 2.0 * t - 1.0 if a == 1 else np.sqrt(t) * rng.choice((-1.0, 1.0), t.shape)
         for name, f in fns.items():
-            acc[name].append(np.ascontiguousarray(f(x), dtype=float))
-    out = {}
-    for name, chunks in acc.items():
-        mean, stderr, ess = _batch_means(np.concatenate(chunks))
-        out[name] = SampleEstimate(mean, stderr, count, seed, {"ess": round(ess, 2)})
-    return out
+            acc[name].add(f(x))
+    return {name: e.estimate(seed, {}) for name, e in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -664,21 +690,18 @@ def loggas_moment_estimate(
 # ---------------------------------------------------------------------------
 
 
-def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:
-    """Haar-distributed matrices via QR of a Gaussian with phase correction.
+def _haar_chunks(group: str, n: int, seed: int, count: int):
+    """Yield `count` Haar matrices in chunks of max(1, 2^22 // n^2).
 
-    The QR factorisations are stacked, in chunks of max(1, 2^22 // n^2)
-    matrices so scratch memory stays bounded.
+    Each chunk is one stacked QR of a Gaussian with phase correction, so
+    scratch memory is bounded at any n.
     """
     import numpy as np
     if n < 1 or count < 1:
         raise ValueError(f"haar sampling needs n >= 1 and count >= 1, got {n}, {count}")
-    if n > 64:
-        raise UnsupportedDimensionError("haar sampling capped at n <= 64")
     if group not in ("unitary", "orthogonal"):
         raise ValueError(f"group must be unitary|orthogonal, got {group!r}")
     rng = np.random.default_rng(seed)
-    out = np.empty((count, n, n), dtype=complex if group == "unitary" else float)
     chunk = max(1, 2**22 // n**2)
     for start in range(0, count, chunk):
         m = min(chunk, count - start)
@@ -687,5 +710,16 @@ def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:
             z = (z + 1j * rng.standard_normal((m, n, n))) / math.sqrt(2)
         q, r = np.linalg.qr(z)
         d = np.diagonal(r, axis1=1, axis2=2)
-        out[start : start + m] = q * (d / np.abs(d))[:, None, :]
-    return out
+        yield q * (d / np.abs(d))[:, None, :]
+
+
+def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:
+    """`count` Haar-distributed matrices, shape (count, n, n)."""
+    import numpy as np
+    return np.concatenate(list(_haar_chunks(group, n, seed, count)))
+
+
+def haar_u11_sq(group: str, n: int, seed: int, count: int) -> np.ndarray:
+    """|U_11|^2 of the matrices haar_sample draws, without keeping the matrices."""
+    import numpy as np
+    return np.concatenate([abs(U[:, 0, 0]) ** 2 for U in _haar_chunks(group, n, seed, count)])

@@ -25,13 +25,14 @@ from .moments import (
     richardson_limit,
     trace_moments,
 )
-from .oracle import QuadratureSpec, ball_moment_estimate, quadrature
+from .oracle import QuadratureSpec, ball_moment_estimate, ball_second_moments, quadrature
 from .selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
 from .weingarten import (
     conj_invariant_moment_orthogonal,
     conj_invariant_moment_unitary,
     covariance_report,
     negcorr_report,
+    self_adjoint_second_moments,
     wg_orthogonal,
     wg_unitary,
     zonal_spherical,
@@ -460,21 +461,16 @@ def check_covariance() -> CheckResult:
         zeros_ok = True
         for n in range(2, 51):
             tm = trace_moments(spec, n, "forced")
+            m = self_adjoint_second_moments(kind, n, tm)
             if kind == "hermitian":
-                a = conj_invariant_moment_unitary((1, 1), (1, 1), tm, n)
-                b = conj_invariant_moment_unitary((1, 2), (1, 2), tm, n)
-                off = conj_invariant_moment_unitary((1, 2), (2, 1), tm, n)
-                ident_ok &= a == b + off
+                ident_ok &= m["T11sq"] == m["T11T22"] + m["absT12sq"]
                 # complex zero statements: E[T_kl T_kl] = 0 and mixed patterns
                 zeros_ok &= conj_invariant_moment_unitary((1, 1), (2, 2), tm, n) == 0
                 zeros_ok &= conj_invariant_moment_unitary((1, 1), (2, 1), tm, n) == 0
                 if n > 2:
                     zeros_ok &= conj_invariant_moment_unitary((1, 2), (1, 3), tm, n) == 0
             else:
-                a = conj_invariant_moment_orthogonal((1, 1, 1, 1), tm, n)
-                b = conj_invariant_moment_orthogonal((1, 1, 2, 2), tm, n)
-                tt = conj_invariant_moment_orthogonal((1, 2, 1, 2), tm, n)
-                ident_ok &= a == b + 2 * tt
+                ident_ok &= m["T11sq"] == m["T11T22"] + 2 * m["T12sq"]
                 zeros_ok &= conj_invariant_moment_orthogonal((1, 1, 1, 2), tm, n) == 0
                 if n > 2:
                     zeros_ok &= conj_invariant_moment_orthogonal((1, 2, 1, 3), tm, n) == 0
@@ -542,34 +538,13 @@ def check_oracle_concordance(seed: int = DEFAULT_SEED, count: int = 1_000_000) -
     t0 = time.perf_counter()
     details = []
     n = 3
-    herm_fns = {
-        "T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real,
-        "absT12sq": lambda T: abs(T[:, 0, 1]) ** 2,
-        "T11sq": lambda T: (T[:, 0, 0] ** 2).real,
-    }
-    sym_fns = {
-        "T11T22": lambda T: T[:, 0, 0] * T[:, 1, 1],
-        "T12sq": lambda T: T[:, 0, 1] ** 2,
-        "T11sq": lambda T: T[:, 0, 0] ** 2,
-    }
-    for kind, fns in (("hermitian", herm_fns), ("symmetric", sym_fns)):
+    for kind in ("hermitian", "symmetric"):
         spec = ensemble(kind)
-        exact = {}
-        for conv in ("forced", "paper"):
-            tm = trace_moments(spec, n, conv)
-            if kind == "hermitian":
-                exact[conv] = {
-                    "T11T22": conj_invariant_moment_unitary((1, 2), (1, 2), tm, n),
-                    "absT12sq": conj_invariant_moment_unitary((1, 2), (2, 1), tm, n),
-                    "T11sq": conj_invariant_moment_unitary((1, 1), (1, 1), tm, n),
-                }
-            else:
-                exact[conv] = {
-                    "T11T22": conj_invariant_moment_orthogonal((1, 1, 2, 2), tm, n),
-                    "T12sq": conj_invariant_moment_orthogonal((1, 2, 1, 2), tm, n),
-                    "T11sq": conj_invariant_moment_orthogonal((1, 1, 1, 1), tm, n),
-                }
-        est = ball_moment_estimate(kind, n, fns, count, seed)
+        exact = {
+            conv: self_adjoint_second_moments(kind, n, trace_moments(spec, n, conv))
+            for conv in ("forced", "paper")
+        }
+        est = ball_moment_estimate(kind, n, ball_second_moments(kind), count, seed)
         for name, e in est.items():
             zf = abs(e.mean - float(exact["forced"][name])) / e.stderr
             zp = abs(e.mean - float(exact["paper"][name])) / e.stderr

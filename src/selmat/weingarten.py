@@ -350,18 +350,18 @@ class CovarianceReport:
         }
 
 
-def _hermitian_second_moments(n: int, trace_moments: dict) -> tuple:
-    b = conj_invariant_moment_unitary((1, 2), (1, 2), trace_moments, n)  # E[T_11 T_22]
-    off = conj_invariant_moment_unitary((1, 2), (2, 1), trace_moments, n)  # E[|T_12|^2]
-    a = conj_invariant_moment_unitary((1, 1), (1, 1), trace_moments, n)  # E[T_11^2]
-    return a, b, off
+def self_adjoint_second_moments(kind: str, n: int, trace_moments: dict) -> dict:
+    """Exact E[T_11 T_22], E|T_12|^2 and E[T_11^2] of the hermitian or symmetric ball.
 
-
-def _symmetric_second_moments(n: int, trace_moments: dict) -> tuple:
-    b = conj_invariant_moment_orthogonal((1, 1, 2, 2), trace_moments, n)  # E[T_11 T_22]
-    t = conj_invariant_moment_orthogonal((1, 2, 1, 2), trace_moments, n)  # E[T_12^2]
-    a = conj_invariant_moment_orthogonal((1, 1, 1, 1), trace_moments, n)  # E[T_11^2]
-    return a, b, t
+    Keyed as oracle.ball_second_moments keys the matching payloads.
+    """
+    if kind == "hermitian":
+        m = lambda k, l: conj_invariant_moment_unitary(k, l, trace_moments, n)
+        return {
+            "T11T22": m((1, 2), (1, 2)), "absT12sq": m((1, 2), (2, 1)), "T11sq": m((1, 1), (1, 1))
+        }
+    m = lambda idx: conj_invariant_moment_orthogonal(idx, trace_moments, n)
+    return {"T11T22": m((1, 1, 2, 2)), "T12sq": m((1, 2, 1, 2)), "T11sq": m((1, 1, 1, 1))}
 
 
 def _zero_pattern_exact(kind: str, n: int, trace_moments: dict) -> bool:
@@ -404,16 +404,12 @@ def covariance_report(
     if n < 2:
         raise ValueError("need n >= 2")
     tm = trace_of(spec, n, convention)
-    if kind == "hermitian":
-        a, b, off = _hermitian_second_moments(n, tm)
-        if a != b + off:  # E[T_11^2] = E[T_11 T_22] + E[|T_12|^2]
-            raise ArithmeticError(f"E[T_11^2] != E[T_11 T_22] + E[|T_12|^2] at n={n}")
-        offdiag_marginal = off  # variance of sqrt(2) Re T_12 (= Im coordinate)
-    else:
-        a, b, t = _symmetric_second_moments(n, tm)
-        if a != b + 2 * t:  # E[T_11^2] = E[T_11 T_22] + 2 E[T_12^2]
-            raise ArithmeticError(f"E[T_11^2] != E[T_11 T_22] + 2 E[T_12^2] at n={n}")
-        offdiag_marginal = 2 * t  # variance of sqrt(2) T_12
+    m = self_adjoint_second_moments(kind, n, tm)
+    a, b = m["T11sq"], m["T11T22"]
+    # variance of sqrt(2) Re T_12: E|T_12|^2 on the hermitian ball, 2 E[T_12^2] on the symmetric
+    offdiag_marginal = m["absT12sq"] if kind == "hermitian" else 2 * m["T12sq"]
+    if a != b + offdiag_marginal:
+        raise ArithmeticError(f"E[T_11^2] != E[T_11 T_22] + Var(sqrt(2) Re T_12) at n={n}")
     eig_trace = a + (n - 1) * b
     eig_bulk = a - b
     lo, hi = sorted((eig_trace, eig_bulk))

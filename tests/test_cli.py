@@ -147,6 +147,41 @@ def test_oracle_sample_and_haar(capsys):
     assert abs(rec["E_abs_U11_sq"] - 0.25) <= 5 * rec["stderr"]
 
 
+def test_oracle_haar_matches_the_whole_sample(capsys):
+    # the statistic is read chunk by chunk; its record is byte-identical to the one
+    # computed from every matrix held at once
+    import numpy as np
+
+    main(["oracle", "haar", "--group", "unitary", "--n", "4", "--count", "3000", "--seed", "5"])
+    record = capsys.readouterr().out.splitlines()[1]
+    m11 = np.abs(oracle.haar_sample("unitary", 4, seed=5, count=3000)[:, 0, 0]) ** 2
+    want = {
+        "group": "unitary", "n": 4, "E_abs_U11_sq": float(m11.mean()),
+        "stderr": float(m11.std(ddof=1) / len(m11) ** 0.5), "target": 0.25, "count": 3000,
+    }
+    assert record == json.dumps(want, sort_keys=True)
+    code, _ = run_cli(capsys, "oracle", "haar", "--group", "orthogonal", "--n", "65", "--count", "2")
+    assert code == 0  # memory no longer grows with count, so n has no cap
+
+
+def test_oracle_count_below_batches_refused_before_drawing(capsys, monkeypatch):
+    # every matrix was once drawn before "too few samples for batch means" ended the run
+    def no_draws(*args):
+        pytest.fail("drew before refusing the count")
+
+    monkeypatch.setattr(oracle, "rejection_sample_ball", no_draws)
+    monkeypatch.setattr(oracle, "_beta_jacobi", no_draws)
+    for argv in (
+        ("sample", "--ensemble", "hermitian", "--n", "3", "--count", "10"),
+        ("loggas", "--a", "1", "--b", "2", "--n", "3", "--count", "24"),
+    ):
+        code, recs = run_cli(capsys, "oracle", *argv)
+        assert code == 2
+        assert recs[-1]["error"] == {
+            "type": "ValueError", "message": f"batch means need count >= 25, got {argv[-1]}"
+        }
+
+
 def test_oracle_loggas(capsys):
     code, recs = run_cli(
         capsys, "oracle", "loggas", "--a", "1", "--b", "2", "--n", "3",
@@ -221,6 +256,7 @@ def test_bad_flags_exit_2():
         ("asympt", "--quantity", "var", "--ensemble", "hermitian", "--beta", "3", "--kappa", "7"),
         ("asympt", "--quantity", "x2", "--kappa", "1", "--convention", "paper"),
         ("asympt", "--quantity", "fm-x2", "--beta", "-1"),
+        ("oracle", "sample", "--ensemble", "hermitian", "--n", "3", "--count", "24"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

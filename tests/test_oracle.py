@@ -1,6 +1,6 @@
 import itertools
 import math
-import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -411,22 +411,68 @@ def test_self_adjoint_draws_are_conjugated_by_uniform_permutations(monkeypatch):
     assert all(abs(c / len(out) - share) <= 4 * se for c in counts.values()), counts
 
 
-def test_ball_moment_chunks_own_their_data(monkeypatch):
-    # .real of a complex batch is a strided view; a kept chunk must not hold the
-    # complex batch alive at 16 B per value
-    seen = []
-    concatenate = np.concatenate
+def _whole_sample_batch_means(values):
+    """(mean, stderr, ess) of BATCHES equal batches of the whole sample, held at once."""
+    m = len(values) // oracle.BATCHES
+    trimmed = values[: m * oracle.BATCHES].reshape(oracle.BATCHES, m)
+    bm = trimmed.mean(axis=1)
+    var_all, var_bm = float(trimmed.var()), float(bm.var(ddof=1))
+    ess = float(len(values)) if var_bm == 0 else float(len(values) * var_all / (m * var_bm))
+    stderr = float(bm.std(ddof=1) / math.sqrt(oracle.BATCHES))
+    return float(bm.mean()), stderr, min(ess, float(len(values)))
 
-    def spy(chunks, *args, **kwargs):  # default_rng concatenates too; record the estimator only
-        if sys._getframe(1).f_code.co_name == "ball_moment_estimate":
-            seen.extend(chunks)
-        return concatenate(chunks, *args, **kwargs)
 
-    monkeypatch.setattr(np, "concatenate", spy)
+def _recording(f, seen):
+    def g(x):
+        out = f(x)
+        seen.append(np.array(out, dtype=float))
+        return out
+
+    return g
+
+
+def _assert_streamed_matches_whole_sample(estimates, seen):
+    for name, e in estimates.items():
+        mean, stderr, ess = _whole_sample_batch_means(np.concatenate(seen[name]))
+        assert (e.mean, e.stderr, e.diagnostics["ess"]) == (mean, stderr, round(ess, 2)), name
+
+
+def test_ball_batch_means_stream_matches_whole_sample():
+    # 100 003 draws is a multiple neither of BATCHES nor of the 7281-draw chunk, so
+    # batches straddle chunks and the last three draws are dropped
     fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
-    ball_moment_estimate("hermitian", 2, fns, 2_000, seed=3)
-    assert len(seen) >= len(fns)
-    assert all(chunk.base is None and chunk.dtype == np.float64 for chunk in seen)
+    seen = {name: [] for name in fns}
+    est = ball_moment_estimate(
+        "hermitian", 3, {name: _recording(f, seen[name]) for name, f in fns.items()}, 100_003, seed=4
+    )
+    _assert_streamed_matches_whole_sample(est, seen)
+
+
+def test_loggas_batch_means_stream_matches_whole_sample():
+    payloads = {"s2": oracle.LOGGAS_PAYLOADS["sum_sq"], "x1": lambda x: x[:, 0]}
+    seen = {name: [] for name in payloads}
+    res = loggas_moment_estimate(
+        2, 2, 1, 10, {name: _recording(f, seen[name]) for name, f in payloads.items()}, 50_007, 6
+    )
+    _assert_streamed_matches_whole_sample(res, seen)
+
+
+def test_ball_moment_estimate_memory_is_flat_in_count():
+    # the estimator keeps one batch per payload, not every draw: 4x the draws adds
+    # only its larger batch buffers (0.3 MB), where keeping every value of the
+    # three payloads added 8.3 MB
+    fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
+    ball_moment_estimate("hermitian", 3, fns, 1_000, seed=1)  # numpy's first-use allocations
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            ball_moment_estimate("hermitian", 3, fns, count, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400_000) - peak(100_000) <= 1_000_000
 
 
 @pytest.mark.parametrize("n,count", [(0, 10), (2, 0)])

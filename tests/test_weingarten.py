@@ -227,11 +227,11 @@ def test_covariance_report_structure():
         assert js["ensemble"] == kind and js["n"] == 6
 
 
-@pytest.mark.parametrize(
-    "kind, helper", [("hermitian", "_hermitian_second_moments"), ("symmetric", "_symmetric_second_moments")]
-)
-def test_covariance_identity_guard(monkeypatch, kind, helper):
-    monkeypatch.setattr(weingarten, helper, lambda n, tm: (F(1), F(0), F(1, 3)))
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
+def test_covariance_identity_guard(monkeypatch, kind):
+    # E[T_11^2] = 1 against E[T_11 T_22] = 0 plus an off-diagonal part of 1/3 or 2/3
+    broken = {"T11T22": F(0), "absT12sq": F(1, 3), "T12sq": F(1, 3), "T11sq": F(1)}
+    monkeypatch.setattr(weingarten, "self_adjoint_second_moments", lambda kind, n, tm: broken)
     with pytest.raises(ArithmeticError):
         covariance_report(kind, 4, check_zeros=False)
 
