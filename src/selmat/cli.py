@@ -493,11 +493,11 @@ def _dispatch_oracle(args, em: Emitter) -> int:
         em.emit({"value": val, "error_estimate": err, "points_per_axis": args.points})
         return 0
     if oc == "sample":
-        n = args.n
-        fns = ball_second_moments(args.ensemble)
+        n, ball = args.n, ensemble(args.ensemble).name
+        fns = ball_second_moments(ball)
         if n < 2:
             fns = {"T11sq": fns["T11sq"]}
-        est = ball_moment_estimate(args.ensemble, n, fns, args.count, args.seed)
+        est = ball_moment_estimate(ball, n, fns, args.count, args.seed)
         for name, e in sorted(est.items()):
             em.emit({"moment": name, **e.to_json()})
         return 0

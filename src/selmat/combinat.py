@@ -306,33 +306,3 @@ def character(lam: Partition, mu: Partition) -> int:
         sub = _partition_from_betas([c for c in betas if c != b] + [nb])
         total += (-1) ** height * character(sub, rest)
     return total
-
-
-@dataclass(frozen=True)
-class CharacterTable:
-    """Full character table of S_k: values[(lam, mu)] = chi^lambda(mu)."""
-
-    k: int
-    values: dict
-
-    @classmethod
-    def build(cls, k: int) -> "CharacterTable":
-        parts = partitions_of(k)
-        vals = {(lam, mu): character(lam, mu) for lam in parts for mu in parts}
-        return cls(k, vals)
-
-    def chi(self, lam: Partition, mu: Partition) -> int:
-        return self.values[(lam, mu)]
-
-    def check_row_orthogonality(self) -> bool:
-        parts = partitions_of(self.k)
-        fact = math.factorial(self.k)
-        for lam in parts:
-            for lam2 in parts:
-                s = sum(
-                    Fraction(fact, zee(mu)) * self.chi(lam, mu) * self.chi(lam2, mu)
-                    for mu in parts
-                )
-                if s != (fact if lam == lam2 else 0):
-                    return False
-        return True

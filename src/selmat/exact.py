@@ -237,13 +237,6 @@ class GammaProduct:
         return _approx_from_log(log_v, sign)
 
 
-def gamma_product_ratio(
-    num: GammaProduct, den: GammaProduct
-) -> Union[Rational, GammaProduct]:
-    """Shift-normalised quotient; an exact Rational when all factors cancel."""
-    return (num / den).simplify()
-
-
 def to_float(v: Union[Rational, GammaProduct]) -> Approx:
     """Double-precision evaluation (via log-gamma for Gamma products)."""
     if isinstance(v, GammaProduct):

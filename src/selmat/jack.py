@@ -5,12 +5,16 @@ imposing the eigenfunction equation of the Calogero-Sutherland operator
 
     D* = sum_i (x_i d_i)^2 + (1/xi) sum_{i<j} (x_i+x_j)/(x_i-x_j) (x_i d_i - x_j d_j)
 
-on a monomial expansion and back-substituting in reverse-lexicographic order.
-The operator acts triangularly on monomial symmetric functions: it moves a
-pair of exponents (r, s) to any intermediate pair (r-t, s+t), which strictly
-lowers dominance, so each coefficient is determined by the already-known
-dominance-larger ones.  All moves touch only nonzero parts, hence the matrix
-(and every coefficient) is independent of the number of variables.
+on a monomial expansion.  The operator acts triangularly on monomial
+symmetric functions: it moves a pair of exponents (r, s) to any intermediate
+pair (r-t, s+t), which strictly lowers dominance.  One row P_lambda is built
+by a forward (push) recursion, as in Stanley (Adv. Math. 77, 1989) and MOPS
+(Dumitriu, Edelman and Shuman, J. Symb. Comput. 42, 2007): the partitions
+below lambda are walked in reverse-lexicographic order, which refines
+dominance, and each coefficient, once known, pushes its moves onto the
+dominance-lower partitions it reaches.  A coefficient is then kappa times its
+pushed sum over the eigenvalue gap to lambda.  All moves touch only nonzero
+parts, hence every coefficient is independent of the number of variables.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from .combinat import (
     monomial_principal,
     partition,
     partitions_of,
-    zee,
 )
-from .exact import GammaProduct, Rational, gamma_product_ratio, pochhammer
+from .exact import Rational, pochhammer
 from .selberg import SelbergParams
 
 MAX_DEGREE = 12
@@ -101,28 +104,39 @@ def _move_matrix(d: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def jack_basis_matrix(kappa: Fraction, d: int) -> dict:
-    """{lambda: {mu: coeff}} with P_lambda = sum_mu coeff * m_mu, unitriangular."""
+def jack_row(kappa: Fraction, lam: Partition) -> dict:
+    """{mu: coeff} with P_lambda = sum_mu coeff * m_mu, keyed in revlex order.
+
+    Walks the partitions below lambda in reverse-lexicographic order.  Each
+    coefficient, once known, pushes its moves onto the dominance-lower
+    partitions it reaches, so a partition's sum is complete when the walk
+    gets to it; partitions whose sum is zero are skipped.
+    """
     kappa = Fraction(kappa)
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    d = sum(lam)
     if d > MAX_DEGREE:
         raise ValueError(f"degree {d} exceeds cap {MAX_DEGREE}")
     parts = partitions_of(d)  # revlex refines dominance, largest first
     moves = _move_matrix(d)
-    basis: dict[Partition, dict[Partition, Fraction]] = {}
-    for li, lam in enumerate(parts):
-        coeffs: dict[Partition, Fraction] = {lam: Fraction(1)}
-        for mu in parts[li + 1 :]:
-            acc = Fraction(0)
-            for nu, c in coeffs.items():
-                acc += c * moves.get(nu, {}).get(mu, 0)
-            if acc == 0:
-                continue
-            gap = (_sum_sq(lam) - _sum_sq(mu)) + 2 * kappa * (_nval(mu) - _nval(lam))
-            coeffs[mu] = kappa * acc / gap
-        basis[lam] = coeffs
-    return basis
+    row: dict[Partition, Fraction] = {lam: Fraction(1)}
+    pending = dict(moves.get(lam, {}))
+    for mu in parts[parts.index(lam) + 1 :]:
+        acc = pending.pop(mu, 0)
+        if acc == 0:
+            continue
+        gap = (_sum_sq(lam) - _sum_sq(mu)) + 2 * kappa * (_nval(mu) - _nval(lam))
+        c = row[mu] = kappa * acc / gap
+        for nu, m in moves.get(mu, {}).items():
+            pending[nu] = pending.get(nu, 0) + c * m
+    return row
+
+
+@lru_cache(maxsize=None)
+def jack_basis_matrix(kappa: Fraction, d: int) -> dict:
+    """{lambda: {mu: coeff}} with P_lambda = sum_mu coeff * m_mu, unitriangular."""
+    return {lam: jack_row(Fraction(kappa), lam) for lam in partitions_of(d)}
 
 
 @lru_cache(maxsize=None)
@@ -145,9 +159,7 @@ def monomial_to_jack_matrix(kappa: Fraction, d: int) -> dict:
 def jack_in_monomials(lam: Partition, kappa) -> SymPoly:
     """Monic Jack polynomial P_lambda^(1/kappa) expanded over monomials."""
     lam = partition(lam)
-    d = sum(lam)
-    row = jack_basis_matrix(Fraction(kappa), d)[lam]
-    return SymPoly.from_dict(d, row)
+    return SymPoly.from_dict(sum(lam), jack_row(Fraction(kappa), lam))
 
 
 def monomial_to_jack(mu: Partition, kappa) -> dict:
@@ -163,41 +175,6 @@ def principal_specialization(lam: Partition, kappa, n: int) -> Rational:
     return sum(
         (c * monomial_principal(mu, n) for mu, c in poly.coeffs), Fraction(0)
     )
-
-
-def _pochhammer_gamma(x, step) -> GammaProduct:
-    """(x)_step = Gamma(x+step)/Gamma(x) for a rational (non-integer) step."""
-    return GammaProduct(Fraction(1), [(Fraction(x) + Fraction(step), 1), (Fraction(x), -1)])
-
-
-def principal_specialization_gamma(lam: Partition, kappa, n: int):
-    """P_lambda(1^n) through the hook-ratio product of Gamma factors.
-
-    Independent of the monomial path: evaluates
-    prod_{i<j} (lambda_i - lambda_j + (j-i)kappa)_kappa over the unequal pairs
-    times prod (j-i)/(j-i+1) (1+(j-i)kappa)_kappa over the equal ones, as a
-    ratio against the empty partition.  Used as a cross-check only.
-    """
-    lam = partition(lam)
-    kappa = Fraction(kappa)
-    if n < len(lam):
-        return Fraction(0)
-
-    def f_of(padded) -> GammaProduct:
-        out = GammaProduct.from_rational(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = padded[i] - padded[j]
-                if diff > 0:
-                    out = out * _pochhammer_gamma(diff + (j - i) * kappa, kappa)
-                else:
-                    out = out * _pochhammer_gamma(1 + (j - i) * kappa, kappa)
-                    out = out * Fraction(j - i, j - i + 1)
-        return out
-
-    lam_padded = lam + (0,) * (n - len(lam))
-    zero_padded = (0,) * n
-    return gamma_product_ratio(f_of(lam_padded), f_of(zero_padded))
 
 
 def kadell_ratio(lam: Partition, n: int, u, w, kappa) -> Rational:
@@ -274,17 +251,3 @@ def jack_in_power_sums(lam: Partition, kappa) -> dict:
         for rho, t in m2p[mu].items():
             out[rho] = out.get(rho, Fraction(0)) + c * t
     return {rho: c for rho, c in out.items() if c != 0}
-
-
-def jack_inner_product(lam: Partition, mu: Partition, xi) -> Fraction:
-    """<P_lambda, P_mu> under <p_a, p_b> = z_a xi^l(a) delta_ab."""
-    lam, mu = partition(lam), partition(mu)
-    if sum(mu) != sum(lam):
-        raise ValueError("weights differ")
-    xi = Fraction(xi)
-    pl = jack_in_power_sums(lam, 1 / xi)
-    pm = jack_in_power_sums(mu, 1 / xi)
-    return sum(
-        (a * pm[rho] * zee(rho) * xi ** len(rho) for rho, a in pl.items() if rho in pm),
-        Fraction(0),
-    )

@@ -147,6 +147,22 @@ def test_oracle_sample_and_haar(capsys):
     assert abs(rec["E_abs_U11_sq"] - 0.25) <= 5 * rec["stderr"]
 
 
+@pytest.mark.parametrize(
+    "alias,name,off",
+    [("Hermitian", "hermitian", "absT12sq"), ("her", "hermitian", "absT12sq"),
+     ("SYM", "symmetric", "T12sq")],
+)
+def test_oracle_sample_resolves_ensemble_aliases(capsys, alias, name, off):
+    # the payloads were once named from the raw string: Hermitian printed T12sq
+    # and her was refused, although covariance accepts it
+    argv = ("oracle", "sample", "--n", "3", "--count", "200", "--seed", "3")
+    code, recs = run_cli(capsys, *argv, "--ensemble", alias)
+    assert code == 0
+    assert [r["moment"] for r in recs[1:]] == sorted(["T11T22", "T11sq", off])
+    _, want = run_cli(capsys, *argv, "--ensemble", name)
+    assert recs[1:] == want[1:]
+
+
 def test_oracle_haar_matches_the_whole_sample(capsys):
     # the statistic is read chunk by chunk; its record is byte-identical to the one
     # computed from every matrix held at once
@@ -257,6 +273,9 @@ def test_bad_flags_exit_2():
         ("asympt", "--quantity", "x2", "--kappa", "1", "--convention", "paper"),
         ("asympt", "--quantity", "fm-x2", "--beta", "-1"),
         ("oracle", "sample", "--ensemble", "hermitian", "--n", "3", "--count", "24"),
+        ("jack", "expand", "--lam", "2", "--kappa", "0"),
+        ("jack", "principal", "--lam", "13", "--kappa", "1", "--n", "3"),
+        ("kadell", "--lam", "13", "--n", "3", "--u", "1", "--w", "1", "--kappa", "1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

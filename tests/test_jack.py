@@ -5,23 +5,112 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmat.combinat import character, dominance_leq, partitions_of, zee
+from selmat.combinat import character, dominance_leq, partition, partitions_of, zee
+from selmat.exact import GammaProduct
 from selmat.jack import (
     MAX_DEGREE,
     SymPoly,
+    _move_matrix,
     jack_basis_matrix,
     jack_in_monomials,
     jack_in_power_sums,
-    jack_inner_product,
+    jack_row,
     kadell_ratio,
     monomial_to_jack,
     monomial_to_power_matrix,
     principal_specialization,
-    principal_specialization_gamma,
 )
 from selmat.selberg import ParamOutOfRangeError, SelbergParams, aomoto_ratio
 
 KAPPAS = (F(1, 2), F(1), F(2), F(3))
+
+
+def dense_basis(kappa, d):
+    """The whole degree-d basis by the dense pull loop: the row-path reference.
+
+    Each coefficient of P_lambda sums the moves of every coefficient already
+    known, in reverse-lexicographic order, and divides kappa times that sum by
+    the eigenvalue gap.
+    """
+    def sum_sq(lam):
+        return sum(p * p for p in lam)
+
+    def nval(lam):
+        return sum(i * p for i, p in enumerate(lam))
+
+    parts = partitions_of(d)
+    moves = _move_matrix(d)
+    basis = {}
+    for li, lam in enumerate(parts):
+        coeffs = {lam: F(1)}
+        for mu in parts[li + 1:]:
+            acc = F(0)
+            for nu, c in coeffs.items():
+                acc += c * moves.get(nu, {}).get(mu, 0)
+            if acc == 0:
+                continue
+            gap = (sum_sq(lam) - sum_sq(mu)) + 2 * kappa * (nval(mu) - nval(lam))
+            coeffs[mu] = kappa * acc / gap
+        basis[lam] = coeffs
+    return basis
+
+
+def jack_inner_product(lam, mu, xi):
+    """<P_lambda, P_mu> under <p_a, p_b> = z_a xi^l(a) delta_ab."""
+    pl = jack_in_power_sums(lam, 1 / xi)
+    pm = jack_in_power_sums(mu, 1 / xi)
+    return sum(
+        (a * pm[rho] * zee(rho) * xi ** len(rho) for rho, a in pl.items() if rho in pm),
+        F(0),
+    )
+
+
+def principal_specialization_gamma(lam, kappa, n):
+    """P_lambda(1^n) through the hook-ratio product of Gamma factors.
+
+    Independent of the monomial path: evaluates
+    prod_{i<j} (lambda_i - lambda_j + (j-i)kappa)_kappa over the unequal pairs
+    times prod (j-i)/(j-i+1) (1+(j-i)kappa)_kappa over the equal ones, as a
+    ratio against the empty partition; (x)_kappa = Gamma(x+kappa)/Gamma(x).
+    """
+    lam = partition(lam)
+    kappa = F(kappa)
+    if n < len(lam):
+        return F(0)
+
+    def poch(x):
+        return GammaProduct(F(1), [(x + kappa, 1), (x, -1)])
+
+    def f_of(padded):
+        out = GammaProduct.from_rational(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = padded[i] - padded[j]
+                if diff > 0:
+                    out = out * poch(diff + (j - i) * kappa)
+                else:
+                    out = out * poch(1 + (j - i) * kappa) * F(j - i, j - i + 1)
+        return out
+
+    return (f_of(lam + (0,) * (n - len(lam))) / f_of((0,) * n)).simplify()
+
+
+@pytest.mark.parametrize("kappa", [F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(3)])
+def test_rows_equal_the_dense_basis(kappa):
+    # values and key order of every row up to degree 9
+    for d in range(10):
+        for lam, want in dense_basis(kappa, d).items():
+            assert list(jack_row(kappa, lam).items()) == list(want.items()), (kappa, lam)
+
+
+def test_one_row_builds_no_basis():
+    # a single Jack polynomial, its specialization and its Kadell ratio read one row
+    kap = F(7, 11)
+    misses = jack_basis_matrix.cache_info().misses
+    assert jack_in_monomials((MAX_DEGREE,), kap).coeff((MAX_DEGREE,)) == 1
+    assert principal_specialization((5, 4, 3), kap, 3) > 0
+    assert kadell_ratio((6, 6), 4, 1, 1, kap) > 0
+    assert jack_basis_matrix.cache_info().misses == misses
 
 
 def test_first_table_row():
@@ -180,6 +269,8 @@ def test_kadell_param_validation():
 def test_degree_cap():
     with pytest.raises(ValueError):
         jack_in_monomials((13,), F(1))
+    with pytest.raises(ValueError):
+        jack_basis_matrix(F(1), MAX_DEGREE + 1)
     # the cap itself works
     poly = jack_in_monomials((MAX_DEGREE,), F(1))
     assert poly.coeff((MAX_DEGREE,)) == 1
@@ -190,6 +281,8 @@ def test_kappa_positive_required():
         jack_in_monomials((2,), F(-1))
     with pytest.raises(ValueError):
         jack_in_monomials((2,), 0)
+    with pytest.raises(ValueError):
+        jack_basis_matrix(F(0), 2)
 
 
 def test_sympoly_json_roundtrip():
