@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from .moments import (
     beta_remark_combination,
     ensemble,
     ensemble_moments,
-    richardson_limit,
 )
 from .oracle import (
     QuadratureSpec,
@@ -89,30 +89,6 @@ def _n_list(s: str) -> list[int]:
     return out
 
 
-LIMIT_NODES = 6
-
-
-def _limit_nodes(pairs: list) -> list:
-    """At most LIMIT_NODES (n, value) pairs, evenly spread in 1/n, for Neville.
-
-    Float Neville through every point of a long list amplifies rounding
-    without bound (2:700 gives NaN).  The nodes come from the upper half of
-    the list by n, or from its last LIMIT_NODES points if that is more, so a
-    list of at most LIMIT_NODES points is used whole.
-    """
-    pts = sorted(pairs)
-    pool = pts[min(len(pts) // 2, max(len(pts) - LIMIT_NODES, 0)) :]
-    if len(pool) <= LIMIT_NODES:
-        return pool
-    lo, hi = 1 / pool[-1][0], 1 / pool[0][0]
-    step = (hi - lo) / (LIMIT_NODES - 1)
-    picked = {
-        min(range(len(pool)), key=lambda i: abs(1 / pool[i][0] - (lo + k * step)))
-        for k in range(LIMIT_NODES)
-    }
-    return [pool[i] for i in sorted(picked)]
-
-
 def _exact_record(value, extra=None) -> dict:
     ap = to_float(value)
     rec = dict(extra or {})
@@ -124,8 +100,9 @@ def _exact_record(value, extra=None) -> dict:
             rec["exact"] = format_rational(simplified)
         else:
             rec["exact_gamma"] = simplified.to_json()
-    rec["float"] = ap.value
-    rec["log_value"] = ap.log_value
+    # strict JSON has no Infinity: null stands for the log of 0 and for a float past 1.8e308
+    for key, x in (("float", ap.value), ("log_value", ap.log_value)):
+        rec[key] = x if math.isfinite(x) else None
     return rec
 
 
@@ -201,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--convention", choices=("forced", "paper"), default="forced")
 
     for name in ("variance", "sigma"):
-        p = sub.add_parser(name, help=f"{name} over an n-list with extrapolated limit")
+        p = sub.add_parser(name, help=f"{name} over an n-list with its exact limit")
         p.add_argument("--ensemble", required=True)
         p.add_argument("--n-list", type=_n_list, required=True)
         p.add_argument("--convention", choices=("forced", "paper"), default="forced")
@@ -382,10 +359,10 @@ def _dispatch(args, em: Emitter) -> int:
                 }
             )
         if len(reports) >= 3:
-            lim = richardson_limit(
-                _limit_nodes([(r.n, float(getattr(r, fieldname))) for r in reports])
+            _, (lim,) = asymptotic_expansion(
+                fieldname, 0, ensemble_name=spec.name, convention=args.convention
             )
-            em.emit({"extrapolated_limit": lim, "ensemble": spec.name, "quantity": fieldname})
+            em.emit({"limit_float": float(lim), "ensemble": spec.name, "quantity": fieldname})
         return 0
     if cmd == "asympt":
         # _settle_selector_flags kept only the flags that the quantity uses

@@ -78,9 +78,6 @@ class Approx:
     log_value: float
     sign: int
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "log_value": self.log_value, "sign": self.sign}
-
 
 def _approx_from_log(log_value: float, sign: int) -> Approx:
     if sign == 0:

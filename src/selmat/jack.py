@@ -103,6 +103,14 @@ def _move_matrix(d: int) -> dict:
     return mat
 
 
+def _check_jack_args(kappa: Fraction, d: int) -> None:
+    """Refuse kappa <= 0 and degrees past the cap (raises, so it holds under -O)."""
+    if kappa <= 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if d > MAX_DEGREE:
+        raise ValueError(f"degree {d} exceeds cap {MAX_DEGREE}")
+
+
 @lru_cache(maxsize=None)
 def jack_row(kappa: Fraction, lam: Partition) -> dict:
     """{mu: coeff} with P_lambda = sum_mu coeff * m_mu, keyed in revlex order.
@@ -113,11 +121,8 @@ def jack_row(kappa: Fraction, lam: Partition) -> dict:
     gets to it; partitions whose sum is zero are skipped.
     """
     kappa = Fraction(kappa)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
     d = sum(lam)
-    if d > MAX_DEGREE:
-        raise ValueError(f"degree {d} exceeds cap {MAX_DEGREE}")
+    _check_jack_args(kappa, d)
     parts = partitions_of(d)  # revlex refines dominance, largest first
     moves = _move_matrix(d)
     row: dict[Partition, Fraction] = {lam: Fraction(1)}
@@ -185,6 +190,7 @@ def kadell_ratio(lam: Partition, n: int, u, w, kappa) -> Rational:
     """
     lam = partition(lam)
     params = SelbergParams(n, u, w, kappa)  # validates the constraint set
+    _check_jack_args(params.kappa, sum(lam))  # also where the shortcut skips jack_row
     if n < len(lam):
         return Fraction(0)
     out = principal_specialization(lam, params.kappa, n)

@@ -844,14 +844,3 @@ def asymptotic_expansion(name: str, order: int, **quantity) -> tuple:
     rf = asympt_quantity(name, **quantity)
     return rf, laurent_coefficients(rf, order)
 
-
-def richardson_limit(pairs: Sequence[tuple]) -> float:
-    """Neville extrapolation of f(n) to n = infinity from (n, value) pairs."""
-    pts = sorted((float(n), float(v)) for n, v in pairs)
-    h = [1.0 / n for n, _ in pts]
-    t = [v for _, v in pts]
-    m = len(t)
-    for k in range(1, m):
-        for i in range(m - k):
-            t[i] = t[i + 1] + (t[i + 1] - t[i]) * h[i + k] / (h[i] - h[i + k])
-    return t[0]

@@ -22,7 +22,6 @@ from .moments import (
     ensemble,
     ensemble_moments,
     full_matrix_moment_ratio,
-    richardson_limit,
     trace_moments,
 )
 from .oracle import QuadratureSpec, ball_moment_estimate, ball_second_moments, quadrature
@@ -305,15 +304,10 @@ def check_variance_constants() -> CheckResult:
             if abs(v - c) > Fraction(2, n):
                 bad.append(n)
         details.append({"case": f"{name} |var-c|<=2/n on 20..200", "pass": not bad, "bad_n": bad})
-        pairs = [(n, float(ensemble_moments(spec, n, "paper").var)) for n in range(20, 201, 20)]
-        lim = richardson_limit(pairs)
+        _, (lim,) = asymptotic_expansion("var", 0, ensemble_name=name, convention="paper")
         details.append(
-            {
-                "case": f"{name} richardson limit",
-                "limit": lim,
-                "target": float(c),
-                "pass": abs(lim - float(c)) <= 1e-8,
-            }
+            {"case": f"{name} exact limit", "limit": format_rational(lim),
+             "target": format_rational(c), "pass": lim == c}
         )
     for name, beta in (("full-real", 1), ("full-complex", 2), ("full-quaternion", 4)):
         spec = ensemble(name)
@@ -323,15 +317,10 @@ def check_variance_constants() -> CheckResult:
             if abs(ensemble_moments(spec, n).var - c) > Fraction(2, n):
                 bad.append(n)
         details.append({"case": f"{name} |var-1/(8b)|<=2/n", "pass": not bad, "bad_n": bad})
-        pairs = [(n, float(ensemble_moments(spec, n).var)) for n in range(20, 201, 20)]
-        lim = richardson_limit(pairs)
+        _, (lim,) = asymptotic_expansion("var", 0, ensemble_name=name)
         details.append(
-            {
-                "case": f"{name} richardson limit",
-                "limit": lim,
-                "target": float(c),
-                "pass": abs(lim - float(c)) <= 1e-8,
-            }
+            {"case": f"{name} exact limit", "limit": format_rational(lim),
+             "target": format_rational(c), "pass": lim == c}
         )
         # closed-form chain in beta and n vs the Aomoto assembly
         b = Fraction(beta)
@@ -383,7 +372,7 @@ def check_remark() -> CheckResult:
 
 
 def check_sigma2() -> CheckResult:
-    """sigma^2 in [0.1, 10] for all six ensembles and 2 <= n <= 200; limit 1/2."""
+    """sigma^2 in [0.1, 10] for all six ensembles and 2 <= n <= 200; exact limit 1/2."""
     t0 = time.perf_counter()
     details = []
     for name in (
@@ -400,10 +389,10 @@ def check_sigma2() -> CheckResult:
                 if s != ensemble_moments(spec, n, "paper").sigma2:
                     bad.append(-n)
         details.append({"case": f"{name} bounds 2..200", "pass": not bad, "bad_n": bad})
-        pairs = [(n, float(ensemble_moments(spec, n).sigma2)) for n in range(25, 201, 25)]
-        lim = richardson_limit(pairs)
+        _, (lim,) = asymptotic_expansion("sigma2", 0, ensemble_name=name)
         details.append(
-            {"case": f"{name} limit", "limit": lim, "pass": abs(lim - 0.5) <= 0.01}
+            {"case": f"{name} exact limit", "limit": format_rational(lim),
+             "target": "1/2", "pass": lim == Fraction(1, 2)}
         )
     return _result("C6", "thin-shell constant bounds", details, t0)
 

@@ -394,12 +394,9 @@ def covariance_report(
     """Exact covariance structure for the Hermitian or real symmetric ball."""
     from .moments import ensemble, trace_moments as trace_of
 
-    key = ensemble_name.lower()
-    if key in ("her", "hermitian", "c"):
-        kind, spec = "hermitian", ensemble("hermitian")
-    elif key in ("sym", "symmetric", "r", "real-symmetric"):
-        kind, spec = "symmetric", ensemble("symmetric")
-    else:
+    spec = ensemble(ensemble_name)
+    kind = spec.name
+    if kind not in ("hermitian", "symmetric"):
         raise ValueError(f"covariance_report covers hermitian|symmetric, got {ensemble_name!r}")
     if n < 2:
         raise ValueError("need n >= 2")

@@ -7,9 +7,11 @@ with the same seed and comparing the serialised bytes.
 """
 
 import io
+from fractions import Fraction
 
 import pytest
 
+from selmat import moments
 from selmat import verify as V
 
 SEED = V.DEFAULT_SEED
@@ -58,3 +60,24 @@ def test_c11_determinism(suite):
           if first_bytes == second_bytes else "C11 FAIL")
     assert first_bytes == second_bytes
     assert len(first_bytes) > 1000
+
+
+@pytest.mark.parametrize(
+    "field,check", [("var", V.check_variance_constants), ("sigma2", V.check_sigma2)]
+)
+def test_exact_limits_catch_a_shifted_function(monkeypatch, field, check):
+    """A broken copy whose var or sigma^2 is off by 1/1000 fails C4 or C6 on every limit."""
+    # sigma^2 + 1/1000 tends to 0.501, inside the old float band |limit - 1/2| <= 0.01
+    build = moments.ensemble_moment_functions
+    i = moments.MOMENT_FIELDS.index(field)
+
+    def shifted(spec, convention="forced"):
+        fns = list(build(spec, convention))
+        fns[i] = fns[i] + Fraction(1, 1000)
+        return tuple(fns)
+
+    monkeypatch.setattr(moments, "ensemble_moment_functions", shifted)
+    res = check()
+    limits = [d for d in res.details if d["case"].endswith("exact limit")]
+    assert not res.passed
+    assert len(limits) == 6 and not any(d["pass"] for d in limits)

@@ -61,8 +61,8 @@ def test_variance_with_limit(capsys):
     vals = [r for r in recs if "var" in r]
     assert len(vals) == 5
     assert F(vals[0]["var"]) == F(vals[0]["var"])  # round-trip parse
-    limit = [r for r in recs if "extrapolated_limit" in r][0]
-    assert limit["extrapolated_limit"] == pytest.approx(1 / 32, abs=1e-6)
+    limit = [r for r in recs if "limit_float" in r][0]
+    assert limit == {"ensemble": "hermitian", "limit_float": float(F(1, 32)), "quantity": "var"}
 
 
 def test_sigma_subcommand(capsys):
@@ -70,8 +70,8 @@ def test_sigma_subcommand(capsys):
         capsys, "sigma", "--ensemble", "full-complex", "--n-list", "10,20,40"
     )
     assert code == 0
-    limit = [r for r in recs if "extrapolated_limit" in r][0]
-    assert limit["extrapolated_limit"] == pytest.approx(0.5, abs=1e-3)
+    limit = [r for r in recs if "limit_float" in r][0]
+    assert limit["limit_float"] == float(F(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -83,11 +83,12 @@ def test_sigma_subcommand(capsys):
     ],
 )
 def test_extrapolated_limit_on_long_lists(capsys, command, name, n_list, want):
-    # Neville through every point of these lists printed NaN, 2.6e37 and 2.2e146
+    # the limit is read off the exact function of n, so no list spoils it (float
+    # Neville through every point of these lists printed NaN, 2.6e37 and 2.2e146)
     code, recs = run_cli(capsys, command, "--ensemble", name, "--n-list", n_list)
     assert code == 0
-    limit = [r for r in recs if "extrapolated_limit" in r][0]
-    assert limit["extrapolated_limit"] == pytest.approx(want, abs=1e-9)
+    limit = [r for r in recs if "limit_float" in r][0]
+    assert limit["limit_float"] == float(F(want))
 
 
 def test_asympt_remark(capsys):
@@ -276,6 +277,11 @@ def test_bad_flags_exit_2():
         ("jack", "expand", "--lam", "2", "--kappa", "0"),
         ("jack", "principal", "--lam", "13", "--kappa", "1", "--n", "3"),
         ("kadell", "--lam", "13", "--n", "3", "--u", "1", "--w", "1", "--kappa", "1"),
+        # n < l(lambda) once returned 0 before the degree cap and kappa > 0 were checked
+        ("kadell", "--lam", ",".join(["1"] * 13), "--n", "3", "--u", "1", "--w", "1",
+         "--kappa", "1"),
+        ("kadell", "--lam", "1,1,1", "--n", "2", "--u", "1", "--w", "1", "--kappa", "0"),
+        ("covariance", "--ensemble", "real-symmetric", "--n", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -303,6 +309,8 @@ def test_usage_errors_exit_2(capsys, argv):
         (("asympt", "--quantity", "fm-x4", "--beta", "-2"), "beta must be positive"),
         (("asympt", "--quantity", "fm-x2x2", "--beta", "1/2"),
          "full-matrix quantities need integer beta"),
+        (("covariance", "--ensemble", "quat", "--n", "3"),
+         "covariance_report covers hermitian|symmetric, got 'quat'"),
     ],
 )
 def test_usage_error_messages(capsys, argv, message):
@@ -393,6 +401,7 @@ EXACT_COMMANDS = [
     ("aomoto", "--n", "3", "--u", "1", "--w", "1", "--kappa", "1/2", "--m", "2"),
     ("jack", "expand", "--lam", "2,1", "--kappa", "1/2"),
     ("kadell", "--lam", "2,1", "--n", "3", "--u", "1", "--w", "1", "--kappa", "2"),
+    ("kadell", "--lam", "1,1,1", "--n", "2", "--u", "1", "--w", "1", "--kappa", "1"),
     ("moments", "--ensemble", "hermitian", "--n", "4"),
     ("sigma", "--ensemble", "symmetric", "--n-list", "2:5"),
     ("variance", "--ensemble", "full-complex", "--n-list", "2:5"),
@@ -426,6 +435,26 @@ print(json.dumps([codes, loaded]))
     assert codes == [0] * (len(EXACT_COMMANDS) + 1)
     # no exact command loads numpy, and the oracle call shows that the check sees it load
     assert loaded == [False, True]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_exact_records_are_strict_json(capsys):
+    # an exact zero printed "log_value": -Infinity, and a value past 1.8e308
+    # printed "float": Infinity; strict JSON parsers reject both
+    huge_z = f"{10**310 + 1}/{10**310}"  # Wg^U((1,1), 2, z) = 1/(z^2 - 1) ~ 5e309
+    overflow = ("weingarten", "unitary", "--k", "2", "--cycle-type", "1,1", "--z", huge_z)
+    for argv in [*EXACT_COMMANDS, overflow]:
+        assert main(list(argv)) == 0
+        for line in capsys.readouterr().out.splitlines():
+            json.loads(line, parse_constant=_refuse_constant)
+    code, recs = run_cli(capsys, "kadell", "--lam", "1,1,1", "--n", "2", "--u", "1", "--w", "1",
+                         "--kappa", "1")
+    assert recs[1]["exact"] == "0" and recs[1]["float"] == 0.0 and recs[1]["log_value"] is None
+    code, recs = run_cli(capsys, *overflow)
+    assert recs[1]["float"] is None and recs[1]["log_value"] == pytest.approx(713.108, abs=1e-3)
 
 
 def test_oracle_quad_node_cap_exit_2(capsys, monkeypatch):

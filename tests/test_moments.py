@@ -24,7 +24,6 @@ from selmat.moments import (
     laurent_coefficients,
     monomial_moment_ratio,
     reconstruct_rational,
-    richardson_limit,
     shifted_moment_ratio,
     trace_moments,
 )
@@ -203,11 +202,6 @@ def test_laurent_with_polynomial_part_removed():
     rf = RationalFunction.from_fraction_polys([F(0), F(0), F(1)], [F(1), F(1)])
     lc = laurent_coefficients(rf, 3)
     assert lc == [F(-1), F(1), F(-1), F(1)]
-
-
-def test_richardson_limit():
-    pairs = [(n, 0.5 - 0.25 / n + 0.125 / n**2) for n in (10, 20, 40, 80, 160)]
-    assert richardson_limit(pairs) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_rational_function_at_fractional_n():
