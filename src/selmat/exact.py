@@ -26,13 +26,6 @@ class PoleError(ArithmeticError):
     """A Gamma factor with positive exponent sits at a non-positive integer."""
 
 
-def rational(p, q: int = 1) -> Rational:
-    """Build an exact rational from ints, strings like ``"3/4"``, or Fractions."""
-    if q != 1:
-        return Fraction(p, q)
-    return Fraction(p)
-
-
 def format_rational(x: Rational) -> str:
     """Canonical string form, ``"p/q"`` (or ``"p"`` for integers)."""
     return str(Fraction(x))
@@ -158,10 +151,6 @@ class GammaProduct:
     @classmethod
     def from_gamma(cls, arg, exp: int = 1) -> "GammaProduct":
         return cls(Fraction(1), [(arg, exp)])
-
-    @classmethod
-    def from_rational(cls, x) -> "GammaProduct":
-        return cls(Fraction(x), [])
 
     def __mul__(self, other):
         if isinstance(other, GammaProduct):

@@ -19,14 +19,12 @@ parts, hence every coefficient is independent of the number of variables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
     Partition,
-    format_partition,
     monomial_principal,
     partition,
     partitions_of,
@@ -59,12 +57,6 @@ class SymPoly:
 
     def coeff(self, lam: Partition) -> Fraction:
         return dict(self.coeffs).get(lam, Fraction(0))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {format_partition(lam): str(c) for lam, c in self.coeffs},
-            sort_keys=True,
-        )
 
 
 def _sum_sq(lam: Partition) -> int:
@@ -175,6 +167,8 @@ def monomial_to_jack(mu: Partition, kappa) -> dict:
 
 def principal_specialization(lam: Partition, kappa, n: int) -> Rational:
     """P_lambda^(1/kappa)(1^n), by summing monomial counts (exact; 0 if n < l)."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     lam = partition(lam)
     poly = jack_in_monomials(lam, kappa)
     return sum(

@@ -3,18 +3,18 @@
 Reduces operator-norm-ball moments to Selberg/Kadell ratios and assembles
 variances, the thin-shell constant sigma^2, and the general-beta box
 combination.  For a fixed ensemble all of these are exact rational functions
-of n, and ``RationalFunction`` does exact arithmetic on them.  The monomial
-moment ratios J(m_mu)/J(1) are built once per (mu, kappa, min(n, |mu|)): each
+of n, and ``RationalFunction`` does exact arithmetic on them.  At each ball's
+Selberg weight (u, w, kappa) (``EnsembleSpec.weight``) the monomial moment
+ratios J(m_mu)/J(1) are built once per (mu, u, w, kappa, min(n, |mu|)): each
 Kadell ratio is a falling-factorial polynomial times a product of factors
 linear in n.  The payload formulas and the variance assembly are written once,
-generic in n; at the identity function of n they compose those ratios (or, for
-the full balls, Aomoto's linear-factor products) into one function per
-(ensemble, convention) and one per beta, which every n >= 4 evaluates in
-integer arithmetic.  The asymptotics of var, sigma^2, the box combination and
-the full-matrix payloads are the Laurent expansions of those functions at
-infinity.  The J-level shifted payloads are still sampled per n and
-interpolated by a rational function of n (exact linear solve).  Nothing is
-fitted in floating point.
+generic in n; at the identity function of n they compose those ratios into
+one function per (ensemble, convention) and one per beta, which every n >= 4
+evaluates in integer arithmetic.  The asymptotics of var, sigma^2, the box
+combination and the full-matrix payloads are the Laurent expansions of those
+functions at infinity.  The J-level shifted payloads are still sampled per n
+and interpolated by a rational function of n (exact linear solve).  Nothing
+is fitted in floating point.
 
 Scaling conventions.  For the self-adjoint families the eigenvalue density
 lives on [-1, 1]^n while the Kadell machinery lives on [0, 1]^n; the
@@ -83,6 +83,16 @@ class EnsembleSpec:
     @property
     def kappa(self) -> Fraction:
         return Fraction(self.beta, 2)
+
+    @property
+    def weight(self) -> tuple:
+        """(u, w, kappa) of the Selberg weight on [0,1]^n that the moments reduce to.
+
+        x = 2t - 1 maps the eigenvalue density to (1, 1, kappa); t = x^2 maps
+        the singular-value density to (kappa, 1, kappa).
+        """
+        u = 1 if self.family == SELF_ADJOINT else self.kappa
+        return u, 1, self.kappa
 
     def dim(self, n: int) -> int:
         if self.family == SELF_ADJOINT:
@@ -346,44 +356,46 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# J-level building blocks (self-adjoint reduction, box [0,1]^n, u = w = 1)
+# J-level building blocks (box [0,1]^n, Selberg weight (u, w, kappa))
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def monomial_moment_ratio(mu: tuple, n: int, kappa: Fraction) -> Fraction:
-    """J(m_mu)/J(1) over [0,1]^n with weight prod |t_i - t_j|^(2 kappa).
+def monomial_moment_ratio(mu: tuple, n: int, u, w, kappa) -> Fraction:
+    """J(m_mu)/J(1) over [0,1]^n at the Selberg weight (u, w, kappa) of ``SelbergParams``.
 
     m_mu = sum_lambda c_lambda P_lambda (``monomial_to_jack``), so the ratio is
-    sum_lambda c_lambda K_lambda(n) with the Kadell ratio at (u, w) = (1, 1),
+    sum_lambda c_lambda K_lambda(n) with the Kadell ratio
 
-        K_lambda(n) = P_lambda(1^n) prod_i (1+(n-i)kappa)_{lambda_i} / (2+(2n-i-1)kappa)_{lambda_i},
+        K_lambda(n) = P_lambda(1^n) prod_i (u+(n-i)k)_{lambda_i} / (u+w+(2n-i-1)k)_{lambda_i},
         P_lambda(1^n) = sum_nu [m_nu]P_lambda (n)_{l(nu)} / prod_j m_j(nu)!,
 
     a falling-factorial polynomial (``jack_in_monomials``) times factors
     linear in n.  K_lambda = 0 for n < l(lambda): the polynomial vanishes
     there, but the product can sit at a pole, so only the lambda with
     l(lambda) <= min(n, |mu|) are summed.  The sum is built once as a rational
-    function of n per (mu, kappa, min(n, |mu|)) (monomial_moment_function)
+    function of n per (mu, u, w, kappa, min(n, |mu|)) (monomial_moment_function)
     and evaluated here; ``kadell_ratio`` is the per-n reference.
     """
     if not mu:
         return Fraction(1)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return monomial_moment_function(mu, Fraction(kappa), min(n, sum(mu)))(n)
+    return monomial_moment_function(mu, u, w, kappa, min(n, sum(mu)))(n)
 
 
 @lru_cache(maxsize=None)
-def monomial_moment_function(mu: tuple, kappa: Fraction, m: int) -> RationalFunction:
+def monomial_moment_function(mu: tuple, u, w, kappa, m: int) -> RationalFunction:
     """sum_{l(lambda) <= m} c_lambda K_lambda(n) as one rational function of n.
 
     Equals J(m_mu)/J(1) at every n with min(n, |mu|) = m (see
     monomial_moment_ratio).  The terms are put over the lcm of their linear
     denominator factors, giving one integer numerator/denominator pair.
     """
-    kappa = Fraction(kappa)
-    p, q = kappa.numerator, kappa.denominator
+    u, w, kappa = Fraction(u), Fraction(w), Fraction(kappa)
+    # with q the common denominator, U = q u, W = q w and P = q kappa are integers
+    q = math.lcm(u.denominator, w.denominator, kappa.denominator)
+    U, W, P = int(q * u), int(q * w), int(q * kappa)
     terms = []  # (scalar, integer polynomial in n, denominator factors (b, a) of b n + a)
     for lam, c in monomial_to_jack(mu, kappa).items():
         if len(lam) > m:
@@ -399,12 +411,12 @@ def monomial_moment_function(mu: tuple, kappa: Fraction, m: int) -> RationalFunc
         poly = [int(x * scale) for x in poly]
         c /= scale
         den = {}
-        # with kappa = p/q, q (1+(n-i)kappa+j) = p n + q(1+j) - i p and
-        # q (2+(2n-i-1)kappa+j) = 2p n + q(2+j) - (i+1)p; the q's cancel
+        # q (u+(n-i)kappa+j) = P n + U + q j - i P and
+        # q (u+w+(2n-i-1)kappa+j) = 2P n + U + W + q j - (i+1)P; the q's cancel
         for i, part in enumerate(lam, start=1):
             for j in range(part):
-                poly = _poly_mul(poly, (q * (1 + j) - i * p, p))
-                b, a = 2 * p, q * (2 + j) - (i + 1) * p
+                poly = _poly_mul(poly, (U + q * j - i * P, P))
+                b, a = 2 * P, U + W + q * j - (i + 1) * P
                 g = math.gcd(b, a)
                 factor = (b // g, a // g)
                 den[factor] = den.get(factor, 0) + 1
@@ -426,6 +438,17 @@ def monomial_moment_function(mu: tuple, kappa: Fraction, m: int) -> RationalFunc
         for _ in range(k):
             den_poly = _poly_mul(den_poly, (a, b))
     return RationalFunction.from_fraction_polys(num, den_poly)
+
+
+# the identity function of n, for the formulas written generic in n
+_N = RationalFunction((0, 1), (1,))
+
+
+def _monomial_ratios(n, weight: tuple):
+    """mu -> J(m_mu)/J(1) at weight (u, w, kappa): at an int n, or in n (m = |mu|) at _N."""
+    if n is _N:
+        return lambda mu: monomial_moment_function(mu, *weight, sum(mu))
+    return lambda mu: monomial_moment_ratio(mu, n, *weight)
 
 
 def _shifted_payload(payload: str, n, R):
@@ -457,47 +480,34 @@ def shifted_moment_ratio(payload: str, n: int, kappa) -> Rational:
     payload: "x2" -> (t1-1/2)^2, "x1x1" -> (t1-1/2)(t2-1/2),
     "x2x2" -> (t1-1/2)^2 (t2-1/2)^2, "x4" -> (t1-1/2)^4.
     """
-    kappa = Fraction(kappa)
     if payload in ("x1x1", "x2x2") and n < 2:
         raise ValueError("two-variable payload needs n >= 2")
-    return _shifted_payload(payload, n, lambda mu: monomial_moment_ratio(mu, n, kappa))
+    return _shifted_payload(payload, n, _monomial_ratios(n, (1, 1, Fraction(kappa))))
 
 
-def _aomoto_product(n, k: Fraction, m1: int, m2: int, m3: int):
-    """``selberg.aomoto_general_ratio`` at (u, w, kappa) = (k, 1, k), generic in n."""
-    u, w = k, 1
-    out = Fraction(1)
-    for i in range(1, m3 + 1):
-        out = out * (u + w + (n - i - 1) * k) / (u + w + 1 + (2 * n - i - 1) * k)
-    for i in range(1, m1 + 1):
-        out = out * (u + (n - i) * k)
-    for i in range(1, m2 + 1):
-        out = out * (w + (n - i) * k)
-    for i in range(1, m1 + m2 + 1):
-        out = out / (u + w + (2 * n - i - 1) * k)
-    return out
+def _full_payload(payload: str, n, R):
+    """N(payload)/N(1) for the full balls from the monomial ratios R(mu), generic in n.
 
-
-def _full_payloads(n, k: Fraction) -> tuple:
-    """The FULL_PAYLOADS ratios N(payload)/N(1) at kappa = k, generic in n.
-
-    The x -> sqrt(x) substitution turns the singular-value density into the
-    Selberg weight at (u, w, kappa) = (k, 1, k); payloads map to Aomoto ratios:
-    x1^2 -> t1, x1^2 x2^2 -> t1 t2 = t1 - t1(1-t2), x1^4 -> t1^2 = t1 - t1(1-t1).
+    R is at the weight (beta/2, 1, beta/2), where t = x^2 takes the payloads
+    to t1, t1 t2 and t1^2, by symmetry m_(1)/n, m_(1,1)/binom(n, 2), m_(2)/n.
     """
-    t1 = _aomoto_product(n, k, 1, 0, 0)
-    return t1, t1 - _aomoto_product(n, k, 1, 1, 0), t1 - _aomoto_product(n, k, 1, 1, 1)
+    if payload == "x2":
+        return R((1,)) / n
+    if payload == "x2x2":
+        return 2 * R((1, 1)) / (n * (n - 1))
+    if payload == "x4":
+        return R((2,)) / n
+    raise ValueError(f"unknown payload {payload!r}; choose from {FULL_PAYLOADS}")
 
 
 def full_matrix_moment_ratio(payload: str, n: int, beta: int) -> Rational:
     """N(payload)/N(1) for the full-matrix singular-value density, exactly."""
-    if payload not in FULL_PAYLOADS:
-        raise ValueError(f"unknown payload {payload!r}; choose from {FULL_PAYLOADS}")
     if payload == "x2x2" and n < 2:
         raise ValueError("two-variable payload needs n >= 2")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _full_payloads(n, Fraction(beta, 2))[FULL_PAYLOADS.index(payload)]
+    k = Fraction(beta, 2)
+    return _full_payload(payload, n, _monomial_ratios(n, (k, 1, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +565,6 @@ def _scales(convention: str) -> tuple[Fraction, Fraction]:
 # |mu|, so one rational function of n holds; below it the formulas run per n.
 Q_N_FROM = 4
 
-# the identity function of n, for the formulas written generic in n
-_N = RationalFunction((0, 1), (1,))
-
-
-def _monomial_ratios(n, kappa: Fraction):
-    """mu -> J(m_mu)/J(1): at an int n, or as a function of n (m = |mu|) at _N."""
-    if n is _N:
-        return lambda mu: monomial_moment_function(mu, kappa, sum(mu))
-    return lambda mu: monomial_moment_ratio(mu, n, kappa)
-
-
 def _sum_sq_moments(n, M2, M22, M4) -> tuple:
     """E[S] and E[S^2] of S = sum x_i^2 from the reduced moments."""
     return n * M2, n * M4 + n * (n - 1) * M22
@@ -574,15 +573,15 @@ def _sum_sq_moments(n, M2, M22, M4) -> tuple:
 def _moment_fields(spec: EnsembleSpec, n, convention: str) -> tuple:
     """The MOMENT_FIELDS at an int n, or as functions of n at _N."""
     s2, s4 = _scales(convention)
+    R = _monomial_ratios(n, spec.weight)
     if spec.family == SELF_ADJOINT:
-        R = _monomial_ratios(n, spec.kappa)
         M2 = s2 * _shifted_payload("x2", n, R)
         M11 = s2 * _shifted_payload("x1x1", n, R)
         M22 = s4 * _shifted_payload("x2x2", n, R)
         M4 = s4 * _shifted_payload("x4", n, R)
         dim = n + Fraction(spec.beta, 2) * n * (n - 1)
     else:  # the convention has no effect on the full balls
-        M2, M22, M4 = _full_payloads(n, spec.kappa)
+        M2, M22, M4 = (_full_payload(p, n, R) for p in FULL_PAYLOADS)
         M11 = None
         dim = spec.beta * n * n
     T2, T4 = _sum_sq_moments(n, M2, M22, M4)
@@ -595,9 +594,8 @@ def ensemble_moment_functions(spec: EnsembleSpec, convention: str = "forced") ->
     """The MOMENT_FIELDS of ``ensemble_moments`` as functions of n.
 
     Each is one RationalFunction, equal to the report's field at every
-    n >= Q_N_FROM (M11 is None for the full balls): the self-adjoint balls
-    compose the monomial ratios at m = |mu|, the full balls the Aomoto
-    linear-factor products.
+    n >= Q_N_FROM (M11 is None for the full balls): each composes the
+    monomial ratios at m = |mu| and the ball's own ``EnsembleSpec.weight``.
     """
     return _moment_fields(spec, _N, convention)
 
@@ -637,7 +635,7 @@ def trace_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> dic
 
 def _remark(n, beta: Fraction):
     """The box combination at an int n, or as a function of n at _N."""
-    R = _monomial_ratios(n, beta / 2)
+    R = _monomial_ratios(n, (1, 1, beta / 2))
     j2, j22, j4 = (_shifted_payload(p, n, R) for p in ("x2", "x2x2", "x4"))
     T2, T4 = _sum_sq_moments(n, j2, j22, j4)
     return T4 - T2**2
@@ -761,8 +759,8 @@ def laurent_coefficients(f: RationalFunction, order: int) -> list:
     Any polynomial part (growth) is discarded first, per the reduction of the
     moment quantities to bounded expressions.
     """
-    if order > 8:
-        raise ValueError("order capped at 8")
+    if not 0 <= order <= 8:
+        raise ValueError(f"order must be in 0..8, got {order}")
     num = [Fraction(c) for c in f.numerator]
     den = [Fraction(c) for c in f.denominator]
     dp, dq = len(num) - 1, len(den) - 1
@@ -822,7 +820,7 @@ def asympt_quantity(
         beta = _positive_beta(beta)
         if beta.denominator != 1:
             raise ValueError("full-matrix quantities need integer beta")
-        return _full_payloads(_N, beta / 2)[FULL_PAYLOADS.index(payload)]
+        return _full_payload(payload, _N, _monomial_ratios(_N, (beta / 2, 1, beta / 2)))
     if name == "remark":
         if beta is None:
             raise ValueError("quantity 'remark' needs beta")

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import partition
-from .selberg import SelbergParams
+from .selberg import SelbergParams, check_aomoto_indices
 
 
 class UnsupportedDimensionError(ValueError):
@@ -234,6 +234,16 @@ def _even_payload(desc) -> bool:
     return all(part % 2 == 0 for mu in terms for part in mu)
 
 
+def _check_payload_variables(desc, n: int) -> None:
+    """Refuse an aomoto or shifted payload that reads a variable past t_n."""
+    if desc[0] == "aomoto":
+        if len(desc[1]) != 3:
+            raise ValueError(f"aomoto payload needs three indices m1,m2,m3, got {desc[1]!r}")
+        check_aomoto_indices(n, *desc[1])
+    elif desc[0] == "shifted" and desc[1] in ("x1x1", "x2x2") and n < 2:
+        raise ValueError(f"payload shifted:{desc[1]} needs n >= 2, got n={n}")
+
+
 def _symmetrized(f, n):
     import numpy as np
     perms = list(itertools.permutations(range(n)))
@@ -274,6 +284,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         self.weight()  # an unknown kind or a divergent integral fails here, before any rule
+        _check_payload_variables(self.payload, self.n)
         if self.kind == "loggas" and int(self.params[0]) == 2 and not _even_payload(self.payload):
             raise ValueError(
                 f"a=2 log-gas quadrature needs a payload even per variable, got {self.payload!r}"

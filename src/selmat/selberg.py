@@ -82,6 +82,16 @@ def aomoto_ratio(p: SelbergParams, m: int) -> Rational:
     return out
 
 
+def check_aomoto_indices(n: int, m1: int, m2: int, m3: int) -> None:
+    """Refuse (m1, m2, m3) outside the region where the Aomoto integrand lives in n variables."""
+    if m1 < 0 or m2 < 0 or m3 < 0:
+        raise IndexConstraintError("m1, m2, m3 must be >= 0")
+    if m3 > m1 or m1 + m2 - m3 > n:
+        raise IndexConstraintError(
+            f"need m3 <= m1 and m1+m2-m3 <= n, got ({m1},{m2},{m3}), n={n}"
+        )
+
+
 def aomoto_general_ratio(p: SelbergParams, m1: int, m2: int, m3: int) -> Rational:
     """I_{m1,m2,m3} / I_0 for the integrand prod_{i<=m1} t_i * prod (1-t_j).
 
@@ -89,12 +99,7 @@ def aomoto_general_ratio(p: SelbergParams, m1: int, m2: int, m3: int) -> Rationa
     prod_{i=1}^{m3} (u+w+(n-i-1)kappa) / (u+w+1+(2n-i-1)kappa).
     """
     n, u, w, k = p.n, p.u, p.w, p.kappa
-    if m1 < 0 or m2 < 0 or m3 < 0:
-        raise IndexConstraintError("m1, m2, m3 must be >= 0")
-    if m3 > m1 or m1 + m2 - m3 > n:
-        raise IndexConstraintError(
-            f"need m3 <= m1 and m1+m2-m3 <= n, got ({m1},{m2},{m3}), n={n}"
-        )
+    check_aomoto_indices(n, m1, m2, m3)
     out = Fraction(1)
     for i in range(1, m3 + 1):
         out *= (u + w + (n - i - 1) * k) / (u + w + 1 + (2 * n - i - 1) * k)

@@ -594,6 +594,11 @@ def run_all(
         "C9": check_negcorr,
         "C10": lambda: check_oracle_concordance(seed, mc_count),
     }
+    unknown = [c for c in criteria if c not in runners]
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; choose from {list(ALL_CRITERIA)}")
+    if len(set(criteria)) != len(criteria):
+        raise ValueError(f"criteria {list(criteria)} name a criterion more than once")
     results = []
     for crit in criteria:
         res = runners[crit]()

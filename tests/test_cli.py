@@ -282,6 +282,18 @@ def test_bad_flags_exit_2():
          "--kappa", "1"),
         ("kadell", "--lam", "1,1,1", "--n", "2", "--u", "1", "--w", "1", "--kappa", "0"),
         ("covariance", "--ensemble", "real-symmetric", "--n", "3"),
+        # a payload past t_n once ended in an IndexError, or wrapped round to t_n
+        ("oracle", "quad", "--n", "1", "--payload", "shifted:x1x1"),
+        ("oracle", "quad", "--n", "1", "--payload", "shifted:x2x2"),
+        ("oracle", "quad", "--n", "2", "--payload", "aomoto:2,1,0"),
+        ("oracle", "quad", "--n", "2", "--payload", "aomoto:1,1,2"),
+        ("oracle", "quad", "--n", "2", "--payload", "shifted:x3"),
+        # an unknown criterion was a KeyError, a repeated one ran twice
+        ("verify", "--criteria", "C99"),
+        ("verify", "--criteria", "C2,C2"),
+        # these printed an empty expansion and an exact 0
+        ("asympt", "--quantity", "var", "--ensemble", "hermitian", "--order", "-1"),
+        ("jack", "principal", "--lam", "2,1", "--kappa", "1", "--n", "-1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -311,6 +323,17 @@ def test_usage_errors_exit_2(capsys, argv):
          "full-matrix quantities need integer beta"),
         (("covariance", "--ensemble", "quat", "--n", "3"),
          "covariance_report covers hermitian|symmetric, got 'quat'"),
+        (("oracle", "quad", "--n", "1", "--payload", "shifted:x1x1"),
+         "payload shifted:x1x1 needs n >= 2, got n=1"),
+        (("verify", "--criteria", "C2,C99"),
+         "unknown criteria ['C99']; choose from ['C1', 'C2', 'C3', 'C4', 'C5', 'C6', 'C7', 'C8',"
+         " 'C9', 'C10']"),
+        (("verify", "--criteria", "C2,C3,C2"),
+         "criteria ['C2', 'C3', 'C2'] name a criterion more than once"),
+        (("asympt", "--quantity", "remark", "--beta", "1", "--order", "-1"),
+         "order must be in 0..8, got -1"),
+        (("jack", "principal", "--lam", "2,1", "--kappa", "1", "--n", "-1"),
+         "n must be >= 0, got -1"),
     ],
 )
 def test_usage_error_messages(capsys, argv, message):

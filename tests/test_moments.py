@@ -221,40 +221,56 @@ CLOSED_FORM_KAPPAS = sorted(
 )
 
 
-def kadell_sum(mu, n, kappa):
+# (u, w, kappa): (1, 1, kappa) at those kappas, the six balls' weights, and two
+# with u != w whose denominators are not kappa's (the builder scales by their lcm)
+KADELL_WEIGHTS = sorted(
+    {(F(1), F(1), k) for k in CLOSED_FORM_KAPPAS}
+    | {tuple(map(F, spec.weight)) for spec in ENSEMBLES.values()}
+    | {(F(1, 3), F(1, 2), F(3, 2)), (F(3, 2), F(2), F(1, 2))}
+)
+
+
+def weight_id(weight):
+    u, w, kappa = weight
+    return str(kappa) if u == w == 1 else ",".join(map(str, weight))
+
+
+def kadell_sum(mu, n, u, w, kappa):
     """J(m_mu)/J(1) at one n: sum over lambda of c_lambda times kadell_ratio."""
     return sum(
-        (c * kadell_ratio(lam, n, 1, 1, kappa) for lam, c in monomial_to_jack(mu, kappa).items()),
+        (c * kadell_ratio(lam, n, u, w, kappa) for lam, c in monomial_to_jack(mu, kappa).items()),
         F(0),
     )
 
 
-@pytest.mark.parametrize("kappa", CLOSED_FORM_KAPPAS, ids=str)
-def test_monomial_moment_ratio_matches_per_n_kadell(kappa):
+@pytest.mark.parametrize("weight", KADELL_WEIGHTS, ids=weight_id)
+def test_monomial_moment_ratio_matches_per_n_kadell(weight):
     assert len(MONOMIALS) == 11
     for mu in MONOMIALS:
         for n in range(1, 61):
-            assert monomial_moment_ratio(mu, n, kappa) == kadell_sum(mu, n, kappa), (mu, n)
+            assert monomial_moment_ratio(mu, n, *weight) == kadell_sum(mu, n, *weight), (mu, n)
 
 
 def test_monomial_moment_ratio_vanishes_below_the_length():
     # m_(1,1) = P_(1,1) and m_(1,1,1,1) = P_(1,1,1,1) vanish in fewer variables;
     # at kappa = 2 and 3 their Kadell products sit at a pole there
     for kappa in (F(1, 2), F(1), F(2), F(3)):
-        assert monomial_moment_ratio((1, 1), 1, kappa) == 0
+        assert monomial_moment_ratio((1, 1), 1, 1, 1, kappa) == 0
         for n in (1, 2, 3):
-            assert monomial_moment_ratio((1, 1, 1, 1), n, kappa) == 0
-        assert monomial_moment_ratio((1, 1, 1, 1), 4, kappa) > 0
+            assert monomial_moment_ratio((1, 1, 1, 1), n, 1, 1, kappa) == 0
+        assert monomial_moment_ratio((1, 1, 1, 1), 4, 1, 1, kappa) > 0
 
 
 @settings(deadline=None, max_examples=30)
 @given(
+    u=st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12),
+    w=st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12),
     kappa=st.fractions(min_value=F(1, 12), max_value=5, max_denominator=12),
     mu=st.sampled_from(MONOMIALS),
     n=st.integers(min_value=1, max_value=40),
 )
-def test_monomial_moment_ratio_property(kappa, mu, n):
-    assert monomial_moment_ratio(mu, n, kappa) == kadell_sum(mu, n, kappa)
+def test_monomial_moment_ratio_property(u, w, kappa, mu, n):
+    assert monomial_moment_ratio(mu, n, u, w, kappa) == kadell_sum(mu, n, u, w, kappa)
 
 
 # -- the Q(n) builders against per-n references --------------------------------
@@ -265,7 +281,7 @@ REMARK_BETAS = [F(b) for b in ("1", "2", "4", "6", "1/2", "3/2", "5/2")]
 
 @lru_cache(maxsize=None)
 def kadell_sum_cached(mu, n, kappa):
-    return kadell_sum(mu, n, kappa)
+    return kadell_sum(mu, n, 1, 1, kappa)
 
 
 def shifted_reference(payload, n, kappa):
