@@ -94,9 +94,10 @@ class EnsembleSpec:
         u = 1 if self.family == SELF_ADJOINT else self.kappa
         return u, 1, self.kappa
 
-    def dim(self, n: int) -> int:
+    def dim(self, n):
+        """Real dimension d_n of the ball, at an int n or as a function of n at _N."""
         if self.family == SELF_ADJOINT:
-            return n + self.beta * n * (n - 1) // 2
+            return n + Fraction(self.beta, 2) * n * (n - 1)
         return self.beta * n * n
 
     @property
@@ -579,14 +580,12 @@ def _moment_fields(spec: EnsembleSpec, n, convention: str) -> tuple:
         M11 = s2 * _shifted_payload("x1x1", n, R)
         M22 = s4 * _shifted_payload("x2x2", n, R)
         M4 = s4 * _shifted_payload("x4", n, R)
-        dim = n + Fraction(spec.beta, 2) * n * (n - 1)
     else:  # the convention has no effect on the full balls
         M2, M22, M4 = (_full_payload(p, n, R) for p in FULL_PAYLOADS)
         M11 = None
-        dim = spec.beta * n * n
     T2, T4 = _sum_sq_moments(n, M2, M22, M4)
     T2sq = T2**2
-    return M2, M4, M22, M11, T4 - T2sq, dim * (T4 / T2sq - 1)
+    return M2, M4, M22, M11, T4 - T2sq, spec.dim(n) * (T4 / T2sq - 1)
 
 
 @lru_cache(maxsize=None)
@@ -791,25 +790,24 @@ def asympt_quantity(
     beta=None,
     ensemble_name: Optional[str] = None,
     convention: str = "forced",
-    n_max: int = 16,
 ) -> RationalFunction:
     """A named quantity as one rational function of n, for ``asymptotic_expansion``.
 
     "remark" and the "fm-" payloads (need beta) and "var"/"sigma2" (need an
     ensemble) are built in closed form.  The J-level payloads (need kappa) are
-    sampled at n = min_n .. max(n_max, min_n + 11) and reconstructed at degree
-    <= 5.  min_n is 4 for anything involving weight-4 monomials: below the
-    longest partition length the integral values are correct but sit off the
-    rational-in-n continuation (the Kadell pole-zero cancellation fails).
+    sampled at n = min_n .. 16 and reconstructed at degree <= 5, which takes
+    12 samples and checks the rest.  min_n is 4 for anything involving
+    weight-4 monomials: below the longest partition length the integral values
+    are correct but sit off the rational-in-n continuation (the Kadell
+    pole-zero cancellation fails).
     """
     if name in SHIFTED_PAYLOADS:
         if kappa is None:
             raise ValueError(f"quantity {name!r} needs kappa")
         kap = Fraction(kappa)
-        min_n, deg = (2 if name in ("x2", "x1x1") else 4), 5
-        n_hi = max(n_max, min_n + 2 * deg + 1)
+        min_n = 2 if name in ("x2", "x1x1") else 4
         return reconstruct_rational(
-            [(n, shifted_moment_ratio(name, n, kap)) for n in range(min_n, n_hi + 1)], deg
+            [(n, shifted_moment_ratio(name, n, kap)) for n in range(min_n, 17)], 5
         )
     if name.startswith("fm-"):
         payload = name[3:]

@@ -235,8 +235,10 @@ def _even_payload(desc) -> bool:
 
 
 def _check_payload_variables(desc, n: int) -> None:
-    """Refuse an aomoto or shifted payload that reads a variable past t_n."""
-    if desc[0] == "aomoto":
+    """Refuse e_m at m < 0, and an aomoto or shifted payload that reads past t_n."""
+    if desc[0] == "elementary" and int(desc[1]) < 0:
+        raise ValueError(f"payload elementary:{desc[1]} needs m >= 0")
+    elif desc[0] == "aomoto":
         if len(desc[1]) != 3:
             raise ValueError(f"aomoto payload needs three indices m1,m2,m3, got {desc[1]!r}")
         check_aomoto_indices(n, *desc[1])

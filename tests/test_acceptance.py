@@ -6,7 +6,6 @@ criterion.  Determinism is checked by running the whole suite a second time
 with the same seed and comparing the serialised bytes.
 """
 
-import io
 from fractions import Fraction
 
 import pytest
@@ -15,14 +14,22 @@ from selmat import moments
 from selmat import verify as V
 
 SEED = V.DEFAULT_SEED
-MC_COUNT = 1_000_000
+# The cases each criterion checks; perfbench's verify n_values_per_s counts them.
+CASE_COUNTS = {
+    "C1": 837, "C2": 84, "C3": 11, "C4": 15, "C5": 7,
+    "C6": 12, "C7": 5, "C8": 8, "C9": 4, "C10": 8,
+}
+
+
+def _run_serialised():
+    results = V.run_all(SEED, V.ALL_CRITERIA)
+    return results, "".join(V.serialize_result(r) + "\n" for r in results)
 
 
 @pytest.fixture(scope="session")
 def suite():
-    stream = io.StringIO()
-    results = V.run_all(seed=SEED, mc_count=MC_COUNT, stream=stream)
-    return {r.criterion: r for r in results}, stream.getvalue()
+    results, serialised = _run_serialised()
+    return {r.criterion: r for r in results}, serialised
 
 
 def _report(res):
@@ -42,6 +49,13 @@ def test_criterion(suite, crit):
     assert res.passed, _report(res)
 
 
+def test_case_counts(suite):
+    """Every criterion checks all of its cases: a dropped block fails here, not only a failed case."""
+    results, _ = suite
+    assert {c: r.n_cases for c, r in results.items()} == CASE_COUNTS
+    assert all(r.n_cases == len(r.details) for r in results.values())
+
+
 def test_criterion_runtimes(suite):
     results, _ = suite
     assert results["C1"].seconds < 120  # stated bound: 2 minutes
@@ -53,9 +67,7 @@ def test_criterion_runtimes(suite):
 def test_c11_determinism(suite):
     """Two runs of the verify suite with the same seed are byte-identical."""
     _, first_bytes = suite
-    stream = io.StringIO()
-    V.run_all(seed=SEED, mc_count=MC_COUNT, stream=stream)
-    second_bytes = stream.getvalue()
+    _, second_bytes = _run_serialised()
     print("C11 PASS: determinism (byte-identical verify output)"
           if first_bytes == second_bytes else "C11 FAIL")
     assert first_bytes == second_bytes

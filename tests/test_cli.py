@@ -8,6 +8,7 @@ import pytest
 
 import selmat
 from selmat import oracle
+from selmat import verify as verify_mod
 from selmat.cli import main
 
 
@@ -239,6 +240,18 @@ def test_verify_cli_byte_determinism(capsys):
     main(["verify", "--criteria", "C2,C7,C9"])
     second = capsys.readouterr().out
     assert first == second and len(first) > 200
+    # each criterion line is the library's serialised result, timing left out
+    results = verify_mod.run_all(verify_mod.DEFAULT_SEED, ("C2", "C7", "C9"))
+    assert first.splitlines()[1:-1] == [verify_mod.serialize_result(r) for r in results]
+    assert all("seconds" not in r.to_json() for r in results)
+
+
+@pytest.mark.parametrize("flag", ["--mc-count", "--points"])
+def test_verify_takes_no_size_flags(flag):
+    # the suite runs at fixed sizes: QUAD_POINTS per axis and MC_COUNT draws per ball
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, "10"])
+    assert exc.value.code == 2
 
 
 def test_bad_flags_exit_2():
@@ -294,6 +307,10 @@ def test_bad_flags_exit_2():
         # these printed an empty expansion and an exact 0
         ("asympt", "--quantity", "var", "--ensemble", "hermitian", "--order", "-1"),
         ("jack", "principal", "--lam", "2,1", "--kappa", "1", "--n", "-1"),
+        # e_m at m < 0 once printed the integral of the constant 1
+        ("oracle", "quad", "--n", "2", "--payload", "elementary:-1"),
+        # a negative seed once ran C1-C9 and then failed inside numpy at C10
+        ("verify", "--seed", "-1", "--criteria", "C2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -334,6 +351,9 @@ def test_usage_errors_exit_2(capsys, argv):
          "order must be in 0..8, got -1"),
         (("jack", "principal", "--lam", "2,1", "--kappa", "1", "--n", "-1"),
          "n must be >= 0, got -1"),
+        (("verify", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("oracle", "quad", "--n", "2", "--payload", "elementary:-1"),
+         "payload elementary:-1 needs m >= 0"),
     ],
 )
 def test_usage_error_messages(capsys, argv, message):

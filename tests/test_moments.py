@@ -43,6 +43,9 @@ def test_ensemble_specs():
     assert (fc.a, fc.b, fc.c) == (2, 2, 1)
     assert fc.dim(3) == 18
     assert len(ENSEMBLES) == 6
+    # one formula, generic in n: the dimension function agrees with each int n
+    for spec in ENSEMBLES.values():
+        assert all(spec.dim(moments._N)(n) == spec.dim(n) for n in range(1, 9))
     with pytest.raises(ValueError):
         ensemble("octonion")
 
