@@ -455,6 +455,8 @@ def _parse_payload(s: str) -> tuple:
 
 def _dispatch_oracle(args, em: Emitter) -> int:
     oc = args.oracle_command
+    if oc in ("sample", "loggas", "haar") and args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")  # before any draw
     if oc == "quad":
         payload = _parse_payload(args.payload)
         if args.kind == "selberg":

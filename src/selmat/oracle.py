@@ -8,9 +8,9 @@ Quadrature has one integrand family, the Selberg type on [0,1]^n:
 payload * prod t^(u-1)(1-t)^(w-1) * prod|t_i-t_j|^(2k).  The log-gas type on
 [-1,1]^n, payload * prod|x_i^a - x_j^a|^b * prod|x_i|^c, is reduced to it by
 the change of variables that the beta-Jacobi sampler also uses: x = 2t - 1
-for a = 1 (c = 0), and t = x^2 for a = 2 with an even payload.  One
-payload-independent rule serves every payload at the same (n, u, w, kappa)
-and resolution.
+for a = 1 (c = 0), and t = x^2 for a = 2 with an even payload.  The nodes
+depend only on (n, resolution, sector, substitution), so each payload is
+evaluated once per node set and weighed by every (u, w, kappa) that shares it.
 
 Odd interaction exponents make the integrand non-smooth across the diagonal
 hyperplanes; those cases are integrated over the ordered sector t_1 < ... < t_n
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -143,20 +143,6 @@ def eval_monomial(lam, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def payload_one(pts):
-    import numpy as np
-    return np.ones(pts.shape[0])
-
-
-def payload_monomial(lam):
-    lam = partition(lam)
-    return lambda pts: eval_monomial(lam, pts)
-
-
-def payload_elementary(m: int):
-    return payload_monomial((1,) * m)
-
-
 def payload_aomoto(m1: int, m2: int, m3: int):
     """prod_{i<=m1} t_i * prod_{j=m1+1-m3}^{m1+m2-m3} (1-t_j); not symmetric."""
     import numpy as np
@@ -195,11 +181,10 @@ def payload_from_descriptor(desc) -> tuple:
     import numpy as np
     kind = desc[0]
     if kind == "one":
-        return payload_one, True
-    if kind == "monomial":
-        return payload_monomial(desc[1]), True
-    if kind == "elementary":
-        return payload_elementary(int(desc[1])), True
+        return (lambda pts: np.ones(pts.shape[0])), True
+    if kind in ("monomial", "elementary"):
+        lam = partition(desc[1]) if kind == "monomial" else (1,) * int(desc[1])
+        return (lambda pts: eval_monomial(lam, pts)), True
     if kind == "aomoto":
         m1, m2, m3 = desc[1]
         return payload_aomoto(m1, m2, m3), False
@@ -274,8 +259,9 @@ class QuadratureSpec:
     kind: "selberg" (params u, w, kappa on [0,1]^n) or "loggas"
     (params a, b, c on [-1,1]^n).  payload is a descriptor tuple, see
     payload_from_descriptor.  The rule has points_per_axis^n nodes, at most
-    QUADRATURE_MAX_NODES.  Parameters at which the integral diverges raise
-    ParamOutOfRangeError, checked on the Selberg weight they map to.
+    QUADRATURE_MAX_NODES.  weight is the Selberg weight on [0,1]^n that the
+    integrand reduces to, built and checked once: parameters at which the
+    integral diverges raise ParamOutOfRangeError.
     """
 
     kind: str
@@ -283,9 +269,17 @@ class QuadratureSpec:
     payload: tuple
     params: tuple
     points_per_axis: int = 40
+    weight: SelbergParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.weight()  # an unknown kind or a divergent integral fails here, before any rule
+        # an unknown kind or a divergent integral fails here, before any rule
+        if self.kind == "selberg":
+            weight = SelbergParams(self.n, *self.params)
+        elif self.kind == "loggas":
+            weight = SelbergParams(self.n, *_loggas_selberg_params(*(int(x) for x in self.params)))
+        else:
+            raise ValueError(f"unknown quadrature kind {self.kind!r}")
+        object.__setattr__(self, "weight", weight)
         _check_payload_variables(self.payload, self.n)
         if self.kind == "loggas" and int(self.params[0]) == 2 and not _even_payload(self.payload):
             raise ValueError(
@@ -301,21 +295,50 @@ class QuadratureSpec:
                 f" got {self.points_per_axis}^{self.n}"
             )
 
-    def weight(self) -> SelbergParams:
-        """The Selberg weight on [0,1]^n that the integrand reduces to."""
-        if self.kind == "selberg":
-            return SelbergParams(self.n, *self.params)
-        if self.kind == "loggas":
-            return SelbergParams(self.n, *_loggas_selberg_params(*(int(x) for x in self.params)))
-        raise ValueError(f"unknown quadrature kind {self.kind!r}")
-
 
 def quadrature(spec: QuadratureSpec) -> tuple[float, float]:
     """(value, error_estimate); the estimate compares two resolutions."""
-    fine = _quadrature_once(spec, spec.points_per_axis)
     coarse_pts = max(8, spec.points_per_axis - max(4, spec.points_per_axis // 3))
-    coarse = _quadrature_once(spec, coarse_pts)
+    fine, coarse = quadrature_values([spec, replace(spec, points_per_axis=coarse_pts)])
     return fine, abs(fine - coarse)
+
+
+def quadrature_values(specs) -> list[float]:
+    """The value of each spec on its own rule, without an error estimate.
+
+    Specs go by node set, the largest first, so the sets left in the cache are
+    small.  Each distinct payload (and log-gas map) is evaluated once per node
+    set, and weighed by every spec there in one fixed order of factors.
+    """
+    import numpy as np
+    groups = {}  # node_key -> (log-gas a, payload) -> indices into specs
+    for i, spec in enumerate(specs):
+        a = int(spec.params[0]) if spec.kind == "loggas" else 0
+        groups.setdefault(node_key(spec), {}).setdefault((a, repr(spec.payload)), []).append(i)
+    out = [0.0] * len(specs)
+    for key, by_payload in sorted(groups.items(), key=lambda kv: -kv[0][1] ** kv[0][0]):
+        n, _, sector, trig = key
+        nodes = _node_set(*key)
+        density, interaction = {}, {}  # per (u, w) and per kappa
+        for idx in by_payload.values():
+            vals = _payload_on_nodes(specs[idx[0]], sector)(nodes[0])
+            for i in idx:
+                p, scale = specs[i].weight, math.factorial(n) if sector else 1
+                if (p.u, p.w) not in density:
+                    density[p.u, p.w] = _density(nodes, sector, trig, float(p.u), float(p.w))
+                if p.kappa not in interaction:
+                    interaction[p.kappa] = _interaction(nodes[0], float(2 * p.kappa))
+                factors = (density[p.u, p.w], interaction[p.kappa])
+                if sector:
+                    factors = (nodes[2], *factors, nodes[3])
+                acc = factors[0] * vals
+                for factor in factors[1:]:
+                    acc *= factor
+                if specs[i].kind == "loggas" and int(specs[i].params[0]) == 1:
+                    b = int(specs[i].params[1])  # see _payload_on_nodes
+                    scale = scale * 2.0 ** (n + b * n * (n - 1) // 2)
+                out[i] = float(np.sum(acc) * scale)
+    return out
 
 
 def _loggas_selberg_params(a: int, b: int, c: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -333,35 +356,28 @@ def _loggas_selberg_params(a: int, b: int, c: int) -> tuple[Fraction, Fraction, 
     return u, Fraction(1), Fraction(b, 2)
 
 
-def _quadrature_once(spec: QuadratureSpec, pts_per_axis: int) -> float:
+def _payload_on_nodes(spec: QuadratureSpec, sector: bool):
+    """spec's payload as a function of t in [0,1]^n, symmetrised for a sector rule.
+
+    A log-gas payload is read at x = 2t - 1 (a = 1: dx = 2^n dt and |Delta(x)|^b is
+    2^(b n(n-1)/2) |Delta(t)|^b) or at x = sqrt(t) (a = 2: an even integrand is 2^n
+    times its [0,1]^n part, and dx = dt / (2 sqrt(t))).
+    """
     import numpy as np
     f, symmetric = payload_from_descriptor(spec.payload)
-    n = spec.n
-    scale = 1
     if spec.kind == "loggas":
-        a, b, _ = (int(x) for x in spec.params)
-        on_box = f
-        if a == 1:
-            # dx = 2^n dt and |Delta(x)|^b = 2^(b n(n-1)/2) |Delta(t)|^b
-            scale = 2.0 ** (n + b * n * (n - 1) // 2)
-            f = lambda t: on_box(2.0 * t - 1.0)
-        else:
-            # an even integrand is 2^n times its [0,1]^n part, and dx = dt / (2 sqrt(t))
-            f = lambda t: on_box(np.sqrt(t))
-    p = spec.weight()
-    pts, factors, rule_scale, sector = _selberg_rule(n, p.u, p.w, p.kappa, pts_per_axis)
-    if sector and not symmetric:
-        f = _symmetrized(f, n)
-    acc = factors[0] * f(pts)
-    for factor in factors[1:]:
-        acc = acc * factor
-    return float(np.sum(acc) * (rule_scale * scale))
+        on_box, a = f, int(spec.params[0])
+        f = lambda t: on_box(2.0 * t - 1.0 if a == 1 else np.sqrt(t))
+    return _symmetrized(f, spec.n) if sector and not symmetric else f
 
 
+@lru_cache(maxsize=2)  # the fine and the coarse point count
 def _gl01(p: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
     x, w = np.polynomial.legendre.leggauss(p)
-    return (x + 1.0) / 2.0, w / 2.0
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _mesh(axes: list[np.ndarray]) -> np.ndarray:
@@ -380,70 +396,66 @@ def _interaction(pts: np.ndarray, e: float) -> np.ndarray:
     return inter
 
 
-@lru_cache(maxsize=2)  # quadrature alternates a fine and a coarse rule
-def _selberg_rule(n: int, u: Fraction, w: Fraction, kappa: Fraction, p: int):
-    """(points, factors, scale, sector) of the p-per-axis Selberg rule.
+def node_key(spec: QuadratureSpec) -> tuple:
+    """(n, points, sector, trig), all that spec's nodes depend on; specs sorted by it
+    build each node set once.  sector: kappa is not an integer.  trig: u and w are
+    half-integers, not both integers (see the module docstring).
+    """
+    p = spec.weight
+    trig = max(p.u.denominator, p.w.denominator) == 2
+    return spec.n, spec.points_per_axis, p.kappa.denominator != 1, trig
 
-    The integral of g against prod t^(u-1)(1-t)^(w-1) |Delta(t)|^(2 kappa) is
-    scale * sum(factors[0] * g(points) * factors[1] * ...).  When sector is
-    true the points cover only the ordered sector, so g must be symmetric.
-    The cached arrays are read-only, as every payload shares them.
+
+@lru_cache(maxsize=2)  # a fine and a coarse rule
+def _node_set(n: int, p: int, sector: bool, trig: bool):
+    """(pts, ax, wt, jac) of the p-per-axis rule, read-only as every weight shares them.
+
+    pts are the nodes in [0,1]^n, ax what _density reads (theta under trig, else
+    t).  Off the sector ax and wt are 1-d and jac is None; on it wt is the box
+    rule's weight per node and jac the Jacobian of the map to the sector.
     """
     import numpy as np
-    two_kappa = 2 * kappa
-    sector = not (two_kappa.denominator == 1 and two_kappa.numerator % 2 == 0)
-    trig = (
-        (2 * u).denominator == 1
-        and (2 * w).denominator == 1
-        and not (u.denominator == 1 and w.denominator == 1)
-    )
-    uf, wf, bexp = float(u), float(w), float(two_kappa)
     x, wt = _gl01(p)
+    jac = None
     if not sector:
-        if trig:
-            theta = (math.pi / 2) * x
-            t_ax = np.sin(theta) ** 2
-            w_ax = (
-                wt
-                * (math.pi / 2)
-                * 2.0
-                * np.sin(theta) ** (2 * uf - 1)
-                * np.cos(theta) ** (2 * wf - 1)
-            )
-        else:
-            t_ax = x
-            w_ax = wt * t_ax ** (uf - 1) * (1 - t_ax) ** (wf - 1)
-        pts = _mesh([t_ax] * n)
-        factors = (_mesh([w_ax] * n).prod(axis=1), _interaction(pts, bexp))
-        scale = 1
+        ax = (math.pi / 2) * x if trig else x
+        pts = _mesh([np.sin(ax) ** 2 if trig else x] * n)
     else:
         # ordered sector: t_1 <= ... <= t_n via the telescoping product map
         ubox = _mesh([x] * n)
-        wgt = _mesh([wt] * n).prod(axis=1)
+        wt = _mesh([wt] * n).prod(axis=1)
         jac = np.ones(len(ubox))
         for j in range(n):
             jac = jac * ubox[:, j] ** j  # prod u_j^(j-1), 0-indexed
         # cumulative products from the right: coordinate i = prod_{j >= i} u_j
-        cum = np.cumprod(ubox[:, ::-1], axis=1)[:, ::-1]
+        ax = np.cumprod(ubox[:, ::-1], axis=1)[:, ::-1]
         if trig:
-            theta = (math.pi / 2) * cum
-            pts = np.sin(theta) ** 2
-            dens = np.ones(len(ubox))
-            for i in range(n):
-                dens = dens * 2.0 * np.sin(theta[:, i]) ** (2 * uf - 1) * np.cos(
-                    theta[:, i]
-                ) ** (2 * wf - 1)
+            ax = (math.pi / 2) * ax
             jac = jac * (math.pi / 2) ** n
-        else:
-            pts = cum
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dens = pts ** (uf - 1) * (1 - pts) ** (wf - 1)
-            dens = np.where(np.isfinite(dens), dens, 0.0).prod(axis=1)
-        factors = (wgt, dens, _interaction(pts, bexp), jac)
-        scale = math.factorial(n)
-    for arr in (pts, *factors):
+        pts = np.sin(ax) ** 2 if trig else ax
+    for arr in (pts, ax, wt) if jac is None else (pts, ax, wt, jac):
         arr.flags.writeable = False
-    return pts, factors, scale, sector
+    return pts, ax, wt, jac
+
+
+def _density(nodes: tuple, sector: bool, trig: bool, u: float, w: float) -> np.ndarray:
+    """prod t^(u-1) (1-t)^(w-1) per node, times the 1-d rule's weights off the sector."""
+    import numpy as np
+    pts, ax, wt, _ = nodes
+    if not sector:
+        if trig:
+            w_ax = wt * (math.pi / 2) * 2.0 * np.sin(ax) ** (2 * u - 1) * np.cos(ax) ** (2 * w - 1)
+        else:
+            w_ax = wt * ax ** (u - 1) * (1 - ax) ** (w - 1)
+        return _mesh([w_ax] * pts.shape[1]).prod(axis=1)
+    if trig:
+        dens = np.ones(len(pts))
+        for i in range(pts.shape[1]):
+            dens = dens * 2.0 * np.sin(ax[:, i]) ** (2 * u - 1) * np.cos(ax[:, i]) ** (2 * w - 1)
+        return dens
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dens = pts ** (u - 1) * (1 - pts) ** (w - 1)
+    return np.where(np.isfinite(dens), dens, 0.0).prod(axis=1)
 
 
 # ---------------------------------------------------------------------------

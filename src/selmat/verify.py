@@ -25,8 +25,9 @@ from .moments import (
     full_matrix_moment_ratio,
     trace_moments,
 )
-from .oracle import QuadratureSpec, ball_moment_estimate, ball_second_moments, quadrature
-from .selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
+from .oracle import QuadratureSpec, ball_moment_estimate, ball_second_moments, node_key
+from .oracle import quadrature, quadrature_values
+from .selberg import aomoto_general_ratio, aomoto_ratio, selberg_I0
 from .weingarten import (
     conj_invariant_moment_orthogonal,
     conj_invariant_moment_unitary,
@@ -74,11 +75,13 @@ def _result(criterion, name, details, t0) -> CheckResult:
 def check_selberg_quadrature() -> CheckResult:
     """Exact Selberg/Aomoto/Kadell values against tensor-product quadrature.
 
-    I0 is compared directly; every other case compares its exact ratio to I0
-    with the ratio of its quadrature to the I0 quadrature at the same weight.
+    I0 is compared directly, with the quadrature's error estimate; every other
+    case compares its exact ratio to I0 with the ratio of its fine-rule value
+    (one quadrature_values batch) to the I0 quadrature at the same weight.
     """
     t0 = time.perf_counter()
     details = []
+    i0_cases, ratio_cases = [], []  # (detail, spec, tol) and (detail, spec, I0 detail, tol)
     kappas = (Fraction(1, 2), Fraction(1), Fraction(2))
     uws = (Fraction(1), Fraction(3, 2), Fraction(2))
     general_idx = [
@@ -90,30 +93,22 @@ def check_selberg_quadrature() -> CheckResult:
     for n in (2, 3):
         for kap in kappas:
             tol = 1e-3 if kap == Fraction(1, 2) else 1e-6
-            base = {}  # (u, w) -> I0 quadrature
+            i0 = {}  # (u, w) -> I0 case
 
             def ratio_case(case, exact, payload, u, w):
-                val, _ = quadrature(QuadratureSpec("selberg", n, payload, (u, w, kap), QUAD_POINTS))
-                ex, quad = float(exact), val / base[u, w]
-                details.append({"case": f"{case} n={n} u={u} w={w} kappa={kap}", "exact": ex,
-                                "quad": quad, "pass": abs(quad - ex) <= tol})
+                details.append({"case": f"{case} n={n} u={u} w={w} kappa={kap}",
+                                "exact": float(exact)})
+                spec = QuadratureSpec("selberg", n, payload, (u, w, kap), QUAD_POINTS)
+                ratio_cases.append((details[-1], spec, i0[u, w], tol))
 
             for u in uws:
                 for w in uws:
-                    p = SelbergParams(n, u, w, kap)
-                    base[u, w], base_err = quadrature(
-                        QuadratureSpec("selberg", n, ("one",), (u, w, kap), QUAD_POINTS)
-                    )
-                    exact0 = to_float(selberg_I0(p)).value
-                    details.append(
-                        {
-                            "case": f"I0 n={n} u={u} w={w} kappa={kap}",
-                            "exact": exact0,
-                            "quad": base[u, w],
-                            "quad_err_est": base_err,
-                            "pass": abs(base[u, w] - exact0) <= tol,
-                        }
-                    )
+                    spec = QuadratureSpec("selberg", n, ("one",), (u, w, kap), QUAD_POINTS)
+                    p = spec.weight
+                    details.append({"case": f"I0 n={n} u={u} w={w} kappa={kap}",
+                                    "exact": to_float(selberg_I0(p)).value})
+                    i0[u, w] = details[-1]
+                    i0_cases.append((details[-1], spec, tol))
                     for m in range(1, n + 1):
                         ratio_case(f"aomoto m={m}", aomoto_ratio(p, m), ("elementary", m), u, w)
                     for (m1, m2, m3) in general_idx:
@@ -129,6 +124,15 @@ def check_selberg_quadrature() -> CheckResult:
                     poly = jack_in_monomials(lam, kap)
                     desc = ("sympoly", tuple((mu, format_rational(c)) for mu, c in poly.coeffs))
                     ratio_case(f"kadell {lam}", kadell_ratio(lam, n, u, w, kap), desc, u, w)
+    # one node set after another, so that quadrature builds each once
+    for detail, spec, tol in sorted(i0_cases, key=lambda case: node_key(case[1])):
+        quad, err = quadrature(spec)
+        detail.update(quad=quad, quad_err_est=err)
+        detail["pass"] = abs(quad - detail["exact"]) <= tol
+    values = quadrature_values([spec for _, spec, _, _ in ratio_cases])
+    for (detail, _, i0_case, tol), val in zip(ratio_cases, values):
+        detail["quad"] = val / i0_case["quad"]
+        detail["pass"] = abs(detail["quad"] - detail["exact"]) <= tol
     return _result("C1", "selberg/aomoto/kadell vs quadrature", details, t0)
 
 

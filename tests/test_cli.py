@@ -311,6 +311,10 @@ def test_bad_flags_exit_2():
         ("oracle", "quad", "--n", "2", "--payload", "elementary:-1"),
         # a negative seed once ran C1-C9 and then failed inside numpy at C10
         ("verify", "--seed", "-1", "--criteria", "C2"),
+        # the oracle samplers once ended in numpy's bare "expected non-negative integer"
+        ("oracle", "sample", "--ensemble", "hermitian", "--n", "2", "--seed", "-1"),
+        ("oracle", "loggas", "--a", "1", "--b", "2", "--n", "2", "--seed", "-1"),
+        ("oracle", "haar", "--group", "unitary", "--n", "2", "--seed", "-1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -354,6 +358,12 @@ def test_usage_errors_exit_2(capsys, argv):
         (("verify", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("oracle", "quad", "--n", "2", "--payload", "elementary:-1"),
          "payload elementary:-1 needs m >= 0"),
+        (("oracle", "sample", "--ensemble", "hermitian", "--n", "2", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        (("oracle", "loggas", "--a", "1", "--b", "2", "--n", "2", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
+        (("oracle", "haar", "--group", "unitary", "--n", "2", "--seed", "-1"),
+         "seed must be >= 0, got -1"),
     ],
 )
 def test_usage_error_messages(capsys, argv, message):
@@ -501,8 +511,8 @@ def test_exact_records_are_strict_json(capsys):
 
 
 def test_oracle_quad_node_cap_exit_2(capsys, monkeypatch):
-    # 200^4 nodes would need ~51 GB for the mesh: refused before any rule is built
-    monkeypatch.setattr(oracle, "_quadrature_once", lambda *a: pytest.fail("rule built past the cap"))
+    # 200^4 nodes would need ~51 GB for the mesh: refused before any node set is built
+    monkeypatch.setattr(oracle, "_node_set", lambda *a: pytest.fail("nodes built past the cap"))
     code, recs = run_cli(capsys, "oracle", "quad", "--n", "4", "--points", "200")
     assert code == 2
     assert recs[-1]["error"]["type"] == "UnsupportedDimensionError"

@@ -150,18 +150,70 @@ def test_quadrature_node_cap():
             QuadratureSpec("loggas", n, ("one",), (1, 2, 0), p)
 
 
-def test_selberg_rule_built_once_and_read_only():
-    # every payload at one (n, u, w, kappa) shares the fine and the coarse rule
-    oracle._selberg_rule.cache_clear()
-    for desc in (("one",), ("elementary", 1), ("aomoto", (1, 1, 0)), ("monomial", (2,))):
-        quadrature(QuadratureSpec("selberg", 3, desc, (F(3, 2), 1, F(1, 2)), 16))
-    info = oracle._selberg_rule.cache_info()
-    assert (info.misses, info.hits) == (2, 6)
-    pts, factors, scale, sector = oracle._selberg_rule(3, F(3, 2), F(1), F(1, 2), 16)
-    assert sector and scale == 6
-    for arr in (pts, *factors):
+def test_node_set_built_once_and_read_only():
+    # every payload and weight at one (n, points, sector, trig) shares the fine and coarse nodes
+    oracle._node_set.cache_clear()
+    descs = (("one",), ("elementary", 1), ("aomoto", (1, 1, 0)), ("monomial", (2,)))
+    for desc, params in itertools.product(descs, ((F(3, 2), 1, F(1, 2)), (F(1, 2), 2, F(3, 2)))):
+        quadrature(QuadratureSpec("selberg", 3, desc, params, 16))
+    info = oracle._node_set.cache_info()
+    assert (info.misses, info.hits) == (2, 14)
+    pts, ax, wt, jac = oracle._node_set(3, 16, True, True)
+    assert pts.shape == ax.shape == (16**3, 3) and wt.shape == jac.shape == (16**3,)
+    for arr in (pts, ax, wt, jac, *oracle._node_set(3, 16, False, False)[:3]):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# two weights in each (sector, trig) class: off the sector, then on it; without, then with trig
+MIXED_WEIGHTS = [
+    (1, 2, F(1)), (2, 1, F(2)), (F(3, 2), 1, F(1)), (F(1, 2), 2, F(2)),
+    (1, 1, F(1, 2)), (2, 1, F(3, 2)), (F(3, 2), F(3, 2), F(1, 2)), (1, F(1, 2), F(3, 2)),
+]
+SYMMETRIC_PAYLOADS = [("one",), ("monomial", (2,)), ("monomial", (2, 1)), ("elementary", 2),
+                      ("sympoly", (((2,), "1"), ((1, 1), "-2/3")))]
+
+
+def mixed_batch():
+    """Selberg specs of every node-set class at n = 2, 3 and log-gas specs at a = 1, 2."""
+    odd = [("aomoto", (1, 1, 0)), ("shifted", "x1x1")]
+    specs = [QuadratureSpec("selberg", n, d, params, 12)
+             for n in (2, 3) for params in MIXED_WEIGHTS for d in SYMMETRIC_PAYLOADS + odd]
+    # (1, 2, 0) and (2, 2, 1) reduce to (1, 1, 1), on the nodes of the first Selberg weights:
+    # one payload there under three maps
+    loggas = ((1, 1, 0), (1, 2, 0), (1, 4, 0), (2, 1, 0), (2, 2, 1))
+    for n, abc in itertools.product((2, 3), loggas):
+        descs = [("one",), ("monomial", (2,)), ("monomial", (2, 2)), ("monomial", (4,))]
+        descs += odd + [("elementary", 1)] if abc[0] == 1 else []
+        specs += [QuadratureSpec("loggas", n, d, abc, 12) for d in descs]
+    return specs + [QuadratureSpec("selberg", 3, ("monomial", (2, 1)), (1, 1, F(1, 2)), 9)]
+
+
+def test_quadrature_values_equal_one_spec_calls():
+    # a batch shares nodes, payload values and weight factors, yet changes no bit of any value
+    specs = mixed_batch()
+    classes = {oracle.node_key(s)[2:] for s in specs}  # (sector, trig)
+    assert classes == set(itertools.product((False, True), repeat=2))
+    values = oracle.quadrature_values(specs)
+    for spec, value in zip(specs, values):
+        assert value == quadrature(spec)[0], spec
+
+
+def test_quadrature_values_evaluates_each_payload_once_per_node_set(monkeypatch):
+    build, builds, evaluations = oracle.payload_from_descriptor, [], []
+
+    def counted(desc):
+        f, symmetric = build(desc)
+        builds.append(desc)
+        return (lambda pts: evaluations.append(desc) or f(pts)), symmetric
+
+    monkeypatch.setattr(oracle, "payload_from_descriptor", counted)
+    specs = [QuadratureSpec("selberg", n, d, params, 12)
+             for n in (2, 3) for params in MIXED_WEIGHTS for d in SYMMETRIC_PAYLOADS]
+    oracle.quadrature_values(specs)
+    node_sets = {oracle.node_key(s) for s in specs}
+    assert len(node_sets) == 8 and len(specs) == 16 * len(SYMMETRIC_PAYLOADS)
+    assert len(builds) == len(evaluations) == len(node_sets) * len(SYMMETRIC_PAYLOADS)
 
 
 @pytest.mark.parametrize("c", [-1, 0, 1, 2])
