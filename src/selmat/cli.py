@@ -3,8 +3,10 @@
 Every run emits JSON lines (or CSV with --format csv): first a config record
 echoing the resolved arguments, then one record per result.  Exact values are
 printed as "p/q" strings next to float mirrors, so reproduction tables can be
-diffed bit-for-bit.  Exit codes: 0 ok, 1 verification failure, 2 bad usage;
-a bad value ends the run with an {"error": {"type", "message"}} record.
+diffed bit-for-bit.  Exit codes: 0 ok, 1 verification failure, 2 bad usage
+(a rational with a zero denominator among them), 141 when the reader closes
+stdout early (128 + SIGPIPE, as a shell reports it); a bad value ends the run
+with an {"error": {"type", "message"}} record.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
 from .combinat import format_partition, parse_partition
-from .exact import format_rational, to_float
+from .exact import format_rational, parse_rational, to_float
 from .jack import jack_in_monomials, kadell_ratio, principal_specialization
 from .moments import (
     FULL_PAYLOADS,
@@ -59,10 +62,6 @@ class Emitter:
             writer.writeheader()
             for r in self.rows:
                 writer.writerow({k: r.get(k, "") for k in keys})
-
-
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _checked_n_list(n_list: list[int]) -> list[int]:
@@ -111,13 +110,13 @@ def _exact_record(value, extra=None) -> dict:
 # value are kept; giving another is an error.
 SELECTOR_FLAGS = {
     "oracle quad": ("kind", {
-        "selberg": {"u": (_frac, Fraction(1)), "w": (_frac, Fraction(1)), "kappa": (_frac, Fraction(1))},
+        "selberg": {flag: (parse_rational, Fraction(1)) for flag in ("u", "w", "kappa")},
         "loggas": {"a": (int, 1), "b": (int, 2), "c": (int, 0)},
     }),
     "asympt": ("quantity", {
-        **{q: {"kappa": (_frac, None)} for q in SHIFTED_PAYLOADS},
-        **{f"fm-{q}": {"beta": (_frac, None)} for q in FULL_PAYLOADS},
-        "remark": {"beta": (_frac, None)},
+        **{q: {"kappa": (parse_rational, None)} for q in SHIFTED_PAYLOADS},
+        **{f"fm-{q}": {"beta": (parse_rational, None)} for q in FULL_PAYLOADS},
+        "remark": {"beta": (parse_rational, None)},
         **{q: {"ensemble": (str, None), "convention": (("forced", "paper"), "forced")}
            for q in ("var", "sigma2")},
     }),
@@ -145,15 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selberg", help="Selberg integral I0(n; u, w, kappa)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u", type=_frac, required=True)
-    p.add_argument("--w", type=_frac, required=True)
-    p.add_argument("--kappa", type=_frac, required=True)
+    p.add_argument("--u", type=parse_rational, required=True)
+    p.add_argument("--w", type=parse_rational, required=True)
+    p.add_argument("--kappa", type=parse_rational, required=True)
 
     p = sub.add_parser("aomoto", help="Aomoto ratios I_m/I0 and I_{m1,m2,m3}/I0")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u", type=_frac, required=True)
-    p.add_argument("--w", type=_frac, required=True)
-    p.add_argument("--kappa", type=_frac, required=True)
+    p.add_argument("--u", type=parse_rational, required=True)
+    p.add_argument("--w", type=parse_rational, required=True)
+    p.add_argument("--kappa", type=parse_rational, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--m1", type=int, default=None)
     p.add_argument("--m2", type=int, default=0)
@@ -162,15 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jack", help="Jack polynomial expansion / principal value")
     p.add_argument("mode", choices=("expand", "principal"))
     p.add_argument("--lam", type=parse_partition, required=True)
-    p.add_argument("--kappa", type=_frac, required=True)
+    p.add_argument("--kappa", type=parse_rational, required=True)
     p.add_argument("--n", type=int, default=None)
 
     p = sub.add_parser("kadell", help="Kadell ratio I(lambda)/I(0)")
     p.add_argument("--lam", type=parse_partition, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--u", type=_frac, required=True)
-    p.add_argument("--w", type=_frac, required=True)
-    p.add_argument("--kappa", type=_frac, required=True)
+    p.add_argument("--u", type=parse_rational, required=True)
+    p.add_argument("--w", type=parse_rational, required=True)
+    p.add_argument("--kappa", type=parse_rational, required=True)
 
     p = sub.add_parser("moments", help="ensemble moment report at one n")
     p.add_argument("--ensemble", required=True)
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_selector_flags(p, "asympt")
 
     p = sub.add_parser("remark-beta", help="general-beta box combination over an n-list")
-    p.add_argument("--beta", type=_frac, required=True)
+    p.add_argument("--beta", type=parse_rational, required=True)
     p.add_argument("--n-list", type=_n_list, required=True)
 
     p = sub.add_parser("covariance", help="covariance report (hermitian | symmetric)")
@@ -206,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cycle-type", type=parse_partition, default=None)
     p.add_argument("--coset-type", type=parse_partition, default=None)
-    p.add_argument("--z", type=_frac, required=True)
-    p.add_argument("--w", type=_frac, default=None)
+    p.add_argument("--z", type=parse_rational, required=True)
+    p.add_argument("--w", type=parse_rational, default=None)
 
     p = sub.add_parser("oracle", help="numeric oracles")
     osub = p.add_subparsers(dest="oracle_command", required=True)
@@ -281,22 +280,34 @@ def _config_record(args) -> dict:
     return {"config": cfg}
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    try:
+        code = _run(args, Emitter(args.format, sys.stdout))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the rest to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args, em: Emitter) -> int:
     flag_error = _settle_selector_flags(args)
-    em = Emitter(args.format, sys.stdout)
     em.emit(_config_record(args))
     try:
         if flag_error:
             raise ValueError(flag_error)
-        code = _dispatch(args, em)
+        return _dispatch(args, em)
     except (ValueError, ArithmeticError) as exc:
         em.emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        code = 2
+        return 2
     finally:
         em.close()
-    return code
 
 
 def _dispatch(args, em: Emitter) -> int:

@@ -32,7 +32,11 @@ def format_rational(x: Rational) -> str:
 
 
 def parse_rational(s: str) -> Rational:
-    return Fraction(s)
+    """Fraction(s); a zero denominator is a ValueError, so argparse reports it as bad usage."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def pochhammer(x: Rational, m: int) -> Rational:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -143,103 +144,82 @@ def eval_monomial(lam, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def payload_aomoto(m1: int, m2: int, m3: int):
-    """prod_{i<=m1} t_i * prod_{j=m1+1-m3}^{m1+m2-m3} (1-t_j); not symmetric."""
-    import numpy as np
-
-    def f(pts):
-        out = np.ones(pts.shape[0])
-        for i in range(1, m1 + 1):
-            out = out * pts[:, i - 1]
-        for j in range(m1 + 1 - m3, m1 + m2 - m3 + 1):
-            out = out * (1.0 - pts[:, j - 1])
-        return out
-
-    return f
+SHIFTED_POWERS = {"x2": (2,), "x1x1": (1, 1), "x2x2": (2, 2), "x4": (4,)}  # of t_i - 1/2
 
 
-def payload_shifted(name: str):
-    """(t - 1/2)-power payloads matching moments.SHIFTED_PAYLOADS; not symmetric."""
+def _payload(desc, n: int) -> tuple:
+    """(f, symmetric, even) of a payload descriptor on n variables; every check is here.
 
-    def f(pts):
-        s = pts - 0.5
-        if name == "x2":
-            return s[:, 0] ** 2
-        if name == "x1x1":
-            return s[:, 0] * s[:, 1]
-        if name == "x2x2":
-            return s[:, 0] ** 2 * s[:, 1] ** 2
-        if name == "x4":
-            return s[:, 0] ** 4
-        raise ValueError(f"unknown shifted payload {name!r}")
-
-    return f
-
-
-def payload_from_descriptor(desc) -> tuple:
-    """(callable, symmetric?) from a serialisable descriptor tuple."""
+    f maps points (N, n) to N values.  Descriptors: ("one",), ("monomial", lam),
+    ("elementary", m) for e_m, ("sympoly", ((mu, coefficient), ...)); and, not
+    symmetric, ("aomoto", (m1, m2, m3)) for prod_{i<=m1} t_i prod_{j=m1+1-m3}^{m1+m2-m3}
+    (1 - t_j) and ("shifted", name) for the (t - 1/2) powers of moments.SHIFTED_PAYLOADS.
+    even: even in each variable, as the a = 2 log-gas map needs.
+    """
     import numpy as np
     kind = desc[0]
-    if kind == "one":
-        return (lambda pts: np.ones(pts.shape[0])), True
-    if kind in ("monomial", "elementary"):
-        lam = partition(desc[1]) if kind == "monomial" else (1,) * int(desc[1])
-        return (lambda pts: eval_monomial(lam, pts)), True
     if kind == "aomoto":
-        m1, m2, m3 = desc[1]
-        return payload_aomoto(m1, m2, m3), False
-    if kind == "shifted":
-        return payload_shifted(desc[1]), False
-    if kind == "sympoly":
-        terms = [(partition(mu), float(Fraction(co))) for mu, co in desc[1]]
-
-        def f(pts):
-            acc = np.zeros(pts.shape[0])
-            for mu, co in terms:
-                acc += co * eval_monomial(mu, pts)
-            return acc
-
-        return f, True
-    raise ValueError(f"unknown payload descriptor {desc!r}")
-
-
-def _even_payload(desc) -> bool:
-    """True iff the payload is even in each variable: every monomial has even parts."""
-    kind = desc[0]
-    if kind == "one":
-        return True
-    if kind == "monomial":
-        terms = [desc[1]]
-    elif kind == "elementary":
-        terms = [(1,) * int(desc[1])]
-    elif kind == "sympoly":
-        terms = [mu for mu, co in desc[1] if Fraction(co)]
-    else:  # aomoto and shifted payloads carry odd factors
-        return False
-    return all(part % 2 == 0 for mu in terms for part in mu)
-
-
-def _check_payload_variables(desc, n: int) -> None:
-    """Refuse e_m at m < 0, and an aomoto or shifted payload that reads past t_n."""
-    if desc[0] == "elementary" and int(desc[1]) < 0:
-        raise ValueError(f"payload elementary:{desc[1]} needs m >= 0")
-    elif desc[0] == "aomoto":
         if len(desc[1]) != 3:
             raise ValueError(f"aomoto payload needs three indices m1,m2,m3, got {desc[1]!r}")
-        check_aomoto_indices(n, *desc[1])
-    elif desc[0] == "shifted" and desc[1] in ("x1x1", "x2x2") and n < 2:
-        raise ValueError(f"payload shifted:{desc[1]} needs n >= 2, got n={n}")
+        m1, m2, m3 = desc[1]
+        check_aomoto_indices(n, m1, m2, m3)
+
+        def f(pts):
+            out = np.ones(pts.shape[0])
+            for i in range(m1):
+                out = out * pts[:, i]
+            for j in range(m1 - m3, m1 + m2 - m3):
+                out = out * (1.0 - pts[:, j])
+            return out
+
+        return f, False, False
+    if kind == "shifted":
+        powers = SHIFTED_POWERS.get(desc[1])
+        if powers is None:
+            raise ValueError(f"unknown shifted payload {desc[1]!r}")
+        if len(powers) > n:
+            raise ValueError(f"payload shifted:{desc[1]} needs n >= {len(powers)}, got n={n}")
+
+        def f(pts):
+            out = np.ones(pts.shape[0])
+            for axis, e in enumerate(powers):
+                out = out * (pts[:, axis] - 0.5) ** e
+            return out
+
+        return f, False, False
+    if kind == "one":
+        terms = [((), 1)]
+    elif kind == "monomial":
+        terms = [(desc[1], 1)]
+    elif kind == "elementary":
+        if int(desc[1]) < 0:
+            raise ValueError(f"payload elementary:{desc[1]} needs m >= 0")
+        terms = [((1,) * int(desc[1]), 1)]
+    elif kind == "sympoly":
+        terms = desc[1]
+    else:
+        raise ValueError(f"unknown payload descriptor {desc!r}")
+    terms = [(partition(mu), Fraction(co)) for mu, co in terms]
+    even = all(part % 2 == 0 for mu, co in terms if co for part in mu)
+    terms = [(mu, float(co)) for mu, co in terms]
+
+    def f(pts):
+        acc = np.zeros(pts.shape[0])
+        for mu, co in terms:
+            acc += co * eval_monomial(mu, pts)
+        return acc
+
+    return f, True, even
 
 
 def _symmetrized(f, n):
     import numpy as np
-    perms = list(itertools.permutations(range(n)))
 
     def g(pts):
         acc = np.zeros(pts.shape[0])
-        for p in perms:
+        for p in itertools.permutations(range(n)):
             acc += f(pts[:, p])
-        return acc / len(perms)
+        return acc / math.factorial(n)
 
     return g
 
@@ -258,10 +238,13 @@ class QuadratureSpec:
 
     kind: "selberg" (params u, w, kappa on [0,1]^n) or "loggas"
     (params a, b, c on [-1,1]^n).  payload is a descriptor tuple, see
-    payload_from_descriptor.  The rule has points_per_axis^n nodes, at most
-    QUADRATURE_MAX_NODES.  weight is the Selberg weight on [0,1]^n that the
-    integrand reduces to, built and checked once: parameters at which the
-    integral diverges raise ParamOutOfRangeError.
+    _payload.  The rule has points_per_axis^n nodes, at most
+    QUADRATURE_MAX_NODES.  Everything else is resolved and checked once, here,
+    before any rule is built: weight is the Selberg weight on [0,1]^n that the
+    integrand reduces to (parameters at which the integral diverges raise
+    ParamOutOfRangeError); on_t is the payload as a function of t in [0,1]^n,
+    with the log-gas map composed and, on a sector rule, symmetrised; on_t_key
+    is what on_t depends on besides node_key; scale multiplies the weighed sum.
     """
 
     kind: str
@@ -270,18 +253,23 @@ class QuadratureSpec:
     params: tuple
     points_per_axis: int = 40
     weight: SelbergParams = field(init=False, repr=False, compare=False)
+    on_t: Callable = field(init=False, repr=False, compare=False)
+    on_t_key: tuple = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # an unknown kind or a divergent integral fails here, before any rule
+        import numpy as np
+        a = 0  # the log-gas map, none for a Selberg integrand
         if self.kind == "selberg":
             weight = SelbergParams(self.n, *self.params)
         elif self.kind == "loggas":
-            weight = SelbergParams(self.n, *_loggas_selberg_params(*(int(x) for x in self.params)))
+            a, b, c = (int(x) for x in self.params)
+            weight = SelbergParams(self.n, *_loggas_selberg_params(a, b, c))
         else:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         object.__setattr__(self, "weight", weight)
-        _check_payload_variables(self.payload, self.n)
-        if self.kind == "loggas" and int(self.params[0]) == 2 and not _even_payload(self.payload):
+        f, symmetric, even = _payload(self.payload, self.n)
+        if a == 2 and not even:
             raise ValueError(
                 f"a=2 log-gas quadrature needs a payload even per variable, got {self.payload!r}"
             )
@@ -294,6 +282,16 @@ class QuadratureSpec:
                 f"quadrature capped at {QUADRATURE_MAX_NODES} nodes,"
                 f" got {self.points_per_axis}^{self.n}"
             )
+        n, _, sector, _ = node_key(self)
+        scale = math.factorial(n) if sector else 1
+        if a == 1:  # x = 2t - 1: dx = 2^n dt and |Delta(x)|^b is 2^(b n(n-1)/2) |Delta(t)|^b
+            f = lambda t, on_box=f: on_box(2.0 * t - 1.0)
+            scale = scale * 2.0 ** (n + b * n * (n - 1) // 2)
+        elif a == 2:  # x = sqrt(t): an even integrand is 2^n times its [0,1]^n part,
+            f = lambda t, on_box=f: on_box(np.sqrt(t))  # and dx = dt / (2 sqrt(t))
+        object.__setattr__(self, "on_t", _symmetrized(f, n) if sector and not symmetric else f)
+        object.__setattr__(self, "on_t_key", (a, repr(self.payload)))
+        object.__setattr__(self, "scale", scale)
 
 
 def quadrature(spec: QuadratureSpec) -> tuple[float, float]:
@@ -311,19 +309,18 @@ def quadrature_values(specs) -> list[float]:
     set, and weighed by every spec there in one fixed order of factors.
     """
     import numpy as np
-    groups = {}  # node_key -> (log-gas a, payload) -> indices into specs
+    groups = {}  # node_key -> on_t_key -> indices into specs
     for i, spec in enumerate(specs):
-        a = int(spec.params[0]) if spec.kind == "loggas" else 0
-        groups.setdefault(node_key(spec), {}).setdefault((a, repr(spec.payload)), []).append(i)
+        groups.setdefault(node_key(spec), {}).setdefault(spec.on_t_key, []).append(i)
     out = [0.0] * len(specs)
     for key, by_payload in sorted(groups.items(), key=lambda kv: -kv[0][1] ** kv[0][0]):
-        n, _, sector, trig = key
+        _, _, sector, trig = key
         nodes = _node_set(*key)
         density, interaction = {}, {}  # per (u, w) and per kappa
         for idx in by_payload.values():
-            vals = _payload_on_nodes(specs[idx[0]], sector)(nodes[0])
+            vals = specs[idx[0]].on_t(nodes[0])
             for i in idx:
-                p, scale = specs[i].weight, math.factorial(n) if sector else 1
+                p = specs[i].weight
                 if (p.u, p.w) not in density:
                     density[p.u, p.w] = _density(nodes, sector, trig, float(p.u), float(p.w))
                 if p.kappa not in interaction:
@@ -334,10 +331,7 @@ def quadrature_values(specs) -> list[float]:
                 acc = factors[0] * vals
                 for factor in factors[1:]:
                     acc *= factor
-                if specs[i].kind == "loggas" and int(specs[i].params[0]) == 1:
-                    b = int(specs[i].params[1])  # see _payload_on_nodes
-                    scale = scale * 2.0 ** (n + b * n * (n - 1) // 2)
-                out[i] = float(np.sum(acc) * scale)
+                out[i] = float(np.sum(acc) * specs[i].scale)
     return out
 
 
@@ -354,21 +348,6 @@ def _loggas_selberg_params(a: int, b: int, c: int) -> tuple[Fraction, Fraction, 
     else:
         raise ValueError(f"log-gas covers (a, c) = (1, 0) or (2, c >= 0), not ({a}, {c})")
     return u, Fraction(1), Fraction(b, 2)
-
-
-def _payload_on_nodes(spec: QuadratureSpec, sector: bool):
-    """spec's payload as a function of t in [0,1]^n, symmetrised for a sector rule.
-
-    A log-gas payload is read at x = 2t - 1 (a = 1: dx = 2^n dt and |Delta(x)|^b is
-    2^(b n(n-1)/2) |Delta(t)|^b) or at x = sqrt(t) (a = 2: an even integrand is 2^n
-    times its [0,1]^n part, and dx = dt / (2 sqrt(t))).
-    """
-    import numpy as np
-    f, symmetric = payload_from_descriptor(spec.payload)
-    if spec.kind == "loggas":
-        on_box, a = f, int(spec.params[0])
-        f = lambda t: on_box(2.0 * t - 1.0 if a == 1 else np.sqrt(t))
-    return _symmetrized(f, spec.n) if sector and not symmetric else f
 
 
 @lru_cache(maxsize=2)  # the fine and the coarse point count

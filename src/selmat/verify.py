@@ -121,8 +121,7 @@ def check_selberg_quadrature() -> CheckResult:
                 for lam in lams:
                     if len(lam) > n:
                         continue
-                    poly = jack_in_monomials(lam, kap)
-                    desc = ("sympoly", tuple((mu, format_rational(c)) for mu, c in poly.coeffs))
+                    desc = ("sympoly", jack_in_monomials(lam, kap).coeffs)
                     ratio_case(f"kadell {lam}", kadell_ratio(lam, n, u, w, kap), desc, u, w)
     # one node set after another, so that quadrature builds each once
     for detail, spec, tol in sorted(i0_cases, key=lambda case: node_key(case[1])):

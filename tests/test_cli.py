@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +8,13 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import selmat
 from selmat import oracle
 from selmat import verify as verify_mod
-from selmat.cli import main
+from selmat.cli import EXIT_BROKEN_PIPE, SELECTOR_FLAGS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -516,6 +521,126 @@ def test_oracle_quad_node_cap_exit_2(capsys, monkeypatch):
     code, recs = run_cli(capsys, "oracle", "quad", "--n", "4", "--points", "200")
     assert code == 2
     assert recs[-1]["error"]["type"] == "UnsupportedDimensionError"
+
+
+def test_oracle_quad_payload_refused_before_any_rule(capsys, monkeypatch):
+    # an unknown shifted payload once failed only while the rule was evaluated
+    monkeypatch.setattr(oracle, "_node_set", lambda *a: pytest.fail("nodes built for a bad payload"))
+    code, recs = run_cli(capsys, "oracle", "quad", "--n", "2", "--payload", "shifted:x9")
+    assert code == 2 and len(recs) == 2
+    assert recs[-1]["error"] == {"type": "ValueError", "message": "unknown shifted payload 'x9'"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("selberg", "--n", "2", "--u", "1", "--w", "1", "--kappa", "1/0"),
+        ("weingarten", "unitary", "--k", "2", "--cycle-type", "2", "--z", "1/0"),
+        ("asympt", "--quantity", "remark", "--beta", "1/0"),
+        ("remark-beta", "--beta", "1/0", "--n-list", "2:5"),
+        ("oracle", "quad", "--n", "2", "--u", "1/0"),
+    ],
+)
+def test_zero_denominator_is_a_usage_error(argv):
+    # Fraction("1/0") once escaped argparse as a ZeroDivisionError traceback, exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_closed_stdout_ends_without_traceback():
+    # the reader takes one line of a ~300 kB sweep and closes the pipe; Python once
+    # printed a BrokenPipeError traceback and exited 1, the verification-failure code
+    src = os.path.dirname(os.path.dirname(selmat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["sigma", "--ensemble", "hermitian", "--n-list", "2:2000"]
+    with subprocess.Popen([sys.executable, "-m", "selmat.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert json.loads(proc.stdout.readline())["config"]["command"] == "sigma"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in stderr, stderr
+
+
+def _leaf_commands(parser, path=()):
+    """(argv prefix, parser) of every command, read off the parser's own subparsers."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [leaf for name, sub in action.choices.items()
+                    for leaf in _leaf_commands(sub, path + (name,))]
+    return [(path, parser)]
+
+
+EDGE_VALUES = ("-1", "0", "1", "2", "x", "1/0", "1/2", "")
+# values that reach the working paths, within bounds that keep every run short:
+# n <= 4, count <= 200, points <= 16, k <= 4, partitions of degree <= 8, n-lists in 2:30
+IN_RANGE = {
+    "--n": ("4",), "--count": ("200",), "--points": ("16",), "--k": ("4",),
+    "--lam": ("3,2,1,1,1",), "--cycle-type": ("2,1,1",), "--coset-type": ("2,2",),
+    "--n-list": ("2:30", "2,3,5"),
+    "--ensemble": ("hermitian", "symmetric", "full-real", "full-complex"),
+    "--quantity": tuple(SELECTOR_FLAGS["asympt"][1]),
+    "--payload": ("monomial:2,1", "aomoto:1,1,0", "shifted:x9", "sum_sq"),
+}
+SIZE_FLAGS = ("--count", "--points")  # always given: their defaults start long runs
+LEAF_COMMANDS = [leaf for leaf in _leaf_commands(build_parser()) if leaf[0] != ("verify",)]
+
+
+def _accepts(action, value) -> bool:
+    """Whether argparse takes value for action, by the action's own choices or type.
+
+    A type that raises ArithmeticError, which argparse does not catch, is
+    refused here too, so that test_cli_contract reports it from main.
+    """
+    if action.choices is not None:
+        return value in action.choices
+    try:
+        (action.type or str)(value)
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+    return True
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of one command; in half the draws every value is one that argparse takes."""
+    path, parser = draw(st.sampled_from(LEAF_COMMANDS))
+    argv, parsable = list(path), draw(st.booleans())
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag = action.option_strings[0] if action.option_strings else None
+        values = tuple(action.choices or ()) + EDGE_VALUES + IN_RANGE.get(flag, ())
+        if parsable:
+            values = tuple(v for v in values if _accepts(action, v))
+        if flag is None:
+            argv.append(draw(st.sampled_from(values)))
+        elif action.required or flag in SIZE_FLAGS or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+def test_generated_argv_cover_every_command():
+    names = {path for path, _ in LEAF_COMMANDS}
+    assert ("selberg",) in names and ("oracle", "quad") in names and len(names) >= 15
+
+
+@settings(deadline=None, max_examples=200)
+@given(cli_argv())
+def test_cli_contract(argv):
+    # any argv built from the parser ends in 0 or 2 with strict JSON lines on stdout;
+    # the only exception is argparse's usage error, SystemExit(2)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            code = 2
+    assert code in (0, 2), argv
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
 
 
 def test_verify_fast_subset(capsys):

@@ -56,6 +56,9 @@ def test_rational_field_ops_exact():
 def test_rational_serialization_roundtrip():
     for v in (F(1, 3), F(-7, 2), F(5), F(0)):
         assert parse_rational(format_rational(v)) == v
+    # a ValueError, as argparse reports a bad flag value; Fraction raises ZeroDivisionError
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
 
 
 def gamma_product_ratio(num, den):

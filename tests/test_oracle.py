@@ -199,21 +199,18 @@ def test_quadrature_values_equal_one_spec_calls():
         assert value == quadrature(spec)[0], spec
 
 
-def test_quadrature_values_evaluates_each_payload_once_per_node_set(monkeypatch):
-    build, builds, evaluations = oracle.payload_from_descriptor, [], []
-
-    def counted(desc):
-        f, symmetric = build(desc)
-        builds.append(desc)
-        return (lambda pts: evaluations.append(desc) or f(pts)), symmetric
-
-    monkeypatch.setattr(oracle, "payload_from_descriptor", counted)
+def test_quadrature_values_evaluates_each_payload_once_per_node_set():
+    # each spec resolves its payload once, when it is made; evaluation is shared
     specs = [QuadratureSpec("selberg", n, d, params, 12)
              for n in (2, 3) for params in MIXED_WEIGHTS for d in SYMMETRIC_PAYLOADS]
+    evaluations = []
+    for spec in specs:
+        on_t = spec.on_t
+        object.__setattr__(spec, "on_t", lambda t, f=on_t: evaluations.append(f) or f(t))
     oracle.quadrature_values(specs)
     node_sets = {oracle.node_key(s) for s in specs}
     assert len(node_sets) == 8 and len(specs) == 16 * len(SYMMETRIC_PAYLOADS)
-    assert len(builds) == len(evaluations) == len(node_sets) * len(SYMMETRIC_PAYLOADS)
+    assert len(evaluations) == len(node_sets) * len(SYMMETRIC_PAYLOADS)
 
 
 @pytest.mark.parametrize("c", [-1, 0, 1, 2])
