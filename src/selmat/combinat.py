@@ -60,19 +60,6 @@ def partitions_of(k: int) -> tuple[Partition, ...]:
     return tuple(gen(k, k))
 
 
-def dominance_leq(mu: Partition, lam: Partition) -> bool:
-    """mu <= lam in dominance order: partial sums of mu never exceed lam's."""
-    if sum(mu) != sum(lam):
-        raise UnequalWeightError(f"|{mu}| != |{lam}|")
-    acc_m = acc_l = 0
-    for i in range(max(len(mu), len(lam))):
-        acc_m += mu[i] if i < len(mu) else 0
-        acc_l += lam[i] if i < len(lam) else 0
-        if acc_m > acc_l:
-            return False
-    return True
-
-
 def zee(lam: Partition) -> int:
     """Centraliser order z_lambda = prod_i i^{a_i} a_i! (a_i = #parts equal to i)."""
     counts: dict[int, int] = {}
@@ -263,7 +250,8 @@ def hyperoctahedral(k: int) -> tuple[Permutation, ...]:
                     group.add(h)
                     nxt.append(h)
         frontier = nxt
-    assert len(group) == 2**k * math.factorial(k)
+    if len(group) != 2**k * math.factorial(k):
+        raise ArithmeticError(f"generated {len(group)} elements, not 2^k k! for k = {k}")
     return tuple(sorted(group, key=lambda p: p.images))
 
 

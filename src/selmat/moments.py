@@ -7,25 +7,26 @@ of n, and ``RationalFunction`` does exact arithmetic on them.  At each ball's
 Selberg weight (u, w, kappa) (``EnsembleSpec.weight``) the monomial moment
 ratios J(m_mu)/J(1) are built once per (mu, u, w, kappa, min(n, |mu|)): each
 Kadell ratio is a falling-factorial polynomial times a product of factors
-linear in n.  The payload formulas and the variance assembly are written once,
-generic in n; at the identity function of n they compose those ratios into
-one function per (ensemble, convention) and one per beta, which every n >= 4
-evaluates in integer arithmetic.  The asymptotics of var, sigma^2, the box
-combination and the full-matrix payloads are the Laurent expansions of those
-functions at infinity.  The J-level shifted payloads are still sampled per n
-and interpolated by a rational function of n (exact linear solve).  Nothing
-is fitted in floating point.
+linear in n.  Each payload E[prod_i x_i^e_i] is defined once, by its exponents
+(``PAYLOAD_POWERS``), and one expansion generic in n writes it in those ratios
+(x = 2t - 1 on the self-adjoint balls, t = x^2 on the full balls).  With the
+variance assembly, at the identity function of n, it builds one function per
+(ensemble, convention) and one per beta, which every n >= 4 evaluates in
+integer arithmetic; their Laurent expansions at infinity are the asymptotics.
+The J-level shifted payloads are still sampled per n and interpolated by a
+rational function of n (exact linear solve).  Nothing is fitted in floats.
 
-Scaling conventions.  For the self-adjoint families the eigenvalue density
-lives on [-1, 1]^n while the Kadell machinery lives on [0, 1]^n; the
-substitution x = 2t - 1 forces a prefactor 2^s on an s-homogeneous payload
-("forced", the default).  The "paper" convention instead applies 2^(s/2),
-under which the three self-adjoint variance constants read 1/32, 1/16, 1/64.
-Scale-invariant outputs (sigma^2, eigenvalue ratios) agree under both.
+Scaling conventions.  The self-adjoint eigenvalue density lives on [-1, 1]^n
+and the Kadell machinery on [0, 1]^n.  "forced", the default, reports E[x^e]
+of x = 2t - 1 itself, 2^s times the t - 1/2 moment of an s-homogeneous
+payload; "paper" reports 2^(-s/2) E[x^e], under which the three self-adjoint
+variance constants read 1/32, 1/16, 1/64.  Scale-invariant outputs (sigma^2,
+eigenvalue ratios) agree under both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +42,10 @@ CONVENTIONS = ("forced", "paper")
 SELF_ADJOINT = "self_adjoint"
 FULL_MATRIX = "full_matrix"
 
-SHIFTED_PAYLOADS = ("x2", "x1x1", "x2x2", "x4")
-FULL_PAYLOADS = ("x2", "x2x2", "x4")
+# Each payload moment E[prod_i x_i^e_i] of the spectral variable x, by its exponents e
+PAYLOAD_POWERS = {"x2": (2,), "x1x1": (1, 1), "x2x2": (2, 2), "x4": (4,)}
+SHIFTED_PAYLOADS = tuple(PAYLOAD_POWERS)
+FULL_PAYLOADS = tuple(p for p, e in PAYLOAD_POWERS.items() if all(x % 2 == 0 for x in e))
 MOMENT_FIELDS = ("M2", "M4", "M22", "M11", "var", "sigma2")  # MomentReport's exact fields
 
 
@@ -452,63 +455,57 @@ def _monomial_ratios(n, weight: tuple):
     return lambda mu: monomial_moment_ratio(mu, n, *weight)
 
 
-def _shifted_payload(payload: str, n, R):
-    """J((t1-1/2)-power payload)/J(1) from the monomial ratios R(mu), generic in n.
+def _payload_moment(payload: str, n, R, a: int):
+    """E[prod_i x_i^e_i] for e = PAYLOAD_POWERS[payload], from the monomial ratios R(mu).
 
-    n is an int (R returns Fractions) or the identity function of n (R returns
-    RationalFunctions): the per-n path and the Q(n) builders share this formula.
+    x^e expands binomially in t for x = 2t - 1 (a = 1), and is t^(e/2) for
+    t = x^2 (a = 2).  m_mu has (n)_l / prod_j m_j(mu)! monomials (l = l(mu)), so
+    by symmetry each has mean R(mu) prod_j m_j(mu)! / (n)_l; terms are merged by
+    mu, and by l, before R is read.  n is an int (R returns Fractions) or the
+    identity function of n (R returns RationalFunctions).
     """
-    if payload == "x2":
-        return (R((2,)) - R((1,))) / n + Fraction(1, 4)
-    if payload == "x1x1":
-        return 2 * R((1, 1)) / (n * (n - 1)) - R((1,)) / n + Fraction(1, 4)
-    if payload == "x2x2":
-        return (
-            2 * (R((2, 2)) - R((2, 1)) + R((1, 1))) / (n * (n - 1))
-            + (R((2,)) - R((1,))) / (2 * n)
-            + Fraction(1, 16)
+    if a == 2 and payload not in FULL_PAYLOADS:  # t = x^2 takes only even exponents
+        raise ValueError(f"unknown full-matrix payload {payload!r}")
+    powers = PAYLOAD_POWERS.get(payload)
+    if powers is None:
+        raise ValueError(f"unknown payload {payload!r}; choose from {SHIFTED_PAYLOADS}")
+    if n is not _N and n < len(powers):
+        raise ValueError(f"payload {payload} needs n >= {len(powers)}, got n={n}")
+    per_variable = [  # x^e as (j, coefficient of t^j)
+        [(j, math.comb(e, j) * 2**j * (-1) ** (e - j)) for j in range(e + 1)] if a == 1
+        else [(e // 2, 1)]
+        for e in powers
+    ]
+    by_length = {}  # l -> mu -> coefficient of R(mu)
+    for term in itertools.product(*per_variable):
+        mu = tuple(sorted((j for j, _ in term if j), reverse=True))
+        coefficient = math.prod(c for _, c in term)
+        group = by_length.setdefault(len(mu), {})
+        group[mu] = group.get(mu, 0) + coefficient
+    out = by_length.pop(0, {}).get((), 0)
+    for l, group in by_length.items():
+        total = sum(
+            c * math.prod(math.factorial(mu.count(v)) for v in set(mu)) * R(mu)
+            for mu, c in group.items()
         )
-    if payload == "x4":
-        return (
-            (R((4,)) - 2 * R((3,)) + Fraction(3, 2) * R((2,)) - R((1,)) / 2) / n + Fraction(1, 16)
-        )
-    raise ValueError(f"unknown payload {payload!r}; choose from {SHIFTED_PAYLOADS}")
+        out = out + total / math.prod(n - i for i in range(l))
+    return out
 
 
 def shifted_moment_ratio(payload: str, n: int, kappa) -> Rational:
-    """J((t1-1/2)-power payload)/J(1), exactly, via the monomial expansions.
+    """J(prod_i (t_i - 1/2)^e_i)/J(1) at (1, 1, kappa), exactly, for e = PAYLOAD_POWERS[payload].
 
     payload: "x2" -> (t1-1/2)^2, "x1x1" -> (t1-1/2)(t2-1/2),
-    "x2x2" -> (t1-1/2)^2 (t2-1/2)^2, "x4" -> (t1-1/2)^4.
+    "x2x2" -> (t1-1/2)^2 (t2-1/2)^2, "x4" -> (t1-1/2)^4; t - 1/2 = x/2.
     """
-    if payload in ("x1x1", "x2x2") and n < 2:
-        raise ValueError("two-variable payload needs n >= 2")
-    return _shifted_payload(payload, n, _monomial_ratios(n, (1, 1, Fraction(kappa))))
-
-
-def _full_payload(payload: str, n, R):
-    """N(payload)/N(1) for the full balls from the monomial ratios R(mu), generic in n.
-
-    R is at the weight (beta/2, 1, beta/2), where t = x^2 takes the payloads
-    to t1, t1 t2 and t1^2, by symmetry m_(1)/n, m_(1,1)/binom(n, 2), m_(2)/n.
-    """
-    if payload == "x2":
-        return R((1,)) / n
-    if payload == "x2x2":
-        return 2 * R((1, 1)) / (n * (n - 1))
-    if payload == "x4":
-        return R((2,)) / n
-    raise ValueError(f"unknown payload {payload!r}; choose from {FULL_PAYLOADS}")
+    x_moment = _payload_moment(payload, n, _monomial_ratios(n, (1, 1, Fraction(kappa))), 1)
+    return x_moment / 2 ** sum(PAYLOAD_POWERS[payload])
 
 
 def full_matrix_moment_ratio(payload: str, n: int, beta: int) -> Rational:
-    """N(payload)/N(1) for the full-matrix singular-value density, exactly."""
-    if payload == "x2x2" and n < 2:
-        raise ValueError("two-variable payload needs n >= 2")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """N(payload)/N(1) for the full-matrix singular-value density, exactly (t = x^2)."""
     k = Fraction(beta, 2)
-    return _full_payload(payload, n, _monomial_ratios(n, (k, 1, k)))
+    return _payload_moment(payload, n, _monomial_ratios(n, (k, 1, k)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +551,12 @@ class MomentReport:
         return out
 
 
-def _scales(convention: str) -> tuple[Fraction, Fraction]:
+def _scale(convention: str) -> Fraction:
+    """The factor on an s-homogeneous self-adjoint payload of x is this to the s/2."""
     if convention == "forced":
-        return Fraction(4), Fraction(16)  # 2^s for s = 2, 4
+        return Fraction(1)  # E[x^e] itself
     if convention == "paper":
-        return Fraction(2), Fraction(4)  # 2^(s/2)
+        return Fraction(1, 2)  # 2^(-s/2)
     raise ValueError(f"unknown convention {convention!r}; choose from {CONVENTIONS}")
 
 
@@ -573,15 +571,15 @@ def _sum_sq_moments(n, M2, M22, M4) -> tuple:
 
 def _moment_fields(spec: EnsembleSpec, n, convention: str) -> tuple:
     """The MOMENT_FIELDS at an int n, or as functions of n at _N."""
-    s2, s4 = _scales(convention)
+    h = _scale(convention)
     R = _monomial_ratios(n, spec.weight)
     if spec.family == SELF_ADJOINT:
-        M2 = s2 * _shifted_payload("x2", n, R)
-        M11 = s2 * _shifted_payload("x1x1", n, R)
-        M22 = s4 * _shifted_payload("x2x2", n, R)
-        M4 = s4 * _shifted_payload("x4", n, R)
+        M2, M11, M22, M4 = (
+            h ** (sum(PAYLOAD_POWERS[p]) // 2) * _payload_moment(p, n, R, 1)
+            for p in SHIFTED_PAYLOADS
+        )
     else:  # the convention has no effect on the full balls
-        M2, M22, M4 = (_full_payload(p, n, R) for p in FULL_PAYLOADS)
+        M2, M22, M4 = (_payload_moment(p, n, R, 2) for p in FULL_PAYLOADS)
         M11 = None
     T2, T4 = _sum_sq_moments(n, M2, M22, M4)
     T2sq = T2**2
@@ -635,9 +633,8 @@ def trace_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> dic
 def _remark(n, beta: Fraction):
     """The box combination at an int n, or as a function of n at _N."""
     R = _monomial_ratios(n, (1, 1, beta / 2))
-    j2, j22, j4 = (_shifted_payload(p, n, R) for p in ("x2", "x2x2", "x4"))
-    T2, T4 = _sum_sq_moments(n, j2, j22, j4)
-    return T4 - T2**2
+    T2, T4 = _sum_sq_moments(n, *(_payload_moment(p, n, R, 1) for p in ("x2", "x2x2", "x4")))
+    return (T4 - T2**2) / 16  # x = 2t - 1 on [-1, 1] is twice t - 1/2 on [-1/2, 1/2]
 
 
 def _positive_beta(beta) -> Fraction:
@@ -805,20 +802,17 @@ def asympt_quantity(
         if kappa is None:
             raise ValueError(f"quantity {name!r} needs kappa")
         kap = Fraction(kappa)
-        min_n = 2 if name in ("x2", "x1x1") else 4
+        min_n = sum(PAYLOAD_POWERS[name])  # the payload's degree, its largest |mu|
         return reconstruct_rational(
             [(n, shifted_moment_ratio(name, n, kap)) for n in range(min_n, 17)], 5
         )
     if name.startswith("fm-"):
-        payload = name[3:]
-        if payload not in FULL_PAYLOADS:
-            raise ValueError(f"unknown full-matrix payload {payload!r}")
         if beta is None:
             raise ValueError(f"quantity {name!r} needs beta")
         beta = _positive_beta(beta)
         if beta.denominator != 1:
             raise ValueError("full-matrix quantities need integer beta")
-        return _full_payload(payload, _N, _monomial_ratios(_N, (beta / 2, 1, beta / 2)))
+        return _payload_moment(name[3:], _N, _monomial_ratios(_N, (beta / 2, 1, beta / 2)), 2)
     if name == "remark":
         if beta is None:
             raise ValueError("quantity 'remark' needs beta")

@@ -43,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import partition
+from .moments import PAYLOAD_POWERS
 from .selberg import SelbergParams, check_aomoto_indices
 
 
@@ -144,7 +145,11 @@ def eval_monomial(lam, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-SHIFTED_POWERS = {"x2": (2,), "x1x1": (1, 1), "x2x2": (2, 2), "x4": (4,)}  # of t_i - 1/2
+def _payload_text(desc) -> str:
+    """desc as ``oracle quad --payload`` spells it (a sympoly has no flag: its repr)."""
+    if desc[0] == "sympoly":
+        return repr(desc)
+    return ":".join(",".join(map(str, x)) if isinstance(x, (tuple, list)) else str(x) for x in desc)
 
 
 def _payload(desc, n: int) -> tuple:
@@ -153,7 +158,7 @@ def _payload(desc, n: int) -> tuple:
     f maps points (N, n) to N values.  Descriptors: ("one",), ("monomial", lam),
     ("elementary", m) for e_m, ("sympoly", ((mu, coefficient), ...)); and, not
     symmetric, ("aomoto", (m1, m2, m3)) for prod_{i<=m1} t_i prod_{j=m1+1-m3}^{m1+m2-m3}
-    (1 - t_j) and ("shifted", name) for the (t - 1/2) powers of moments.SHIFTED_PAYLOADS.
+    (1 - t_j) and ("shifted", name) for prod_i (t_i - 1/2)^e_i, e = moments.PAYLOAD_POWERS[name].
     even: even in each variable, as the a = 2 log-gas map needs.
     """
     import numpy as np
@@ -174,11 +179,11 @@ def _payload(desc, n: int) -> tuple:
 
         return f, False, False
     if kind == "shifted":
-        powers = SHIFTED_POWERS.get(desc[1])
+        powers = PAYLOAD_POWERS.get(desc[1])
         if powers is None:
             raise ValueError(f"unknown shifted payload {desc[1]!r}")
         if len(powers) > n:
-            raise ValueError(f"payload shifted:{desc[1]} needs n >= {len(powers)}, got n={n}")
+            raise ValueError(f"payload {_payload_text(desc)} needs n >= {len(powers)}, got n={n}")
 
         def f(pts):
             out = np.ones(pts.shape[0])
@@ -193,7 +198,7 @@ def _payload(desc, n: int) -> tuple:
         terms = [(desc[1], 1)]
     elif kind == "elementary":
         if int(desc[1]) < 0:
-            raise ValueError(f"payload elementary:{desc[1]} needs m >= 0")
+            raise ValueError(f"payload {_payload_text(desc)} needs m >= 0")
         terms = [((1,) * int(desc[1]), 1)]
     elif kind == "sympoly":
         terms = desc[1]
@@ -271,7 +276,8 @@ class QuadratureSpec:
         f, symmetric, even = _payload(self.payload, self.n)
         if a == 2 and not even:
             raise ValueError(
-                f"a=2 log-gas quadrature needs a payload even per variable, got {self.payload!r}"
+                "a=2 log-gas quadrature needs a payload even per variable,"
+                f" got {_payload_text(self.payload)}"
             )
         if self.n > 4:
             raise UnsupportedDimensionError("quadrature capped at n <= 4")

@@ -6,10 +6,13 @@ criterion.  Determinism is checked by running the whole suite a second time
 with the same seed and comparing the serialised bytes.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import selmat
 from selmat import moments
 from selmat import verify as V
 
@@ -93,3 +96,14 @@ def test_exact_limits_catch_a_shifted_function(monkeypatch, field, check):
     limits = [d for d in res.details if d["case"].endswith("exact limit")]
     assert not res.passed
     assert len(limits) == 6 and not any(d["pass"] for d in limits)
+
+
+def test_no_assert_statements_in_the_package():
+    """python -O strips asserts, so no guard of the package may be one."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(selmat.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

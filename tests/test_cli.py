@@ -369,6 +369,9 @@ def test_usage_errors_exit_2(capsys, argv):
          "seed must be >= 0, got -1"),
         (("oracle", "haar", "--group", "unitary", "--n", "2", "--seed", "-1"),
          "seed must be >= 0, got -1"),
+        # once named the descriptor tuple ('monomial', (1,))
+        (("oracle", "quad", "--kind", "loggas", "--a", "2", "--n", "2", "--payload", "monomial:1"),
+         "a=2 log-gas quadrature needs a payload even per variable, got monomial:1"),
     ],
 )
 def test_usage_error_messages(capsys, argv, message):

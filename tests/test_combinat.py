@@ -11,7 +11,6 @@ from selmat.combinat import (
     character,
     coset_type,
     cycle_type,
-    dominance_leq,
     format_partition,
     hyperoctahedral,
     monomial_principal,
@@ -21,6 +20,19 @@ from selmat.combinat import (
     partitions_of,
     zee,
 )
+
+
+def dominance_leq(mu, lam) -> bool:
+    """mu <= lam in dominance order: partial sums of mu never exceed lam's."""
+    if sum(mu) != sum(lam):
+        raise UnequalWeightError(f"|{mu}| != |{lam}|")
+    acc_m = acc_l = 0
+    for i in range(max(len(mu), len(lam))):
+        acc_m += mu[i] if i < len(mu) else 0
+        acc_l += lam[i] if i < len(lam) else 0
+        if acc_m > acc_l:
+            return False
+    return True
 
 
 def test_partitions_of_order():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selmat.combinat import character, dominance_leq, partition, partitions_of, zee
+from selmat.combinat import character, partition, partitions_of, zee
 from selmat.exact import GammaProduct
 from selmat.jack import (
     MAX_DEGREE,
@@ -21,6 +21,7 @@ from selmat.jack import (
     principal_specialization,
 )
 from selmat.selberg import ParamOutOfRangeError, SelbergParams, aomoto_ratio
+from test_combinat import dominance_leq  # the dominance order is only tested
 
 KAPPAS = (F(1, 2), F(1), F(2), F(3))
 

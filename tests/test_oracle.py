@@ -11,9 +11,11 @@ from selmat.jack import kadell_ratio
 from selmat import oracle
 from selmat.moments import (
     ENSEMBLES,
+    PAYLOAD_POWERS,
     ensemble,
     ensemble_moments,
     full_matrix_moment_ratio,
+    shifted_moment_ratio,
     trace_moments,
 )
 from selmat.oracle import (
@@ -27,6 +29,7 @@ from selmat.oracle import (
     rejection_sample_ball,
 )
 from selmat.selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
+from selmat.verify import QUAD_POINTS
 from selmat.weingarten import (
     conj_invariant_moment_orthogonal,
     conj_invariant_moment_unitary,
@@ -100,6 +103,20 @@ def test_quadrature_loggas_matches_engine():
             ratios[("shifted", "x2")] = r.M2 + F(1, 4)
         for desc, want in ratios.items():
             assert quad(desc) / base == pytest.approx(float(want), abs=1e-10), (name, n, desc)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_payload_moments_match_quadrature(n):
+    # each PAYLOAD_POWERS entry: its exact expansion against the quadrature of its own
+    # product of (t_i - 1/2)^e_i, at C1's resolution and tolerances
+    cases = [(kap, name) for kap in (F(1, 2), F(1), F(2)) for name in PAYLOAD_POWERS]
+    specs = [QuadratureSpec("selberg", n, desc, (1, 1, kap), QUAD_POINTS)
+             for kap, name in cases for desc in (("one",), ("shifted", name))]
+    values = oracle.quadrature_values(specs)
+    for (kap, name), base, value in zip(cases, values[::2], values[1::2]):
+        tol = 1e-3 if kap == F(1, 2) else 1e-6
+        exact = float(shifted_moment_ratio(name, n, kap))
+        assert value / base == pytest.approx(exact, abs=tol), (name, kap)
 
 
 def test_quadrature_error_estimate_covers_truth():
