@@ -10,6 +10,7 @@ draws per ball) use a 4-standard-error band at the given seed.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -553,7 +554,10 @@ ALL_CRITERIA = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10")
 def run_all(seed: int, criteria) -> list[CheckResult]:
     """Run the acceptance criteria (C11, determinism, is checked by re-running).
 
-    The serialised results are byte-deterministic for a fixed seed.
+    The serialised results are byte-deterministic for a fixed seed.  C10, the
+    one Monte Carlo criterion, shares no state with the others: when this
+    process may run on two or more CPUs, C10 runs in one forked worker while
+    the others run here, and its result takes its place in criteria order.
     """
     runners = {
         "C1": check_selberg_quadrature,
@@ -574,7 +578,68 @@ def run_all(seed: int, criteria) -> list[CheckResult]:
         raise ValueError(f"criteria {list(criteria)} name a criterion more than once")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return [runners[crit]() for crit in criteria]
+    if "C10" not in criteria or len(criteria) == 1 or _usable_cpus() < 2:
+        return [runners[crit]() for crit in criteria]
+    with _ForkedWorker(runners["C10"]) as c10:
+        results = {crit: runners[crit]() for crit in criteria if crit != "C10"}
+        results["C10"] = c10.result()
+    return [results[crit] for crit in criteria]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not report them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _ForkedWorker:
+    """run() in one forked worker process, from construction on; a context manager.
+
+    The worker inherits this process's modules as they stand, patched ones
+    included; numpy is imported before the fork so that only one process pays
+    for it.  result() waits for run()'s value, or raises its exception again
+    here; leaving the block stops and reaps the worker, finished or not.
+    """
+
+    def __init__(self, run):
+        import multiprocessing
+
+        import numpy  # noqa: F401
+
+        ctx = multiprocessing.get_context("fork")
+        self.receiver, sender = ctx.Pipe(duplex=False)
+
+        def work():
+            try:
+                reply = (run(), None)
+            except Exception as exc:
+                import traceback
+
+                reply = (exc, "".join(traceback.format_exception(exc)))
+            sender.send(reply)
+
+        self.proc = ctx.Process(target=work)
+        self.proc.start()
+        sender.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.proc.terminate()
+        self.proc.join()
+        self.receiver.close()
+
+    def result(self):
+        try:
+            value, worker_traceback = self.receiver.recv()
+        except EOFError:
+            self.proc.join()
+            raise RuntimeError(f"the worker ended with exit code {self.proc.exitcode} "
+                               "before it sent a result") from None
+        self.proc.join()
+        if worker_traceback is not None:
+            raise value from RuntimeError(f"raised in the worker:\n{worker_traceback}")
+        return value
 
 
 def serialize_result(res: CheckResult) -> str:
