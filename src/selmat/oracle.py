@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,73 +53,44 @@ class UnsupportedDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class SampleEstimate:
-    """Monte Carlo estimate with batch-means error bar; reproducible by seed."""
+    """Monte Carlo mean of i.i.d. draws with its standard error; reproducible by seed."""
 
     mean: float
     stderr: float
     n_samples: int
     seed: int
-    diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "diagnostics": dict(sorted(self.diagnostics.items())),
-        }
+        return asdict(self)
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-BATCHES = 25  # batch-means batches; an estimate needs at least one draw per batch
+def _estimates(chunks: Callable, fns: dict, count: int, seed: int) -> dict:
+    """SampleEstimates of each payload f(chunk) over the `count` i.i.d. draws of chunks().
 
-
-class _BatchMeans:
-    """Batch means of one payload over `count` draws, fed one chunk at a time.
-
-    The first BATCHES * (count // BATCHES) values fill BATCHES contiguous
-    batches through one reused buffer, so memory does not grow with count;
-    later values are dropped.  The stderr comes from the batch means, and the
-    effective sample size from the pooled variance (mean within-batch variance
-    plus the variance of the batch means).
+    Each payload keeps only (draws, mean, sum of squared deviations), and a
+    chunk's own three are merged in by the pairwise update of Chan, Golub and
+    LeVeque (1983), which a large mean does not spoil, so memory does not grow
+    with count.  The stderr is s / sqrt(N), s the sample standard deviation
+    (ddof 1).  count is checked before chunks is called.
     """
-
-    def __init__(self, count: int):
-        import numpy as np
-        if count < BATCHES:
-            raise ValueError(f"batch means need count >= {BATCHES}, got {count}")
-        self.count = count
-        self.batch = np.empty(count // BATCHES)
-        self.filled = 0
-        self.means, self.variances = [], []
-
-    def add(self, values) -> None:
-        while len(values) and len(self.means) < BATCHES:
-            take = min(len(values), len(self.batch) - self.filled)
-            self.batch[self.filled : self.filled + take] = values[:take]
-            self.filled += take
-            values = values[take:]
-            if self.filled == len(self.batch):
-                self.means.append(self.batch.mean())
-                self.variances.append(self.batch.var())
-                self.filled = 0
-
-    def estimate(self, seed: int, diagnostics: dict) -> SampleEstimate:
-        import numpy as np
-        bm = np.array(self.means)
-        var_bm = float(bm.var(ddof=1))
-        var_all = float(np.mean(self.variances) + bm.var())
-        ess = self.count if var_bm == 0 else self.count * var_all / (len(self.batch) * var_bm)
-        return SampleEstimate(
-            float(bm.mean()),
-            float(bm.std(ddof=1) / math.sqrt(BATCHES)),
-            self.count,
-            seed,
-            {**diagnostics, "ess": round(float(min(ess, self.count)), 2)},
-        )
+    if count < 2:
+        raise ValueError(f"a Monte Carlo stderr needs count >= 2, got {count}")
+    acc = dict.fromkeys(fns, (0, 0.0, 0.0))
+    for x in chunks():
+        for name, f in fns.items():
+            v = f(x)
+            n_a, mean_a, ssd_a = acc[name]
+            n_b, mean_b = len(v), float(v.mean())
+            n, delta = n_a + n_b, mean_b - mean_a
+            ssd_b = float(((v - mean_b) ** 2).sum())
+            acc[name] = (n, mean_a + delta * n_b / n, ssd_a + ssd_b + delta**2 * n_a * n_b / n)
+    return {
+        name: SampleEstimate(mean, math.sqrt(ssd / (n - 1) / n), n, seed)
+        for name, (n, mean, ssd) in acc.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +586,13 @@ def ball_second_moments(ensemble_name: str) -> dict:
 def ball_moment_estimate(ensemble_name: str, n: int, moment_fns: dict, count: int, seed: int) -> dict:
     """SampleEstimates of entry moments over `count` uniform ball draws.
 
-    moment_fns maps names to vectorised callables f(T_batch) -> (B,) floats.
-    Each payload streams into its own batch means, so memory does not grow
-    with count.  Every draw is kept, so the acceptance_rate diagnostic is 1.
+    moment_fns maps names to vectorised callables f(T_batch) -> (B,) floats,
+    each streamed through _estimates, so memory does not grow with count.
     """
-    acc = {name: _BatchMeans(count) for name in moment_fns}
-    for T, _ in rejection_sample_ball(ensemble_name, n, count, seed):
-        for name, fn in moment_fns.items():
-            acc[name].add(fn(T))
-    return {name: a.estimate(seed, {"acceptance_rate": 1.0}) for name, a in acc.items()}
+    def chunks():
+        return (T for T, _ in rejection_sample_ball(ensemble_name, n, count, seed))
+
+    return _estimates(chunks, moment_fns, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -684,15 +653,15 @@ def loggas_moment_estimate(
     if unknown:
         raise ValueError(f"unknown payloads {sorted(unknown)}; known: {sorted(LOGGAS_PAYLOADS)}")
     fns = {name: LOGGAS_PAYLOADS[f] if isinstance(f, str) else f for name, f in payloads.items()}
-    acc = {name: _BatchMeans(count) for name in fns}
-    rng = np.random.default_rng(seed)
-    chunk = max(1, 2**22 // n**2)
-    for start in range(0, count, chunk):
-        t = _beta_jacobi(rng, min(chunk, count - start), n, u, w, kappa)
-        x = 2.0 * t - 1.0 if a == 1 else np.sqrt(t) * rng.choice((-1.0, 1.0), t.shape)
-        for name, f in fns.items():
-            acc[name].add(f(x))
-    return {name: e.estimate(seed, {}) for name, e in acc.items()}
+
+    def chunks():
+        rng = np.random.default_rng(seed)
+        chunk = max(1, 2**22 // n**2)
+        for start in range(0, count, chunk):
+            t = _beta_jacobi(rng, min(chunk, count - start), n, u, w, kappa)
+            yield 2.0 * t - 1.0 if a == 1 else np.sqrt(t) * rng.choice((-1.0, 1.0), t.shape)
+
+    return _estimates(chunks, fns, count, seed)
 
 
 # ---------------------------------------------------------------------------

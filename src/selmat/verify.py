@@ -543,7 +543,7 @@ def check_oracle_concordance(seed: int) -> CheckResult:
                 "pass": all(d["z_paper"] > 10 for d in distinguishable),
             }
         )
-    return _result("C10", "rejection-sampler concordance", details, t0)
+    return _result("C10", "ball-sampler concordance", details, t0)
 
 
 # -- runner -----------------------------------------------------------------

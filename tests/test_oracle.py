@@ -345,7 +345,6 @@ def test_rejection_moments_match_exact_engine(kind, n, count):
     est = ball_moment_estimate(kind, n, fns, count, seed=9)
     for name, e in est.items():
         assert e.n_samples == count
-        assert e.diagnostics["acceptance_rate"] == 1.0
         assert abs(e.mean - want[name]) <= 4 * e.stderr, (name, e.mean, want[name], e.stderr)
 
 
@@ -477,17 +476,6 @@ def test_self_adjoint_draws_are_conjugated_by_uniform_permutations(monkeypatch):
     assert all(abs(c / len(out) - share) <= 4 * se for c in counts.values()), counts
 
 
-def _whole_sample_batch_means(values):
-    """(mean, stderr, ess) of BATCHES equal batches of the whole sample, held at once."""
-    m = len(values) // oracle.BATCHES
-    trimmed = values[: m * oracle.BATCHES].reshape(oracle.BATCHES, m)
-    bm = trimmed.mean(axis=1)
-    var_all, var_bm = float(trimmed.var()), float(bm.var(ddof=1))
-    ess = float(len(values)) if var_bm == 0 else float(len(values) * var_all / (m * var_bm))
-    stderr = float(bm.std(ddof=1) / math.sqrt(oracle.BATCHES))
-    return float(bm.mean()), stderr, min(ess, float(len(values)))
-
-
 def _recording(f, seen):
     def g(x):
         out = f(x)
@@ -498,14 +486,18 @@ def _recording(f, seen):
 
 
 def _assert_streamed_matches_whole_sample(estimates, seen):
+    # the chunk-by-chunk merge gives the mean and std(ddof=1)/sqrt(N) of every
+    # value held at once
     for name, e in estimates.items():
-        mean, stderr, ess = _whole_sample_batch_means(np.concatenate(seen[name]))
-        assert (e.mean, e.stderr, e.diagnostics["ess"]) == (mean, stderr, round(ess, 2)), name
+        values = np.concatenate(seen[name])
+        assert e.n_samples == len(values), name
+        assert e.mean == pytest.approx(float(values.mean()), rel=1e-12, abs=0), name
+        want = float(values.std(ddof=1) / math.sqrt(len(values)))
+        assert e.stderr == pytest.approx(want, rel=1e-12, abs=0), name
 
 
-def test_ball_batch_means_stream_matches_whole_sample():
-    # 100 003 draws is a multiple neither of BATCHES nor of the 7281-draw chunk, so
-    # batches straddle chunks and the last three draws are dropped
+def test_ball_stream_matches_whole_sample():
+    # 100 003 draws is not a multiple of the 7281-draw chunk, so the last chunk is short
     fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
     seen = {name: [] for name in fns}
     est = ball_moment_estimate(
@@ -514,7 +506,7 @@ def test_ball_batch_means_stream_matches_whole_sample():
     _assert_streamed_matches_whole_sample(est, seen)
 
 
-def test_loggas_batch_means_stream_matches_whole_sample():
+def test_loggas_stream_matches_whole_sample():
     payloads = {"s2": oracle.LOGGAS_PAYLOADS["sum_sq"], "x1": lambda x: x[:, 0]}
     seen = {name: [] for name in payloads}
     res = loggas_moment_estimate(
@@ -523,9 +515,18 @@ def test_loggas_batch_means_stream_matches_whole_sample():
     _assert_streamed_matches_whole_sample(res, seen)
 
 
+def test_stream_stderr_ignores_a_large_offset():
+    # a sum of squares minus N mean^2 would cancel T_11's spread away under the 1e8 offset
+    t11 = lambda T: T[:, 0, 0].real
+    est = ball_moment_estimate(
+        "hermitian", 3, {"t": t11, "shifted": lambda T: 1e8 + t11(T)}, 20_000, seed=2
+    )
+    assert est["shifted"].stderr == pytest.approx(est["t"].stderr, rel=1e-6)
+
+
 def test_ball_moment_estimate_memory_is_flat_in_count():
-    # the estimator keeps one batch per payload, not every draw: 4x the draws adds
-    # only its larger batch buffers (0.3 MB), where keeping every value of the
+    # the estimator keeps three numbers per payload, not every draw: 4x the draws
+    # adds nothing that grows with the count, where keeping every value of the
     # three payloads added 8.3 MB
     fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
     ball_moment_estimate("hermitian", 3, fns, 1_000, seed=1)  # numpy's first-use allocations
@@ -644,7 +645,7 @@ def test_loggas_determinism():
         (2, 2, -1, 3, 1000, "sum_sq"),  # a = 2 needs c >= 0
         (1, 0, 0, 3, 1000, "sum_sq"),  # b <= 0
         (1, 2, 0, 0, 1000, "sum_sq"),  # n < 1
-        (1, 2, 0, 3, 24, "sum_sq"),  # fewer draws than batch-means batches
+        (1, 2, 0, 3, 1, "sum_sq"),  # one draw has no stderr
         (1, 2, 0, 3, 1000, "sum_cube"),  # unknown payload name
     ],
 )
