@@ -35,7 +35,7 @@ from .oracle import (
     QuadratureSpec,
     ball_moment_estimate,
     ball_second_moments,
-    haar_u11_sq,
+    haar_moment_estimate,
     loggas_moment_estimate,
     quadrature,
 )
@@ -422,13 +422,14 @@ def _dispatch(args, em: Emitter) -> int:
         )
         return 0
     if cmd == "weingarten":
+        # () from "--cycle-type 0" is a partition given, not a flag missing
         if args.group == "unitary":
-            ct = args.cycle_type or args.coset_type
+            ct = args.coset_type if args.cycle_type is None else args.cycle_type
             if ct is None:
                 raise ValueError("weingarten unitary needs --cycle-type")
             v = wg_unitary(ct, args.k, args.z, args.w)
         else:
-            ct = args.coset_type or args.cycle_type
+            ct = args.cycle_type if args.coset_type is None else args.coset_type
             if ct is None:
                 raise ValueError("weingarten orthogonal needs --coset-type")
             v = wg_orthogonal(ct, args.k, args.z)
@@ -495,15 +496,14 @@ def _dispatch_oracle(args, em: Emitter) -> int:
             em.emit({"payload": name, **e.to_json()})
         return 0
     if oc == "haar":
-        if args.count < 2:
-            raise ValueError(f"oracle haar needs --count >= 2 for its stderr, got {args.count}")
-        m11 = haar_u11_sq(args.group, args.n, args.seed, args.count)
+        u11 = {"u11": lambda U: abs(U[:, 0, 0]) ** 2}
+        est = haar_moment_estimate(args.group, args.n, u11, args.count, args.seed)["u11"]
         em.emit(
             {
                 "group": args.group,
                 "n": args.n,
-                "E_abs_U11_sq": float(m11.mean()),
-                "stderr": float(m11.std(ddof=1) / len(m11) ** 0.5),
+                "E_abs_U11_sq": est.mean,
+                "stderr": est.stderr,
                 "target": 1.0 / args.n,
                 "count": args.count,
             }

@@ -186,30 +186,14 @@ def coset_type(perm: Permutation) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairPartition:
-    """k disjoint pairs covering {1..2k}, in canonical order.
-
-    Canonical form: pairs sorted by first element, each pair increasing, and
-    the first elements increasing (so sigma(1)=1 < sigma(3) < ...).
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.pairs)
-
-    def permutation(self) -> Permutation:
-        images = []
-        for a, b in self.pairs:
-            images.extend((a, b))
-        return Permutation(tuple(images))
-
-
 @lru_cache(maxsize=None)
-def pair_partitions(k: int) -> tuple[PairPartition, ...]:
-    """All (2k-1)!! pair partitions of {1..2k}."""
+def pair_partitions(k: int) -> tuple[Permutation, ...]:
+    """All (2k-1)!! pair partitions of {1..2k}, each as the permutation of its pairs.
+
+    Pairs are sorted by first element and each pair increases, so sigma(1) = 1
+    < sigma(3) < ... and sigma(2i - 1) < sigma(2i); the permutation lists the
+    pairs in that order.
+    """
     if k > 8:
         raise ValueError("pair_partitions capped at k <= 8")
 
@@ -224,7 +208,7 @@ def pair_partitions(k: int) -> tuple[PairPartition, ...]:
             for tail in gen(rest):
                 yield ((a, b),) + tail
 
-    return tuple(PairPartition(p) for p in gen(tuple(range(1, 2 * k + 1))))
+    return tuple(Permutation(sum(p, ())) for p in gen(tuple(range(1, 2 * k + 1))))
 
 
 @lru_cache(maxsize=None)

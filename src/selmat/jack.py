@@ -136,21 +136,32 @@ def jack_basis_matrix(kappa: Fraction, d: int) -> dict:
     return {lam: jack_row(Fraction(kappa), lam) for lam in partitions_of(d)}
 
 
+def _invert_triangular(order, basis: dict) -> dict:
+    """{mu: {lam: coeff}} with m_mu = sum_lam coeff * b_lam, by back-substitution.
+
+    basis[mu] is {nu: c} with b_mu = sum_nu c * m_nu; c at nu = mu is nonzero,
+    and every other nu comes before mu in order.
+    """
+    inv: dict[Partition, dict[Partition, Fraction]] = {}
+    for mu in order:
+        b = basis[mu]
+        row = {mu: Fraction(1)}
+        for nu, c in b.items():
+            if nu != mu:
+                for lam, d in inv[nu].items():
+                    row[lam] = row.get(lam, Fraction(0)) - c * d
+        inv[mu] = {lam: c / b[mu] for lam, c in row.items() if c != 0}
+    return inv
+
+
 @lru_cache(maxsize=None)
 def monomial_to_jack_matrix(kappa: Fraction, d: int) -> dict:
-    """Inverse table: {mu: {lambda: coeff}} with m_mu = sum_lambda coeff * P_lambda."""
-    basis = jack_basis_matrix(Fraction(kappa), d)
-    parts = partitions_of(d)
-    inv: dict[Partition, dict[Partition, Fraction]] = {}
-    for mu in reversed(parts):  # dominance-smallest first
-        row = {mu: Fraction(1)}
-        for nu, c in basis[mu].items():
-            if nu == mu:
-                continue
-            for lam, dcoef in inv[nu].items():
-                row[lam] = row.get(lam, Fraction(0)) - c * dcoef
-        inv[mu] = {lam: c for lam, c in row.items() if c != 0}
-    return inv
+    """Inverse table: {mu: {lambda: coeff}} with m_mu = sum_lambda coeff * P_lambda.
+
+    P_mu has m_mu plus dominance-smaller monomials, so the rows are solved from
+    the dominance-smallest mu up.
+    """
+    return _invert_triangular(reversed(partitions_of(d)), jack_basis_matrix(Fraction(kappa), d))
 
 
 def jack_in_monomials(lam: Partition, kappa) -> SymPoly:
@@ -227,19 +238,12 @@ def monomial_to_power_matrix(d: int) -> dict:
     if d > MAX_DEGREE:
         raise ValueError(f"degree {d} exceeds cap {MAX_DEGREE}")
     parts = partitions_of(d)  # revlex refines dominance, largest first
-    inv: dict[Partition, dict[Partition, Fraction]] = {}
-    for mu in parts:
-        row = {mu: Fraction(1)}
-        for nu in parts:
-            if nu == mu:
-                break
-            r = _merge_count(mu, nu)
-            if r:
-                for rho, c in inv[nu].items():
-                    row[rho] = row.get(rho, Fraction(0)) - r * c
-        diag = _merge_count(mu, mu)
-        inv[mu] = {rho: c / diag for rho, c in row.items() if c != 0}
-    return inv
+
+    p_in_m = {  # p_rho over the m_mu, mu dominating rho
+        rho: {mu: r for mu in parts[: i + 1] if (r := _merge_count(rho, mu))}
+        for i, rho in enumerate(parts)
+    }
+    return _invert_triangular(parts, p_in_m)
 
 
 def jack_in_power_sums(lam: Partition, kappa) -> dict:

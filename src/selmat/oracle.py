@@ -67,6 +67,24 @@ class SampleEstimate:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
+CHUNK_ENTRIES = 2**16  # one sampling chunk holds about this many matrix entries
+
+
+def _chunks(draw: Callable, n: int, count: int, seed: int):
+    """Yield draw(rng, m) for `count` draws in chunks of m = max(1, 2^16 // n^2).
+
+    One Generator seeded by `seed` feeds every chunk, so memory is bounded at
+    any n and count.  n and count are checked at the first draw.
+    """
+    import numpy as np
+    if n < 1 or count < 1:
+        raise ValueError(f"sampling needs n >= 1 and count >= 1, got {n}, {count}")
+    rng = np.random.default_rng(seed)
+    chunk = max(1, CHUNK_ENTRIES // n**2)
+    for start in range(0, count, chunk):
+        yield draw(rng, min(chunk, count - start))
+
+
 def _estimates(chunks: Callable, fns: dict, count: int, seed: int) -> dict:
     """SampleEstimates of each payload f(chunk) over the `count` i.i.d. draws of chunks().
 
@@ -547,8 +565,8 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
     """Yield batches of matrices uniform on the operator-norm unit ball.
 
     hermitian and symmetric are drawn by _sequential_self_adjoint, full-real
-    and full-complex by _sequential_full, in chunks of max(1, 2^16 // n^2)
-    matrices, each conjugated by a uniform random permutation.  Every draw is
+    and full-complex by _sequential_full, in the chunks of _chunks, each
+    matrix conjugated by a uniform random permutation.  Every draw is
     accepted.  Yields (batch_array, n_drawn) tuples, n_drawn counting the
     draws so far, until `count` matrices have been drawn.  The name, the
     positional signature and the yields are what perfbench/tracer.py wraps.
@@ -557,16 +575,17 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
     kind = ensemble_name.lower()
     if kind not in BALL_ENSEMBLES:
         raise ValueError(f"ball sampler covers {BALL_ENSEMBLES}, got {ensemble_name!r}")
-    if n < 1 or count < 1:
-        raise ValueError(f"rejection sampling needs n >= 1 and count >= 1, got {n}, {count}")
-    draw = _sequential_self_adjoint if kind in ("hermitian", "symmetric") else _sequential_full
-    rng = np.random.default_rng(seed)
-    chunk = max(1, 2**16 // n**2)
-    for start in range(0, count, chunk):
-        m = min(chunk, count - start)
-        T = draw(kind, n, rng, m)
+    sequential = _sequential_self_adjoint if kind in ("hermitian", "symmetric") else _sequential_full
+
+    def draw(rng, m):
+        T = sequential(kind, n, rng, m)
         perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        yield T[np.arange(m)[:, None, None], perm[:, :, None], perm[:, None, :]], start + m
+        return T[np.arange(m)[:, None, None], perm[:, :, None], perm[:, None, :]]
+
+    drawn = 0
+    for T in _chunks(draw, n, count, seed):
+        drawn += len(T)
+        yield T, drawn
 
 
 def ball_second_moments(ensemble_name: str) -> dict:
@@ -643,25 +662,22 @@ def loggas_moment_estimate(
     exactly and i.i.d. from the beta-Jacobi matrix model, so there is no
     burn-in and no chain.  payloads maps names to vectorised callables on a
     (count, n) array of points, or names one of LOGGAS_PAYLOADS.  Draws come
-    in chunks of max(1, 2^22 // n^2) matrices, so memory is bounded at any n.
+    in the chunks of _chunks, so memory is bounded at any n and count.
     """
     import numpy as np
     u, w, kappa = (float(x) for x in _loggas_selberg_params(a, b, c))
-    if b <= 0 or n < 1:
-        raise ValueError(f"log-gas sampler needs b > 0 and n >= 1; got {b}, {n}")
+    if b <= 0:
+        raise ValueError(f"log-gas sampler needs b > 0, got {b}")
     unknown = {f for f in payloads.values() if isinstance(f, str)} - set(LOGGAS_PAYLOADS)
     if unknown:
         raise ValueError(f"unknown payloads {sorted(unknown)}; known: {sorted(LOGGAS_PAYLOADS)}")
     fns = {name: LOGGAS_PAYLOADS[f] if isinstance(f, str) else f for name, f in payloads.items()}
 
-    def chunks():
-        rng = np.random.default_rng(seed)
-        chunk = max(1, 2**22 // n**2)
-        for start in range(0, count, chunk):
-            t = _beta_jacobi(rng, min(chunk, count - start), n, u, w, kappa)
-            yield 2.0 * t - 1.0 if a == 1 else np.sqrt(t) * rng.choice((-1.0, 1.0), t.shape)
+    def draw(rng, m):
+        t = _beta_jacobi(rng, m, n, u, w, kappa)
+        return 2.0 * t - 1.0 if a == 1 else np.sqrt(t) * rng.choice((-1.0, 1.0), t.shape)
 
-    return _estimates(chunks, fns, count, seed)
+    return _estimates(lambda: _chunks(draw, n, count, seed), fns, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -670,26 +686,20 @@ def loggas_moment_estimate(
 
 
 def _haar_chunks(group: str, n: int, seed: int, count: int):
-    """Yield `count` Haar matrices in chunks of max(1, 2^22 // n^2).
-
-    Each chunk is one stacked QR of a Gaussian with phase correction, so
-    scratch memory is bounded at any n.
-    """
+    """The chunks of `count` Haar matrices: one stacked, phase-corrected QR each."""
     import numpy as np
-    if n < 1 or count < 1:
-        raise ValueError(f"haar sampling needs n >= 1 and count >= 1, got {n}, {count}")
     if group not in ("unitary", "orthogonal"):
         raise ValueError(f"group must be unitary|orthogonal, got {group!r}")
-    rng = np.random.default_rng(seed)
-    chunk = max(1, 2**22 // n**2)
-    for start in range(0, count, chunk):
-        m = min(chunk, count - start)
+
+    def draw(rng, m):
         z = rng.standard_normal((m, n, n))
         if group == "unitary":
             z = (z + 1j * rng.standard_normal((m, n, n))) / math.sqrt(2)
         q, r = np.linalg.qr(z)
         d = np.diagonal(r, axis1=1, axis2=2)
-        yield q * (d / np.abs(d))[:, None, :]
+        return q * (d / np.abs(d))[:, None, :]
+
+    return _chunks(draw, n, count, seed)
 
 
 def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:
@@ -698,7 +708,6 @@ def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:
     return np.concatenate(list(_haar_chunks(group, n, seed, count)))
 
 
-def haar_u11_sq(group: str, n: int, seed: int, count: int) -> np.ndarray:
-    """|U_11|^2 of the matrices haar_sample draws, without keeping the matrices."""
-    import numpy as np
-    return np.concatenate([abs(U[:, 0, 0]) ** 2 for U in _haar_chunks(group, n, seed, count)])
+def haar_moment_estimate(group: str, n: int, moment_fns: dict, count: int, seed: int) -> dict:
+    """SampleEstimates of entry moments over `count` Haar matrices, as ball_moment_estimate."""
+    return _estimates(lambda: _haar_chunks(group, n, seed, count), moment_fns, count, seed)

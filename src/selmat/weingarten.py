@@ -208,7 +208,7 @@ def conj_invariant_moment_orthogonal(i_seq, trace_moments: dict, n: int) -> Rati
         raise ValueError("need an index sequence of length 2k, k <= 2")
     k = len(i_seq) // 2
     total = Fraction(0)
-    pps = [pp.permutation() for pp in pair_partitions(k)]
+    pps = pair_partitions(k)
     for sigma in pps:
         if not _delta_pair(sigma, i_seq):
             continue
@@ -252,7 +252,7 @@ def lr_moment_real(i_seq, j_seq, trace_moments: dict, n: int) -> Rational:
         raise ValueError("need row/column sequences of equal length 2k, k <= 2")
     k = len(i_seq) // 2
     total = Fraction(0)
-    pps = [pp.permutation() for pp in pair_partitions(k)]
+    pps = pair_partitions(k)
     for sigma1 in pps:
         if not _delta_pair(sigma1, i_seq):
             continue
@@ -293,7 +293,7 @@ def haar_moment_orthogonal(i_seq, j_seq, n: int) -> Rational:
         raise ValueError("need row/column sequences of equal length 2k")
     k = len(i_seq) // 2
     total = Fraction(0)
-    pps = [pp.permutation() for pp in pair_partitions(k)]
+    pps = pair_partitions(k)
     for sigma in pps:
         if not _delta_pair(sigma, i_seq):
             continue

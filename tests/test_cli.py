@@ -59,6 +59,18 @@ def test_weingarten_example(capsys):
     assert recs[1]["exact"] == "-1/140"
 
 
+@pytest.mark.parametrize("group,flag", [("unitary", "--cycle-type"), ("orthogonal", "--coset-type")])
+def test_weingarten_empty_partition_flag_is_given(capsys, group, flag):
+    # "0" parses to the empty partition, which was once read as a missing flag
+    code, recs = run_cli(capsys, "weingarten", group, "--k", "0", flag, "0", "--z", "3")
+    assert code == 0
+    assert (recs[1]["exact"], recs[1]["type"]) == ("1", "0")
+    code, recs = run_cli(capsys, "weingarten", group, "--k", "2", flag, "0", "--z", "3")
+    assert code == 2
+    kind = flag[2:].replace("-", " ")
+    assert recs[-1]["error"]["message"] == f"{kind} () is not a partition of k=2"
+
+
 def test_variance_with_limit(capsys):
     code, recs = run_cli(
         capsys, "variance", "--ensemble", "hermitian", "--convention", "paper",
@@ -172,18 +184,22 @@ def test_oracle_sample_resolves_ensemble_aliases(capsys, alias, name, off):
 
 
 def test_oracle_haar_matches_the_whole_sample(capsys):
-    # the statistic is read chunk by chunk; its record is byte-identical to the one
-    # computed from every matrix held at once
+    # the statistic is merged chunk by chunk (10 003 draws make three 4096-matrix
+    # chunks); its mean and stderr are those of every matrix held at once
     import numpy as np
 
-    main(["oracle", "haar", "--group", "unitary", "--n", "4", "--count", "3000", "--seed", "5"])
-    record = capsys.readouterr().out.splitlines()[1]
-    m11 = np.abs(oracle.haar_sample("unitary", 4, seed=5, count=3000)[:, 0, 0]) ** 2
-    want = {
-        "group": "unitary", "n": 4, "E_abs_U11_sq": float(m11.mean()),
-        "stderr": float(m11.std(ddof=1) / len(m11) ** 0.5), "target": 0.25, "count": 3000,
+    code, recs = run_cli(
+        capsys, "oracle", "haar", "--group", "unitary", "--n", "4", "--count", "10003", "--seed", "5"
+    )
+    assert code == 0
+    m11 = np.abs(oracle.haar_sample("unitary", 4, seed=5, count=10_003)[:, 0, 0]) ** 2
+    rec = recs[1]
+    assert rec["E_abs_U11_sq"] == pytest.approx(float(m11.mean()), rel=1e-12, abs=0)
+    want = float(m11.std(ddof=1) / len(m11) ** 0.5)
+    assert rec["stderr"] == pytest.approx(want, rel=1e-12, abs=0)
+    assert {k: rec[k] for k in ("group", "n", "target", "count")} == {
+        "group": "unitary", "n": 4, "target": 0.25, "count": 10_003
     }
-    assert record == json.dumps(want, sort_keys=True)
     code, _ = run_cli(capsys, "oracle", "haar", "--group", "orthogonal", "--n", "65", "--count", "2")
     assert code == 0  # memory no longer grows with count, so n has no cap
 
@@ -193,11 +209,11 @@ def test_oracle_count_below_two_refused_before_drawing(capsys, monkeypatch):
     def no_draws(*args):
         pytest.fail("drew before refusing the count")
 
-    monkeypatch.setattr(oracle, "rejection_sample_ball", no_draws)
-    monkeypatch.setattr(oracle, "_beta_jacobi", no_draws)
-    for argv in (
+    monkeypatch.setattr(oracle, "_chunks", no_draws)  # every sampler draws through it
+    for argv in (  # oracle haar once had its own guard and message
         ("sample", "--ensemble", "hermitian", "--n", "3", "--count", "1"),
         ("loggas", "--a", "1", "--b", "2", "--n", "3", "--count", "1"),
+        ("haar", "--group", "unitary", "--n", "2", "--count", "1"),
     ):
         code, recs = run_cli(capsys, "oracle", *argv)
         assert code == 2

@@ -88,14 +88,15 @@ def test_coset_type_examples():
 def test_pair_partitions():
     assert len(pair_partitions(1)) == 1
     m4 = pair_partitions(2)
-    assert {pp.permutation().images for pp in m4} == {
+    assert {sigma.images for sigma in m4} == {
         (1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3),
     }
     assert len(pair_partitions(3)) == 15
-    for pp in pair_partitions(3):
-        firsts = [a for a, _ in pp.pairs]
+    for sigma in pair_partitions(3):
+        pairs = list(zip(sigma.images[::2], sigma.images[1::2]))
+        firsts = [a for a, _ in pairs]
         assert firsts == sorted(firsts) and firsts[0] == 1
-        assert all(a < b for a, b in pp.pairs)
+        assert all(a < b for a, b in pairs)
 
 
 def test_hyperoctahedral_sizes_and_k2_elements():

@@ -23,6 +23,7 @@ from selmat.oracle import (
     UnsupportedDimensionError,
     ball_moment_estimate,
     eval_monomial,
+    haar_moment_estimate,
     haar_sample,
     loggas_moment_estimate,
     quadrature,
@@ -524,22 +525,39 @@ def test_stream_stderr_ignores_a_large_offset():
     assert est["shifted"].stderr == pytest.approx(est["t"].stderr, rel=1e-6)
 
 
+def _peak_growth(estimate):
+    """tracemalloc's peak over estimate(400_000) less its peak over estimate(100_000)."""
+    estimate(1_000)  # numpy's first-use allocations
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            estimate(count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak(400_000) - peak(100_000)
+
+
 def test_ball_moment_estimate_memory_is_flat_in_count():
     # the estimator keeps three numbers per payload, not every draw: 4x the draws
     # adds nothing that grows with the count, where keeping every value of the
     # three payloads added 8.3 MB
     fns = {name: f for name, (f, _, _) in SELF_ADJOINT_MOMENTS.items()}
-    ball_moment_estimate("hermitian", 3, fns, 1_000, seed=1)  # numpy's first-use allocations
+    assert _peak_growth(lambda count: ball_moment_estimate("hermitian", 3, fns, count, 1)) <= 1_000_000
 
-    def peak(count):
-        tracemalloc.start()
-        try:
-            ball_moment_estimate("hermitian", 3, fns, count, seed=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(400_000) - peak(100_000) <= 1_000_000
+def test_haar_moment_estimate_memory_is_flat_in_count():
+    # a 2^22-entry chunk and every |U_11|^2 value once made this grow by tens of MB
+    u11 = {"u11": lambda U: abs(U[:, 0, 0]) ** 2}
+    assert _peak_growth(lambda count: haar_moment_estimate("unitary", 2, u11, count, 1)) <= 1_000_000
+
+
+def test_loggas_moment_estimate_memory_is_flat_in_count():
+    # a 2^22-entry chunk once held every one of these draws at once
+    payloads = {"s": "sum_sq"}
+    assert _peak_growth(lambda count: loggas_moment_estimate(1, 2, 0, 2, payloads, count, 1)) <= 1_000_000
 
 
 @pytest.mark.parametrize("n,count", [(0, 10), (2, 0)])

@@ -109,15 +109,14 @@ def test_zonal_spherical_matches_hyperoctahedral_average():
         group = hyperoctahedral(k)
         for lam in partitions_of(k):
             two_lam = tuple(2 * p for p in lam)
-            for pp in pair_partitions(k):
-                sigma = pp.permutation()
+            for sigma in pair_partitions(k):
                 avg = F(sum(character(two_lam, cycle_type(sigma * z)) for z in group), len(group))
-                assert zonal_spherical(lam, sigma) == avg, (lam, pp)
+                assert zonal_spherical(lam, sigma) == avg, (lam, sigma)
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_wg_orthogonal_inverts_gram_matrix(k):
-    types = Counter(coset_type(pp.permutation()) for pp in pair_partitions(k))
+    types = Counter(coset_type(sigma) for sigma in pair_partitions(k))
     for n in (k + 1, 2 * k + 3, 20):
         wg = {rho: wg_orthogonal(rho, k, n) for rho in types}
         # e-row of Wg = G^-1 with G(sigma, tau) = n^l(coset_type(sigma^-1 tau))
@@ -141,8 +140,7 @@ def test_wg_orthogonal_k3_consistency():
 
     vals = weingarten._wg_orthogonal_table(3, F(9))
     assert set(vals) == set(partitions_of(3))
-    for pp in pair_partitions(3):
-        sigma = pp.permutation()
+    for sigma in pair_partitions(3):
         assert wg_orthogonal(coset_type(sigma), 3, 9) == vals[coset_type(sigma)]
 
 
