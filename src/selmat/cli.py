@@ -105,22 +105,31 @@ def _exact_record(value, extra=None) -> dict:
     return rec
 
 
-# Flags that only some values of a selector flag use: command -> (selector,
-# {value: {flag: (type or choices, default)}}).  Only the flags of the given
-# value are kept; giving another is an error.
+# Flags that only some values of a selector argument use: command -> (selector
+# as typed, {value: {dest: (type or choices, default)}}), each dest typed as
+# _flag(dest).  Only the flags of the given value are kept; giving another is
+# an error.
 SELECTOR_FLAGS = {
-    "oracle quad": ("kind", {
+    "oracle quad": ("--kind", {
         "selberg": {flag: (parse_rational, Fraction(1)) for flag in ("u", "w", "kappa")},
         "loggas": {"a": (int, 1), "b": (int, 2), "c": (int, 0)},
     }),
-    "asympt": ("quantity", {
+    "asympt": ("--quantity", {
         **{q: {"kappa": (parse_rational, None)} for q in SHIFTED_PAYLOADS},
         **{f"fm-{q}": {"beta": (parse_rational, None)} for q in FULL_PAYLOADS},
         "remark": {"beta": (parse_rational, None)},
         **{q: {"ensemble": (str, None), "convention": (("forced", "paper"), "forced")}
            for q in ("var", "sigma2")},
     }),
+    "weingarten": ("group", {
+        "unitary": {"cycle_type": (parse_partition, None), "w": (parse_rational, None)},
+        "orthogonal": {"coset_type": (parse_partition, None)},
+    }),
 }
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def _add_selector_flags(p, command: str) -> None:
@@ -133,8 +142,8 @@ def _add_selector_flags(p, command: str) -> None:
         typ, default = by_value[values[0]][flag]
         kind = {"choices": typ} if isinstance(typ, tuple) else {"type": typ}
         note = "" if default is None else f"; default {default}"
-        p.add_argument(f"--{flag}", **kind, default=None,
-                       help=f"--{selector} {'|'.join(values)} only{note}")
+        p.add_argument(_flag(flag), **kind, default=None,
+                       help=f"{selector} {'|'.join(values)} only{note}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,10 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weingarten", help="Weingarten function values")
     p.add_argument("group", choices=("unitary", "orthogonal"))
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--cycle-type", type=parse_partition, default=None)
-    p.add_argument("--coset-type", type=parse_partition, default=None)
     p.add_argument("--z", type=parse_rational, required=True)
-    p.add_argument("--w", type=parse_rational, default=None)
+    _add_selector_flags(p, "weingarten")
 
     p = sub.add_parser("oracle", help="numeric oracles")
     osub = p.add_subparsers(dest="oracle_command", required=True)
@@ -253,7 +260,8 @@ def _settle_selector_flags(args) -> str:
     if command not in SELECTOR_FLAGS:
         return ""
     selector, by_value = SELECTOR_FLAGS[command]
-    used = by_value.get(getattr(args, selector))
+    chosen = getattr(args, selector.lstrip("-"))
+    used = by_value.get(chosen)
     if used is None:
         return ""
     given = []
@@ -263,11 +271,11 @@ def _settle_selector_flags(args) -> str:
             setattr(args, flag, used[flag][1] if value is None else value)
             continue
         if value is not None:
-            given.append(f"--{flag}")
+            given.append(_flag(flag))
         delattr(args, flag)
     if not given:
         return ""
-    return f"{command} --{selector} {getattr(args, selector)} does not use {', '.join(given)}"
+    return f"{command} {selector} {chosen} does not use {', '.join(given)}"
 
 
 def _config_record(args) -> dict:
@@ -422,17 +430,13 @@ def _dispatch(args, em: Emitter) -> int:
         )
         return 0
     if cmd == "weingarten":
+        unitary = args.group == "unitary"
+        dest = "cycle_type" if unitary else "coset_type"
+        ct = getattr(args, dest)
         # () from "--cycle-type 0" is a partition given, not a flag missing
-        if args.group == "unitary":
-            ct = args.coset_type if args.cycle_type is None else args.cycle_type
-            if ct is None:
-                raise ValueError("weingarten unitary needs --cycle-type")
-            v = wg_unitary(ct, args.k, args.z, args.w)
-        else:
-            ct = args.cycle_type if args.coset_type is None else args.coset_type
-            if ct is None:
-                raise ValueError("weingarten orthogonal needs --coset-type")
-            v = wg_orthogonal(ct, args.k, args.z)
+        if ct is None:
+            raise ValueError(f"weingarten {args.group} needs {_flag(dest)}")
+        v = wg_unitary(ct, args.k, args.z, args.w) if unitary else wg_orthogonal(ct, args.k, args.z)
         em.emit(_exact_record(v, {"group": args.group, "k": args.k, "type": format_partition(ct)}))
         return 0
     if cmd == "oracle":

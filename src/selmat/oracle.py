@@ -591,14 +591,33 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
 def ball_second_moments(ensemble_name: str) -> dict:
     """Payloads of the ball second moments Re(T_11 T_22), |T_12|^2 and |T_11|^2.
 
-    Keyed as weingarten.self_adjoint_second_moments keys their exact values:
-    |T_12|^2 is absT12sq on the hermitian ball and T12sq on the others.
+    Each is averaged over every position it has in a draw: |T_ii|^2 over the n
+    diagonal entries, |T_ij|^2 and Re(T_ii T_jj) over the n(n-1)/2 pairs i < j.
+    The ball's law is invariant under conjugation by a permutation, so the
+    means are those of the (1, 1) and (1, 2) positions, with a smaller
+    variance; each payload is still one i.i.d. value per draw.  T12sq and
+    T11T22 need n >= 2.  Keyed as weingarten.self_adjoint_second_moments keys
+    their exact values: |T_12|^2 is absT12sq on the hermitian ball and T12sq
+    on the others.
     """
+    import numpy as np
+
+    def pairs(T):
+        return np.triu_indices(T.shape[1], 1)
+
+    def t11t22(T):
+        i, j = pairs(T)
+        return (T[:, i, i] * T[:, j, j]).real.mean(axis=1)
+
+    def t12sq(T):
+        i, j = pairs(T)
+        return (abs(T[:, i, j]) ** 2).mean(axis=1)
+
     off = "absT12sq" if ensemble_name == "hermitian" else "T12sq"
     return {
-        "T11T22": lambda T: (T[:, 0, 0] * T[:, 1, 1]).real,
-        off: lambda T: abs(T[:, 0, 1]) ** 2,
-        "T11sq": lambda T: abs(T[:, 0, 0]) ** 2,
+        "T11T22": t11t22,
+        off: t12sq,
+        "T11sq": lambda T: (abs(np.diagonal(T, axis1=1, axis2=2)) ** 2).mean(axis=1),
     }
 
 

@@ -71,6 +71,21 @@ def test_weingarten_empty_partition_flag_is_given(capsys, group, flag):
     assert recs[-1]["error"]["message"] == f"{kind} () is not a partition of k=2"
 
 
+@pytest.mark.parametrize(
+    "argv,unused",
+    [
+        (("unitary", "--k", "2", "--coset-type", "2", "--z", "3"), "--coset-type"),
+        (("orthogonal", "--k", "2", "--cycle-type", "2", "--z", "3"), "--cycle-type"),
+        (("orthogonal", "--k", "2", "--coset-type", "2", "--z", "3", "--w", "5"), "--w"),
+    ],
+)
+def test_weingarten_names_flags_of_the_other_group(capsys, argv, unused):
+    # the other group's partition flag was once read as this group's, and --w was ignored
+    code, recs = run_cli(capsys, "weingarten", *argv)
+    assert code == 2 and len(recs) == 2
+    assert recs[-1]["error"]["message"] == f"weingarten group {argv[0]} does not use {unused}"
+
+
 def test_variance_with_limit(capsys):
     code, recs = run_cli(
         capsys, "variance", "--ensemble", "hermitian", "--convention", "paper",
@@ -220,6 +235,16 @@ def test_oracle_count_below_two_refused_before_drawing(capsys, monkeypatch):
         assert recs[-1]["error"] == {
             "type": "ValueError", "message": "a Monte Carlo stderr needs count >= 2, got 1"
         }
+
+
+def test_oracle_sample_n1_draws_only_the_diagonal(capsys):
+    # T12sq and T11T22 need two rows; T_11 is uniform on [-1, 1] at n = 1
+    code, recs = run_cli(
+        capsys, "oracle", "sample", "--ensemble", "hermitian", "--n", "1", "--count", "2000"
+    )
+    assert code == 0
+    assert [r["moment"] for r in recs[1:]] == ["T11sq"]
+    assert abs(recs[1]["mean"] - 1 / 3) <= 4 * recs[1]["stderr"]
 
 
 def test_oracle_sample_two_draws_have_a_stderr(capsys):

@@ -30,7 +30,7 @@ from selmat.oracle import (
     rejection_sample_ball,
 )
 from selmat.selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
-from selmat.verify import QUAD_POINTS
+from selmat.verify import QUAD_POINTS, QUAD_RTOL
 from selmat.weingarten import (
     conj_invariant_moment_orthogonal,
     conj_invariant_moment_unitary,
@@ -109,15 +109,14 @@ def test_quadrature_loggas_matches_engine():
 @pytest.mark.parametrize("n", [2, 3])
 def test_payload_moments_match_quadrature(n):
     # each PAYLOAD_POWERS entry: its exact expansion against the quadrature of its own
-    # product of (t_i - 1/2)^e_i, at C1's resolution and tolerances
+    # product of (t_i - 1/2)^e_i, at C1's resolution and relative bound
     cases = [(kap, name) for kap in (F(1, 2), F(1), F(2)) for name in PAYLOAD_POWERS]
     specs = [QuadratureSpec("selberg", n, desc, (1, 1, kap), QUAD_POINTS)
              for kap, name in cases for desc in (("one",), ("shifted", name))]
     values = oracle.quadrature_values(specs)
     for (kap, name), base, value in zip(cases, values[::2], values[1::2]):
-        tol = 1e-3 if kap == F(1, 2) else 1e-6
         exact = float(shifted_moment_ratio(name, n, kap))
-        assert value / base == pytest.approx(exact, abs=tol), (name, kap)
+        assert value / base == pytest.approx(exact, rel=QUAD_RTOL, abs=0), (name, kap)
 
 
 def test_quadrature_error_estimate_covers_truth():
@@ -505,6 +504,26 @@ def test_ball_stream_matches_whole_sample():
         "hermitian", 3, {name: _recording(f, seen[name]) for name, f in fns.items()}, 100_003, seed=4
     )
     _assert_streamed_matches_whole_sample(est, seen)
+
+
+@pytest.mark.parametrize("kind,off", [("symmetric", "T12sq"), ("hermitian", "absT12sq")])
+def test_ball_second_moments_average_every_position(kind, off):
+    # each payload is one value per matrix: its entry's mean over the n diagonal
+    # positions or over the n(n-1)/2 pairs i < j
+    rng = np.random.default_rng(7)
+    T = rng.standard_normal((5, 3, 3))
+    if kind == "hermitian":
+        T = T + 1j * rng.standard_normal((5, 3, 3))
+    pairs = ((0, 1), (0, 2), (1, 2))
+    want = {
+        "T11sq": sum(abs(T[:, i, i]) ** 2 for i in range(3)) / 3,
+        off: sum(abs(T[:, i, j]) ** 2 for i, j in pairs) / 3,
+        "T11T22": sum((T[:, i, i] * T[:, j, j]).real for i, j in pairs) / 3,
+    }
+    fns = oracle.ball_second_moments(kind)
+    assert fns.keys() == want.keys()
+    for name, f in fns.items():
+        np.testing.assert_allclose(f(T), want[name], rtol=1e-14, atol=0, err_msg=name)
 
 
 def test_loggas_stream_matches_whole_sample():

@@ -1,97 +1,77 @@
-"""run_all's worker: C10 in one forked process beside the other criteria.
+"""verify's quadrature bound and its one-process run.
 
-The worker is a fork, so it inherits every monkeypatch made here, MC_COUNT
-included; each test sets MC_COUNT to 10 000 draws per ball to stay fast.
+C1 judges every case by one relative bound, |quad - exact| <= QUAD_RTOL |exact|,
+at QUAD_POINTS per axis; the grid test holds the same bound on half-integer
+parameters that C1 never reaches.  run_all runs every criterion in this process,
+one after another.
 """
 
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
-import time
+from fractions import Fraction as F
 
 import pytest
 
 import selmat
 from selmat import verify as V
+from selmat.exact import to_float
+from selmat.jack import jack_in_monomials, kadell_ratio
+from selmat.oracle import QuadratureSpec, quadrature_values
+from selmat.selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
 
 SRC = os.path.dirname(os.path.dirname(selmat.__file__))
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-TWO_CPUS = V._usable_cpus() >= 2
+
+HALVES = {
+    "kappa": (F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(3)),
+    "u": (F(1, 2), F(1), F(3, 2), F(5, 2), F(3)),
+    "w": (F(1, 2), F(3, 2), F(3)),
+}
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes os.fork starts, with MC_COUNT at 10 000."""
-    monkeypatch.setattr(V, "MC_COUNT", 10_000)
-    pids, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
+def _spec(p: SelbergParams, desc) -> QuadratureSpec:
+    return QuadratureSpec("selberg", p.n, desc, (p.u, p.w, p.kappa), V.QUAD_POINTS)
 
 
-def _reaped(pid) -> bool:
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+def test_closed_forms_hold_the_c1_bound_on_a_half_integer_grid():
+    # odd 2 kappa puts the integral on the ordered sector, and half-integer u or w
+    # takes the sin^2 substitution: C1's grid reaches neither 3/2 nor 5/2 for kappa,
+    # nor 1/2 for u or w
+    grid = [SelbergParams(n, u, w, kap) for n in (1, 2, 3) for kap in HALVES["kappa"]
+            for u in HALVES["u"] for w in HALVES["w"]]
+    i0 = dict(zip(grid, quadrature_values([_spec(p, ("one",)) for p in grid])))
+    cases = []  # (label, params, exact, payload of the ratio's numerator)
+    for p in grid:
+        for m in range(1, p.n + 1):
+            cases.append((f"aomoto m={m}", p, aomoto_ratio(p, m), ("elementary", m)))
+        if p.n >= 2:  # as in C1; at n = 1 the general ratio's formula is 0/0 where u + w = kappa
+            for idx in ((1, 1, 1), (1, 1, 0), (2, 1, 1)):
+                cases.append((f"aomoto {idx}", p, aomoto_general_ratio(p, *idx), ("aomoto", idx)))
+            desc = ("sympoly", jack_in_monomials((2, 1), p.kappa).coeffs)
+            cases.append(("kadell (2, 1)", p, kadell_ratio((2, 1), p.n, p.u, p.w, p.kappa), desc))
+    values = quadrature_values([_spec(p, desc) for _, p, _, desc in cases])
+    compared = [("I0", p, to_float(selberg_I0(p)).value, i0[p]) for p in grid]
+    compared += [(label, p, float(exact), val / i0[p])
+                 for (label, p, exact, _), val in zip(cases, values)]
+    bad = [c for c in compared if not abs(c[3] - c[2]) <= V.QUAD_RTOL * abs(c[2])]
+    assert len(compared) >= 900 and bad == []
 
 
-@pytest.mark.parametrize("seed", [V.DEFAULT_SEED, 11])
-def test_worker_results_match_the_serial_checks(forks, seed):
-    results = V.run_all(seed, ("C10", "C2"))
-    assert [r.criterion for r in results] == ["C10", "C2"]
-    assert len(forks) == (1 if TWO_CPUS else 0)
-    serial = [V.check_oracle_concordance(seed), V.check_jack_tables()]
-    assert [V.serialize_result(r) for r in results] == [V.serialize_result(r) for r in serial]
-    assert all(_reaped(pid) for pid in forks)
-
-
-@pytest.mark.skipif(not TWO_CPUS, reason="the worker runs on two or more CPUs only")
-def test_worker_exception_reaches_the_caller(forks, monkeypatch):
-    def broken(seed):
-        raise ValueError(f"broken C10 at seed {seed}")
-
-    monkeypatch.setattr(V, "check_oracle_concordance", broken)
-    with pytest.raises(ValueError, match="^broken C10 at seed 5$") as exc:
-        V.run_all(5, ("C10", "C2"))
-    assert "in the worker" in str(exc.value.__cause__)
-    assert len(forks) == 1 and _reaped(forks[0])
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif(not TWO_CPUS, reason="the worker runs on two or more CPUs only")
-def test_main_process_failure_stops_the_worker(forks, monkeypatch):
-    def broken_c2():
-        raise ValueError("broken C2")
-
-    # C10 would run for a minute: the worker must be stopped, not waited for
-    monkeypatch.setattr(V, "check_oracle_concordance", lambda seed: time.sleep(60))
-    monkeypatch.setattr(V, "check_jack_tables", broken_c2)
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="^broken C2$"):
-        V.run_all(V.DEFAULT_SEED, ("C10", "C2"))
-    assert time.perf_counter() - t0 < 30
-    assert len(forks) == 1 and _reaped(forks[0])
-    assert multiprocessing.active_children() == []
-
-
-def test_one_cpu_starts_no_process(forks, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    results = V.run_all(V.DEFAULT_SEED, ("C10", "C2"))
-    assert [r.criterion for r in results] == ["C10", "C2"]
-    assert forks == []
+@pytest.mark.parametrize("name,family", [("kadell_ratio", "kadell"), ("aomoto_ratio", "aomoto m=")])
+def test_c1_fails_a_ratio_one_millionth_off(monkeypatch, name, family):
+    # a relative error of 1e-6 once passed the absolute bounds 1e-3 (kappa = 1/2) and 1e-6
+    exact = getattr(V, name)
+    monkeypatch.setattr(V, name, lambda *args: exact(*args) * F(1_000_001, 1_000_000))
+    res = V.check_selberg_quadrature()
+    off = [d["case"].startswith(family) for d in res.details]
+    assert not res.passed and res.n_cases == 837
+    assert [not d["pass"] for d in res.details] == off and any(off)
 
 
 def test_cli_import_loads_no_process_pool():
-    # each CLI call is a fresh process: start-up must not pay for the worker's modules
+    # each CLI call is a fresh process: start-up must not load a process pool
     script = """
 import sys
 import selmat.cli
@@ -103,8 +83,8 @@ assert "concurrent.futures" not in sys.modules, "concurrent.futures"
 
 
 def test_piped_verify_prints_one_config_record():
-    # a worker forked with the config line still in the stdout buffer would print it twice;
-    # stdout is a pipe, and without PYTHONUNBUFFERED it is block-buffered
+    # stdout is a pipe, and without PYTHONUNBUFFERED it is block-buffered: the config
+    # line must be written once, and the criteria after it in criteria order
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
     script = """
 import sys
