@@ -467,9 +467,8 @@ def _sequential_self_adjoint(kind: str, n: int, rng, m: int) -> np.ndarray:
 
     So the sampler draws T_11, then for k = 1..n-1 draws y, puts b = R y with R
     the Cholesky factor of I - A^2, and draws d.  Nothing is rejected.  Every
-    entry is an m-vector; (I -+ A)^-1 are updated by bordering.  The output is
-    not exchangeable, because the last row is drawn last; callers conjugate it
-    by a uniform permutation.
+    entry is an m-vector; (I -+ A)^-1 are updated by bordering.  Each draw is
+    exactly uniform, although its last row is drawn last.
     """
     import numpy as np
     beta = 2 if kind == "hermitian" else 1
@@ -541,8 +540,7 @@ def _sequential_full(kind: str, n: int, rng, m: int) -> np.ndarray:
 
     So the sampler draws, for k = 0..n-1, y with a uniform direction and that
     radius, puts x = y L* with L the Cholesky factor of M, and sets
-    M <- M - x*x.  Nothing is rejected.  The last row is drawn last; callers
-    conjugate each draw by a uniform permutation, as for the self-adjoint balls.
+    M <- M - x*x.  Nothing is rejected, and each draw is exactly uniform.
     """
     import numpy as np
     beta = 2 if kind == "full-complex" else 1
@@ -565,25 +563,18 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
     """Yield batches of matrices uniform on the operator-norm unit ball.
 
     hermitian and symmetric are drawn by _sequential_self_adjoint, full-real
-    and full-complex by _sequential_full, in the chunks of _chunks, each
-    matrix conjugated by a uniform random permutation.  Every draw is
-    accepted.  Yields (batch_array, n_drawn) tuples, n_drawn counting the
-    draws so far, until `count` matrices have been drawn.  The name, the
-    positional signature and the yields are what perfbench/tracer.py wraps.
+    and full-complex by _sequential_full, in the chunks of _chunks.  Each draw
+    is exactly uniform, hence exchangeable, and is yielded as drawn, in
+    (batch_array, n_drawn) tuples, n_drawn counting the draws so far, until
+    `count` matrices have been drawn.  The name, the positional signature and
+    the yields are what perfbench/tracer.py wraps.
     """
-    import numpy as np
     kind = ensemble_name.lower()
     if kind not in BALL_ENSEMBLES:
         raise ValueError(f"ball sampler covers {BALL_ENSEMBLES}, got {ensemble_name!r}")
     sequential = _sequential_self_adjoint if kind in ("hermitian", "symmetric") else _sequential_full
-
-    def draw(rng, m):
-        T = sequential(kind, n, rng, m)
-        perm = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        return T[np.arange(m)[:, None, None], perm[:, :, None], perm[:, None, :]]
-
     drawn = 0
-    for T in _chunks(draw, n, count, seed):
+    for T in _chunks(lambda rng, m: sequential(kind, n, rng, m), n, count, seed):
         drawn += len(T)
         yield T, drawn
 
@@ -602,15 +593,12 @@ def ball_second_moments(ensemble_name: str) -> dict:
     """
     import numpy as np
 
-    def pairs(T):
-        return np.triu_indices(T.shape[1], 1)
-
     def t11t22(T):
-        i, j = pairs(T)
+        i, j = np.triu_indices(T.shape[1], 1)
         return (T[:, i, i] * T[:, j, j]).real.mean(axis=1)
 
     def t12sq(T):
-        i, j = pairs(T)
+        i, j = np.triu_indices(T.shape[1], 1)
         return (abs(T[:, i, j]) ** 2).mean(axis=1)
 
     off = "absT12sq" if ensemble_name == "hermitian" else "T12sq"
@@ -639,37 +627,45 @@ def ball_moment_estimate(ensemble_name: str, n: int, moment_fns: dict, count: in
 
 
 LOGGAS_PAYLOADS = {
-    "sum_sq": lambda x: (x**2).sum(axis=1),
-    "sum_quartic": lambda x: (x**4).sum(axis=1),
-    "cross_sq": lambda x: ((x**2).sum(axis=1) ** 2 - (x**4).sum(axis=1)) / 2.0,
+    "sum_sq": lambda p2, p4: p2,
+    "sum_quartic": lambda p2, p4: p4,
+    "cross_sq": lambda p2, p4: (p2**2 - p4) / 2.0,
 }
 
 
-def _beta_jacobi(rng, m: int, n: int, u: float, w: float, kappa: float) -> np.ndarray:
-    """m draws of the n points of the Selberg weight on [0,1]^n, shape (m, n).
+def _beta_jacobi(rng, m: int, n: int, u: float, w: float, kappa: float) -> tuple:
+    """(diagonal (m, n), off-diagonal (m, n - 1)) of m draws of a Jacobi matrix J.
 
     The weight prod t^(u-1) (1-t)^(w-1) |Delta(t)|^(2 kappa) is the beta-Jacobi
     ensemble with beta = 2 kappa, p = u/kappa - 1, q = w/kappa - 1; its points
-    are the squared singular values of an upper bidiagonal matrix with
-    independent Beta-distributed entries (Edelman and Sutton, FoCM 8 (2008)).
+    are the squared singular values of an upper bidiagonal matrix B with
+    independent Beta-distributed entries (Edelman and Sutton, FoCM 8 (2008)),
+    so the eigenvalues of J = B B^t.  The off-diagonal is taken >= 0, which
+    changes no eigenvalue.
     """
     import numpy as np
     p, q = u / kappa - 1, w / kappa - 1
-    i = np.arange(n, 0, -1)
-    c = np.sqrt(rng.beta(kappa * (p + i), kappa * (q + i), (m, n)))
-    j = np.arange(n - 1, 0, -1)
-    cp = np.sqrt(rng.beta(kappa * j, kappa * (p + q + 1 + j), (m, n - 1)))
-    s, sp = np.sqrt(1 - c**2), np.sqrt(1 - cp**2)
-    diag = c * np.concatenate([np.ones((m, 1)), sp], axis=1)  # c_n, c_{n-1} s'_{n-1}, ...
-    sup = -s[:, :-1] * cp  # -s_n c'_{n-1}, ..., -s_2 c'_1
-    # B B^t is tridiagonal; eigvalsh reads its lower triangle
-    bbt = np.zeros((m, n, n))
-    k = np.arange(n)
-    bbt[:, k, k] = diag**2
-    bbt[:, k[:-1], k[:-1]] += sup**2
-    bbt[:, k[1:], k[:-1]] = sup * diag[:, 1:]
-    t = np.clip(np.linalg.eigvalsh(bbt), 0.0, 1.0)
-    return rng.permuted(t, axis=1)  # exchangeable order, so payloads need no symmetry
+    i, j = np.arange(n, 0, -1), np.arange(n - 1, 0, -1)
+    c2 = rng.beta(kappa * (p + i), kappa * (q + i), (m, n))  # c_n^2, ..., c_1^2
+    cp2 = rng.beta(kappa * j, kappa * (p + q + 1 + j), (m, n - 1))  # c'_{n-1}^2, ..., c'_1^2
+    diag2 = c2 * np.concatenate([np.ones((m, 1)), 1 - cp2], axis=1)  # B's squared diagonal
+    sup2 = (1 - c2[:, :-1]) * cp2  # and superdiagonal
+    return diag2 + np.concatenate([sup2, np.zeros((m, 1))], axis=1), np.sqrt(sup2 * diag2[:, 1:])
+
+
+def _tridiagonal_traces(d, e) -> tuple:
+    """(Tr M, Tr M^2, Tr M^4) per draw of the symmetric tridiagonal M = tri(e, d, e).
+
+    Tr M^4 is the sum of the squared entries of M^2, whose diagonals are
+    d_i^2 + e_(i-1)^2 + e_i^2, e_i (d_i + d_(i+1)) and e_i e_(i+1), and their mirrors.
+    """
+    e2 = e**2
+    m2 = d**2  # the diagonal of M^2, which sums to Tr M^2
+    m2[:, :-1] += e2
+    m2[:, 1:] += e2
+    first, second = e2 * (d[:, :-1] + d[:, 1:]) ** 2, e2[:, :-1] * e2[:, 1:]
+    tr4 = (m2**2).sum(axis=1) + 2.0 * first.sum(axis=1) + 2.0 * second.sum(axis=1)
+    return d.sum(axis=1), m2.sum(axis=1), tr4
 
 
 def loggas_moment_estimate(
@@ -679,22 +675,23 @@ def loggas_moment_estimate(
 
     The density prod |x_i^a - x_j^a|^b prod |x_i|^c on [-1,1]^n is drawn
     exactly and i.i.d. from the beta-Jacobi matrix model, so there is no
-    burn-in and no chain.  payloads maps names to vectorised callables on a
-    (count, n) array of points, or names one of LOGGAS_PAYLOADS.  Draws come
-    in the chunks of _chunks, so memory is bounded at any n and count.
+    burn-in and no chain.  payloads maps labels to names in LOGGAS_PAYLOADS,
+    read from the power sums p2, p4 of the points as traces of _beta_jacobi's J,
+    with no eigensolver: for a = 1, x = 2t - 1, so p_k = Tr X^k with X = 2J - I;
+    for a = 2, x^2 = t, so (p2, p4) = (Tr J, Tr J^2).  Draws come in the
+    chunks of _chunks, so memory is bounded at any n and count.
     """
-    import numpy as np
     u, w, kappa = (float(x) for x in _loggas_selberg_params(a, b, c))
     if b <= 0:
         raise ValueError(f"log-gas sampler needs b > 0, got {b}")
-    unknown = {f for f in payloads.values() if isinstance(f, str)} - set(LOGGAS_PAYLOADS)
+    unknown = set(payloads.values()) - set(LOGGAS_PAYLOADS)
     if unknown:
         raise ValueError(f"unknown payloads {sorted(unknown)}; known: {sorted(LOGGAS_PAYLOADS)}")
-    fns = {name: LOGGAS_PAYLOADS[f] if isinstance(f, str) else f for name, f in payloads.items()}
+    fns = {label: lambda p, f=LOGGAS_PAYLOADS[name]: f(*p) for label, name in payloads.items()}
 
     def draw(rng, m):
-        t = _beta_jacobi(rng, m, n, u, w, kappa)
-        return 2.0 * t - 1.0 if a == 1 else np.sqrt(t) * rng.choice((-1.0, 1.0), t.shape)
+        d, e = _beta_jacobi(rng, m, n, u, w, kappa)
+        return _tridiagonal_traces(2 * d - 1, 2 * e)[1:] if a == 1 else _tridiagonal_traces(d, e)[:2]
 
     return _estimates(lambda: _chunks(draw, n, count, seed), fns, count, seed)
 

@@ -96,17 +96,20 @@ def aomoto_general_ratio(p: SelbergParams, m1: int, m2: int, m3: int) -> Rationa
     """I_{m1,m2,m3} / I_0 for the integrand prod_{i<=m1} t_i * prod (1-t_j).
 
     The m3-fold overlap contributes the extra prefactor
-    prod_{i=1}^{m3} (u+w+(n-i-1)kappa) / (u+w+1+(2n-i-1)kappa).
+    prod_{i=1}^{m3} (u+w+(n-i-1)kappa) / (u+w+1+(2n-i-1)kappa), whose numerator at
+    i is the denominator's form at j = n + i; such pairs cancel unevaluated, as both
+    vanish at (n, n, n) with u + w = kappa.
     """
     n, u, w, k = p.n, p.u, p.w, p.kappa
     check_aomoto_indices(n, m1, m2, m3)
+    cancel = max(0, m1 + m2 - n)  # <= m3, as m1 + m2 - m3 <= n
     out = Fraction(1)
     for i in range(1, m3 + 1):
-        out *= (u + w + (n - i - 1) * k) / (u + w + 1 + (2 * n - i - 1) * k)
+        out *= (u + w + (n - i - 1) * k if i > cancel else 1) / (u + w + 1 + (2 * n - i - 1) * k)
     for i in range(1, m1 + 1):
         out *= u + (n - i) * k
     for i in range(1, m2 + 1):
         out *= w + (n - i) * k
-    for i in range(1, m1 + m2 + 1):
+    for i in range(1, m1 + m2 - cancel + 1):
         out /= u + w + (2 * n - i - 1) * k
     return out

@@ -309,6 +309,20 @@ def test_verify_takes_no_size_flags(flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n,want", [(1, "1/8"), (2, "1/128")])
+def test_aomoto_general_ratio_where_an_overlap_factor_vanishes(capsys, n, want):
+    # at (m1, m2, m3) = (n, n, n) and u + w = kappa the overlap prefactor's numerator
+    # and a denominator factor are one linear form, here 0; cancelled as forms they
+    # leave 1/8 = B(3/2, 3/2)/B(1/2, 1/2) at n = 1, and 1/128 at n = 2 (quadrature:
+    # 0.019276571/2.4674011 = 0.0078125)
+    m = str(n)
+    code, recs = run_cli(
+        capsys, "aomoto", "--n", m, "--u", "1/2", "--w", "1/2", "--kappa", "1",
+        "--m1", m, "--m2", m, "--m3", m,
+    )
+    assert code == 0 and recs[1]["exact"] == want
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["selberg", "--n", "2"])  # missing required flags

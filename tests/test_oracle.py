@@ -350,9 +350,9 @@ def test_rejection_moments_match_exact_engine(kind, n, count):
 
 @pytest.mark.parametrize("kind,n", [("hermitian", 3), ("hermitian", 4), ("symmetric", 3), ("symmetric", 4)])
 def test_sequential_stage_uniform_position_by_position(kind, n):
-    # the unpermuted stage is uniform on its own: every diagonal square, every
+    # the stage is uniform position by position: every diagonal square, every
     # diagonal product and every off-diagonal square matches the exact value,
-    # so an error in any row shows at its position before the permutation hides it
+    # so an error in any row shows at its own position
     T = oracle._sequential_self_adjoint(kind, n, np.random.default_rng(17), 100_000)
     assert np.array_equal(T, np.conj(T.transpose(0, 2, 1)))
     assert np.abs(np.linalg.eigvalsh(T)).max() <= 1.0 + 1e-12
@@ -368,8 +368,9 @@ def test_sequential_stage_uniform_position_by_position(kind, n):
 
 @pytest.mark.parametrize("kind,n", [("full-real", 3), ("full-real", 4), ("full-complex", 3), ("full-complex", 4)])
 def test_row_by_row_stage_uniform_position_by_position(kind, n):
-    # the unpermuted full-ball stage: every entry's |T_ij|^2, a same-row product in
-    # every row and a cross product for every pair of rows match the exact values
+    # the full-ball stage, as the sampler yields it: every entry's |T_ij|^2, a
+    # same-row product in every row and a cross product for every pair of rows
+    # match the exact values
     T = oracle._sequential_full(kind, n, np.random.default_rng(17), 100_000)
     assert np.linalg.norm(T, ord=2, axis=(1, 2)).max() <= 1.0 + 1e-12
     exact = _full_exact(kind, n)
@@ -458,27 +459,9 @@ def test_sequential_stage_matches_dense_reference(kind):
     assert np.allclose(got, want, rtol=0, atol=1e-9)
 
 
-def test_self_adjoint_draws_are_conjugated_by_uniform_permutations(monkeypatch):
-    # the sequential stage fills the last row last; the sampler must conjugate each
-    # draw by its own uniform permutation, so C10's first-row payloads see every row
-    T0 = np.array([[0.1, 0.2, 0.3], [0.2, 0.4, 0.5], [0.3, 0.5, 0.6]])
-    monkeypatch.setattr(
-        oracle, "_sequential_self_adjoint", lambda kind, n, rng, m: np.broadcast_to(T0, (m, 3, 3))
-    )
-    out = np.concatenate([T for T, _ in rejection_sample_ball("symmetric", 3, 60_000, seed=2)])
-    perm = np.searchsorted(np.diag(T0), np.diagonal(out, axis1=1, axis2=2))  # diag(T0) is sorted
-    assert np.array_equal(out, T0[perm[:, :, None], perm[:, None, :]])
-    counts = {p: 0 for p in itertools.permutations(range(3))}
-    for row in perm:
-        counts[tuple(row)] += 1
-    share = 1 / len(counts)
-    se = math.sqrt(share * (1 - share) / len(out))
-    assert all(abs(c / len(out) - share) <= 4 * se for c in counts.values()), counts
-
-
 def _recording(f, seen):
-    def g(x):
-        out = f(x)
+    def g(*args):
+        out = f(*args)
         seen.append(np.array(out, dtype=float))
         return out
 
@@ -526,13 +509,67 @@ def test_ball_second_moments_average_every_position(kind, off):
         np.testing.assert_allclose(f(T), want[name], rtol=1e-14, atol=0, err_msg=name)
 
 
-def test_loggas_stream_matches_whole_sample():
-    payloads = {"s2": oracle.LOGGAS_PAYLOADS["sum_sq"], "x1": lambda x: x[:, 0]}
-    seen = {name: [] for name in payloads}
-    res = loggas_moment_estimate(
-        2, 2, 1, 10, {name: _recording(f, seen[name]) for name, f in payloads.items()}, 50_007, 6
-    )
+def test_loggas_stream_matches_whole_sample(monkeypatch):
+    # 50 007 draws at n = 10 fill 76 chunks of 655 and one short one
+    seen = {name: [] for name in ("sum_sq", "cross_sq")}
+    for name, values in seen.items():
+        monkeypatch.setitem(oracle.LOGGAS_PAYLOADS, name, _recording(oracle.LOGGAS_PAYLOADS[name], values))
+    res = loggas_moment_estimate(2, 2, 1, 10, {name: name for name in seen}, 50_007, 6)
     _assert_streamed_matches_whole_sample(res, seen)
+
+
+def _dense_power_sums(a, b, c, n, count, seed):
+    """(p2, p4) of each draw by the eigensolver route: dense B B^t, eigvalsh, power sums."""
+    u, w, kappa = (float(x) for x in oracle._loggas_selberg_params(a, b, c))
+    rng = np.random.default_rng(seed)  # the Beta draws of _beta_jacobi, in its order
+    p, q = u / kappa - 1, w / kappa - 1
+    i = np.arange(n, 0, -1)
+    cos = np.sqrt(rng.beta(kappa * (p + i), kappa * (q + i), (count, n)))
+    j = np.arange(n - 1, 0, -1)
+    cos_p = np.sqrt(rng.beta(kappa * j, kappa * (p + q + 1 + j), (count, n - 1)))
+    B = np.zeros((count, n, n))
+    k = np.arange(n)
+    B[:, k, k] = cos * np.concatenate([np.ones((count, 1)), np.sqrt(1 - cos_p**2)], axis=1)
+    B[:, k[:-1], k[1:]] = -np.sqrt(1 - cos[:, :-1] ** 2) * cos_p
+    t = np.linalg.eigvalsh(B @ B.transpose(0, 2, 1))
+    x2 = (2 * t - 1) ** 2 if a == 1 else t  # x = 2t - 1, or x^2 = t
+    return x2.sum(axis=1), (x2**2).sum(axis=1)
+
+
+def test_loggas_traces_match_dense_eigenvalues(monkeypatch):
+    # the payloads read p2 and p4 off traces of the Jacobi matrix; the eigenvalues of
+    # the dense B B^t from the same Beta draws give the same power sums
+    seen = {name: [] for name in ("sum_sq", "sum_quartic")}
+    for name, values in seen.items():
+        monkeypatch.setitem(oracle.LOGGAS_PAYLOADS, name, _recording(oracle.LOGGAS_PAYLOADS[name], values))
+    for ens in sorted(ENSEMBLES):
+        spec = ensemble(ens)
+        for n in (1, 2, 3, 30):  # 7 draws fit in one chunk at every n here
+            for values in seen.values():
+                values.clear()
+            loggas_moment_estimate(spec.a, spec.b, spec.c, n, {name: name for name in seen}, 7, 3)
+            want = _dense_power_sums(spec.a, spec.b, spec.c, n, 7, 3)
+            for (name, values), ref in zip(seen.items(), want):
+                np.testing.assert_allclose(values[0], ref, rtol=1e-12, atol=0, err_msg=(ens, n, name))
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric", "full-real", "full-complex"])
+def test_ball_second_moments_ignore_a_permutation(kind):
+    # conjugating by a fixed permutation P maps the diagonal onto itself and, on a
+    # self-adjoint T, the pairs i < j onto themselves up to |T_ij| = |T_ji|: every
+    # payload keeps its value, so C10 never needed permuted draws.  On a full T, P
+    # moves some T_ij below the diagonal and only the law of T12sq is invariant
+    rng = np.random.default_rng(8)
+    T = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    if kind in ("hermitian", "symmetric"):
+        T = T + np.conj(T.transpose(0, 2, 1))
+    if kind in ("symmetric", "full-real"):
+        T = T.real
+    perm = np.array([2, 0, 3, 1])
+    PTP = T[:, perm][:, :, perm]
+    for name, f in oracle.ball_second_moments(kind).items():
+        if name != "T12sq" or kind in ("hermitian", "symmetric"):
+            np.testing.assert_allclose(f(PTP), f(T), rtol=1e-13, atol=0, err_msg=name)
 
 
 def test_stream_stderr_ignores_a_large_offset():
@@ -640,7 +677,7 @@ def test_rejection_sampler_eigvalsh_path_n4():
     assert got >= 500
 
 
-LOGGAS_COUNTS = {3: 20_000, 10: 10_000, 50: 1_000}
+LOGGAS_COUNTS = {3: 20_000, 10: 10_000, 50: 1_000, 300: 1_000}
 
 
 @pytest.mark.parametrize("n", sorted(LOGGAS_COUNTS))
@@ -648,20 +685,8 @@ LOGGAS_COUNTS = {3: 20_000, 10: 10_000, 50: 1_000}
 def test_loggas_matches_exact_moments(name, n):
     spec = ensemble(name)
     r = ensemble_moments(spec, n, "forced")
-    payloads = {
-        "s2": "sum_sq",
-        "s4": "sum_quartic",
-        "cross": "cross_sq",
-        "x1sq": lambda x: x[:, 0] ** 2,  # one coordinate: needs exchangeable draws
-        "x1": lambda x: x[:, 0],  # odd: needs the x -> -x symmetry of the density
-    }
-    want = {
-        "s2": n * r.M2,
-        "s4": n * r.M4,
-        "cross": n * (n - 1) * r.M22 / 2,
-        "x1sq": r.M2,
-        "x1": 0,
-    }
+    payloads = {"s2": "sum_sq", "s4": "sum_quartic", "cross": "cross_sq"}
+    want = {"s2": n * r.M2, "s4": n * r.M4, "cross": n * (n - 1) * r.M22 / 2}
     res = loggas_moment_estimate(spec.a, spec.b, spec.c, n, payloads, LOGGAS_COUNTS[n], seed=7)
     for key, e in res.items():
         assert e.n_samples == LOGGAS_COUNTS[n]

@@ -46,9 +46,12 @@ def test_closed_forms_hold_the_c1_bound_on_a_half_integer_grid():
     for p in grid:
         for m in range(1, p.n + 1):
             cases.append((f"aomoto m={m}", p, aomoto_ratio(p, m), ("elementary", m)))
-        if p.n >= 2:  # as in C1; at n = 1 the general ratio's formula is 0/0 where u + w = kappa
-            for idx in ((1, 1, 1), (1, 1, 0), (2, 1, 1)):
+        # (n, n, n) at u + w = kappa is 0/0 unless equal linear forms cancel first:
+        # (1, 1, 1) at n = 1 and (2, 2, 2) at n = 2
+        for idx in ((1, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 2)):
+            if idx[0] + idx[1] - idx[2] <= p.n:
                 cases.append((f"aomoto {idx}", p, aomoto_general_ratio(p, *idx), ("aomoto", idx)))
+        if p.n >= 2:
             desc = ("sympoly", jack_in_monomials((2, 1), p.kappa).coeffs)
             cases.append(("kadell (2, 1)", p, kadell_ratio((2, 1), p.n, p.u, p.w, p.kappa), desc))
     values = quadrature_values([_spec(p, desc) for _, p, _, desc in cases])
