@@ -1,4 +1,4 @@
-"""Partitions, symmetric-group structure, and symmetric-function counting.
+"""Partitions and their diagrams, and symmetric-group structure.
 
 Partitions are plain tuples of weakly decreasing positive ints (the empty
 tuple is the partition of 0); they key every coefficient table in the
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -71,18 +70,14 @@ def zee(lam: Partition) -> int:
     return out
 
 
-def monomial_principal(lam: Partition, n: int) -> Fraction:
-    """m_lambda(1^n): the number of distinct monomials of type lambda; 0 if n < l."""
-    l = len(lam)
-    if n < l:
-        return Fraction(0)
-    counts: dict[int, int] = {}
-    for p in lam:
-        counts[p] = counts.get(p, 0) + 1
-    denom = math.factorial(n - l)
-    for a in counts.values():
-        denom *= math.factorial(a)
-    return Fraction(math.factorial(n), denom)
+def boxes(lam: Partition) -> list[tuple[int, int, int, int]]:
+    """(row, column, arm, leg) of each box of lambda's diagram, rows and columns from 0.
+
+    The arm of box (i, j) counts the boxes right of it in row i, lambda_i - j - 1,
+    and the leg the boxes below it in column j, lambda'_j - i - 1.
+    """
+    conj = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
+    return [(i, j, p - j - 1, conj[j] - i - 1) for i, p in enumerate(lam) for j in range(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import (
-    Partition,
-    monomial_principal,
-    partition,
-    partitions_of,
-)
+from .combinat import Partition, boxes, partition, partitions_of
 from .exact import Rational, pochhammer
 from .selberg import SelbergParams
 
@@ -177,25 +172,29 @@ def monomial_to_jack(mu: Partition, kappa) -> dict:
 
 
 def principal_specialization(lam: Partition, kappa, n: int) -> Rational:
-    """P_lambda^(1/kappa)(1^n), by summing monomial counts (exact; 0 if n < l)."""
+    """P_lambda^(1/kappa)(1^n) = prod over the boxes (i, j) of lambda, counted from 0, of
+    (kappa (n - i) + j) / (arm + kappa (leg + 1)): exact, 0 if n < l, and no Jack row
+    (Stanley, Adv. Math. 77 (1989), Thm 5.4; Macdonald VI (10.20)).
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    lam = partition(lam)
-    poly = jack_in_monomials(lam, kappa)
-    return sum(
-        (c * monomial_principal(mu, n) for mu, c in poly.coeffs), Fraction(0)
-    )
+    lam, kappa = partition(lam), Fraction(kappa)
+    _check_jack_args(kappa, sum(lam))
+    out = Fraction(1)
+    for i, j, arm, leg in boxes(lam):
+        out *= (kappa * (n - i) + j) / (arm + kappa * (leg + 1))
+    return out
 
 
 def kadell_ratio(lam: Partition, n: int, u, w, kappa) -> Rational:
     """I(lambda)/I(0): normalised Selberg integral of P_lambda^(1/kappa).
 
-    Equals P_lambda(1^n) * prod_i (u+(n-i)kappa)_{lambda_i} / (u+w+(2n-i-1)kappa)_{lambda_i};
-    returns 0 when n < l(lambda) (the polynomial vanishes in n variables).
+    Equals P_lambda(1^n) * prod_i (u+(n-i)kappa)_{lambda_i} / (u+w+(2n-i-1)kappa)_{lambda_i},
+    all factors linear in n; 0 when n < l(lambda), where a denominator can vanish.
     """
     lam = partition(lam)
     params = SelbergParams(n, u, w, kappa)  # validates the constraint set
-    _check_jack_args(params.kappa, sum(lam))  # also where the shortcut skips jack_row
+    _check_jack_args(params.kappa, sum(lam))  # before the shortcut, so it refuses at every n
     if n < len(lam):
         return Fraction(0)
     out = principal_specialization(lam, params.kappa, n)

@@ -6,13 +6,14 @@ combination.  For a fixed ensemble all of these are exact rational functions
 of n, and ``RationalFunction`` does exact arithmetic on them.  At each ball's
 Selberg weight (u, w, kappa) (``EnsembleSpec.weight``) the monomial moment
 ratios J(m_mu)/J(1) are built once per (mu, u, w, kappa, min(n, |mu|)): each
-Kadell ratio is a falling-factorial polynomial times a product of factors
-linear in n.  Each payload E[prod_i x_i^e_i] is defined once, by its exponents
-(``PAYLOAD_POWERS``), and one expansion generic in n writes it in those ratios
-(x = 2t - 1 on the self-adjoint balls, t = x^2 on the full balls).  With the
-variance assembly, at the identity function of n, it builds one function per
-(ensemble, convention) and one per beta, which every n >= 4 evaluates in
-integer arithmetic; their Laurent expansions at infinity are the asymptotics.
+Kadell ratio is a product of factors linear in n, the hook product of
+P_lambda(1^n) times the Pochhammer factors.  Each payload E[prod_i x_i^e_i]
+is defined once, by its exponents (``PAYLOAD_POWERS``), and one expansion
+generic in n writes it in those ratios (x = 2t - 1 on the self-adjoint
+balls, t = x^2 on the full balls).  With the variance assembly, at the
+identity function of n, it builds one function per (ensemble, convention)
+and one per beta, which every n >= 4 evaluates in integer arithmetic; their
+Laurent expansions at infinity are the asymptotics.
 The J-level shifted payloads are still sampled per n and interpolated by a
 rational function of n (exact linear solve).  Nothing is fitted in floats.
 
@@ -33,8 +34,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .combinat import boxes
 from .exact import Rational, format_rational
-from .jack import jack_in_monomials, monomial_to_jack
+from .jack import monomial_to_jack
 from .jack import kadell_ratio  # noqa: F401  re-exported; perfbench traces its bindings
 
 CONVENTIONS = ("forced", "paper")
@@ -372,12 +374,12 @@ def monomial_moment_ratio(mu: tuple, n: int, u, w, kappa) -> Fraction:
     sum_lambda c_lambda K_lambda(n) with the Kadell ratio
 
         K_lambda(n) = P_lambda(1^n) prod_i (u+(n-i)k)_{lambda_i} / (u+w+(2n-i-1)k)_{lambda_i},
-        P_lambda(1^n) = sum_nu [m_nu]P_lambda (n)_{l(nu)} / prod_j m_j(nu)!,
+        P_lambda(1^n) = prod_{boxes (i, j)} (k(n-i) + j) / (arm + k(leg+1)),
 
-    a falling-factorial polynomial (``jack_in_monomials``) times factors
-    linear in n.  K_lambda = 0 for n < l(lambda): the polynomial vanishes
-    there, but the product can sit at a pole, so only the lambda with
-    l(lambda) <= min(n, |mu|) are summed.  The sum is built once as a rational
+    rows and columns counted from 0 (``principal_specialization``), so every
+    factor is linear in n.  K_lambda = 0 for n < l(lambda): the polynomial
+    vanishes there, but the product can sit at a pole, so only the lambda
+    with l(lambda) <= min(n, |mu|) are summed.  The sum is built once as a rational
     function of n per (mu, u, w, kappa, min(n, |mu|)) (monomial_moment_function)
     and evaluated here; ``kadell_ratio`` is the per-n reference.
     """
@@ -404,17 +406,11 @@ def monomial_moment_function(mu: tuple, u, w, kappa, m: int) -> RationalFunction
     for lam, c in monomial_to_jack(mu, kappa).items():
         if len(lam) > m:
             continue
-        poly = []  # P_lambda(1^n)
-        for nu, coef in jack_in_monomials(lam, kappa).coeffs:
-            coef /= math.prod(math.factorial(nu.count(v)) for v in set(nu))
-            falling = [1]
-            for k in range(len(nu)):
-                falling = _poly_mul(falling, (-k, 1))
-            poly = _poly_add(poly, [coef * x for x in falling])
-        scale = math.lcm(*(x.denominator for x in poly))
-        poly = [int(x * scale) for x in poly]
-        c /= scale
-        den = {}
+        poly, den = [1], {}
+        # P_lambda(1^n): q (kappa (n-i) + j) = P n + q j - i P over q (arm + kappa (leg+1))
+        for i, j, arm, leg in boxes(lam):
+            poly = _poly_mul(poly, (q * j - i * P, P))
+            c /= q * arm + P * (leg + 1)
         # q (u+(n-i)kappa+j) = P n + U + q j - i P and
         # q (u+w+(2n-i-1)kappa+j) = 2P n + U + W + q j - (i+1)P; the q's cancel
         for i, part in enumerate(lam, start=1):

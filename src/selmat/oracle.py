@@ -67,11 +67,12 @@ class SampleEstimate:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-CHUNK_ENTRIES = 2**16  # one sampling chunk holds about this many matrix entries
+CHUNK_ENTRIES = 2**16  # one sampling chunk holds about this many array entries
 
 
-def _chunks(draw: Callable, n: int, count: int, seed: int):
-    """Yield draw(rng, m) for `count` draws in chunks of m = max(1, 2^16 // n^2).
+def _chunks(draw: Callable, n: int, entries: int, count: int, seed: int):
+    """Yield draw(rng, m) for `count` draws in chunks of m = max(1, 2^16 // entries),
+    entries what one draw holds: n^2 for a matrix, n for the points of a log-gas.
 
     One Generator seeded by `seed` feeds every chunk, so memory is bounded at
     any n and count.  n and count are checked at the first draw.
@@ -80,7 +81,7 @@ def _chunks(draw: Callable, n: int, count: int, seed: int):
     if n < 1 or count < 1:
         raise ValueError(f"sampling needs n >= 1 and count >= 1, got {n}, {count}")
     rng = np.random.default_rng(seed)
-    chunk = max(1, CHUNK_ENTRIES // n**2)
+    chunk = max(1, CHUNK_ENTRIES // entries)
     for start in range(0, count, chunk):
         yield draw(rng, min(chunk, count - start))
 
@@ -236,9 +237,9 @@ class QuadratureSpec:
     QUADRATURE_MAX_NODES.  Everything else is resolved and checked once, here,
     before any rule is built: weight is the Selberg weight on [0,1]^n that the
     integrand reduces to (parameters at which the integral diverges raise
-    ParamOutOfRangeError); on_t is the payload as a function of t in [0,1]^n,
-    with the log-gas map composed and, on a sector rule, symmetrised; on_t_key
-    is what on_t depends on besides node_key; scale multiplies the weighed sum.
+    ParamOutOfRangeError); on_t_key, the log-gas map a and the payload, is what
+    _on_t depends on besides node_key; scale multiplies the weighed sum.  The
+    payload is checked here, but a spec holds no function.
     """
 
     kind: str
@@ -247,12 +248,10 @@ class QuadratureSpec:
     params: tuple
     points_per_axis: int = 40
     weight: SelbergParams = field(init=False, repr=False, compare=False)
-    on_t: Callable = field(init=False, repr=False, compare=False)
     on_t_key: tuple = field(init=False, repr=False, compare=False)
     scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        import numpy as np
         a = 0  # the log-gas map, none for a Selberg integrand
         if self.kind == "selberg":
             weight = SelbergParams(self.n, *self.params)
@@ -262,7 +261,7 @@ class QuadratureSpec:
         else:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         object.__setattr__(self, "weight", weight)
-        f, symmetric, even = _payload(self.payload, self.n)
+        _, _, even = _payload(self.payload, self.n)
         if a == 2 and not even:
             raise ValueError(
                 "a=2 log-gas quadrature needs a payload even per variable,"
@@ -280,13 +279,20 @@ class QuadratureSpec:
         n, _, sector, _ = node_key(self)
         scale = math.factorial(n) if sector else 1
         if a == 1:  # x = 2t - 1: dx = 2^n dt and |Delta(x)|^b is 2^(b n(n-1)/2) |Delta(t)|^b
-            f = lambda t, on_box=f: on_box(2.0 * t - 1.0)
             scale = scale * 2.0 ** (n + b * n * (n - 1) // 2)
-        elif a == 2:  # x = sqrt(t): an even integrand is 2^n times its [0,1]^n part,
-            f = lambda t, on_box=f: on_box(np.sqrt(t))  # and dx = dt / (2 sqrt(t))
-        object.__setattr__(self, "on_t", _symmetrized(f, n) if sector and not symmetric else f)
+        # a = 2, x = sqrt(t): an even integrand is 2^n times its [0,1]^n part; dx = dt / (2 sqrt t)
         object.__setattr__(self, "on_t_key", (a, repr(self.payload)))
         object.__setattr__(self, "scale", scale)
+
+
+def _on_t(spec: QuadratureSpec) -> Callable:
+    """spec's payload on t in [0,1]^n: log-gas map composed, symmetrised on a sector rule."""
+    import numpy as np
+    n, _, sector, _ = node_key(spec)
+    f, symmetric, _ = _payload(spec.payload, n)
+    if spec.on_t_key[0]:  # x = 2t - 1 (a = 1) or x = sqrt(t) (a = 2)
+        f = lambda t, on_box=f, a=spec.on_t_key[0]: on_box(2.0 * t - 1.0 if a == 1 else np.sqrt(t))
+    return _symmetrized(f, n) if sector and not symmetric else f
 
 
 def quadrature(spec: QuadratureSpec) -> tuple[float, float]:
@@ -300,8 +306,8 @@ def quadrature_values(specs) -> list[float]:
     """The value of each spec on its own rule, without an error estimate.
 
     Specs go by node set, the largest first, so the sets left in the cache are
-    small.  Each distinct payload (and log-gas map) is evaluated once per node
-    set, and weighed by every spec there in one fixed order of factors.
+    small.  Each distinct payload (and log-gas map) is resolved and evaluated
+    once per node set, and weighed by every spec there in one fixed order.
     """
     import numpy as np
     groups = {}  # node_key -> on_t_key -> indices into specs
@@ -313,7 +319,7 @@ def quadrature_values(specs) -> list[float]:
         nodes = _node_set(*key)
         density, interaction = {}, {}  # per (u, w) and per kappa
         for idx in by_payload.values():
-            vals = specs[idx[0]].on_t(nodes[0])
+            vals = _on_t(specs[idx[0]])(nodes[0])
             for i in idx:
                 p = specs[i].weight
                 if (p.u, p.w) not in density:
@@ -574,7 +580,7 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
         raise ValueError(f"ball sampler covers {BALL_ENSEMBLES}, got {ensemble_name!r}")
     sequential = _sequential_self_adjoint if kind in ("hermitian", "symmetric") else _sequential_full
     drawn = 0
-    for T in _chunks(lambda rng, m: sequential(kind, n, rng, m), n, count, seed):
+    for T in _chunks(lambda rng, m: sequential(kind, n, rng, m), n, n * n, count, seed):
         drawn += len(T)
         yield T, drawn
 
@@ -693,7 +699,7 @@ def loggas_moment_estimate(
         d, e = _beta_jacobi(rng, m, n, u, w, kappa)
         return _tridiagonal_traces(2 * d - 1, 2 * e)[1:] if a == 1 else _tridiagonal_traces(d, e)[:2]
 
-    return _estimates(lambda: _chunks(draw, n, count, seed), fns, count, seed)
+    return _estimates(lambda: _chunks(draw, n, n, count, seed), fns, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +721,7 @@ def _haar_chunks(group: str, n: int, seed: int, count: int):
         d = np.diagonal(r, axis1=1, axis2=2)
         return q * (d / np.abs(d))[:, None, :]
 
-    return _chunks(draw, n, count, seed)
+    return _chunks(draw, n, n * n, count, seed)
 
 
 def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:

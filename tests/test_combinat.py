@@ -8,12 +8,12 @@ import pytest
 from selmat.combinat import (
     Permutation,
     UnequalWeightError,
+    boxes,
     character,
     coset_type,
     cycle_type,
     format_partition,
     hyperoctahedral,
-    monomial_principal,
     pair_partitions,
     parse_partition,
     partition,
@@ -191,26 +191,19 @@ def test_zee():
     assert zee(()) == 1
 
 
-def test_monomial_principal_examples():
-    assert monomial_principal((1, 1), 3) == 3
-    assert monomial_principal((2, 1), 3) == 6
-    assert monomial_principal((2,), 1) == 1
-    assert monomial_principal((1, 1), 1) == 0
-
-
-def brute_monomial_count(lam, n):
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    return len(set(itertools.permutations(padded)))
-
-
-def test_monomial_principal_vs_enumeration():
-    for n in range(1, 7):
-        for d in range(1, 5):
-            for lam in partitions_of(d):
-                if len(lam) <= n:
-                    assert monomial_principal(lam, n) == brute_monomial_count(lam, n)
-                else:
-                    assert monomial_principal(lam, n) == 0
+def test_boxes_arms_and_legs():
+    assert boxes(()) == []
+    assert boxes((3, 1)) == [(0, 0, 2, 1), (0, 1, 1, 0), (0, 2, 0, 0), (1, 0, 0, 0)]
+    for d in range(1, 9):
+        for lam in partitions_of(d):
+            got = boxes(lam)
+            assert [(i, j) for i, j, _, _ in got] == [(i, j) for i, p in enumerate(lam) for j in range(p)]
+            # hook length formula: f^lambda = chi^lambda(1^d) = d! / prod (arm + leg + 1)
+            hooks = math.prod(arm + leg + 1 for _, _, arm, leg in got)
+            assert hooks * character(lam, (1,) * d) == math.factorial(d), lam
+            # the conjugate diagram swaps rows with columns and arms with legs
+            conj = partition(sum(1 for p in lam if p > j) for j in range(lam[0]))
+            assert sorted((j, i, leg, arm) for i, j, arm, leg in got) == boxes(conj), lam
 
 
 def test_permutation_algebra():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -105,13 +107,16 @@ def test_rows_equal_the_dense_basis(kappa):
 
 
 def test_one_row_builds_no_basis():
-    # a single Jack polynomial, its specialization and its Kadell ratio read one row
-    kap = F(7, 11)
+    # a single Jack polynomial reads one row; its specialization and its Kadell
+    # ratio read none (no other test builds a degree-12 row at kappa = 5/13)
+    kap = F(5, 13)
     misses = jack_basis_matrix.cache_info().misses
     assert jack_in_monomials((MAX_DEGREE,), kap).coeff((MAX_DEGREE,)) == 1
+    assert jack_basis_matrix.cache_info().misses == misses
+    rows = jack_row.cache_info().misses
     assert principal_specialization((5, 4, 3), kap, 3) > 0
     assert kadell_ratio((6, 6), 4, 1, 1, kap) > 0
-    assert jack_basis_matrix.cache_info().misses == misses
+    assert jack_row.cache_info().misses == rows
 
 
 def test_first_table_row():
@@ -218,6 +223,41 @@ def test_principal_specialization_examples():
         for n in (1, 2, 3, 6):
             want = n + kap * n * (n - 1) / (kap + 1)
             assert principal_specialization((2,), kap, n) == want
+
+
+def monomial_count(mu, n):
+    """m_mu(1^n): the distinct monomials of type mu in n variables, n!/((n-l)! prod_j m_j!)."""
+    if n < len(mu):
+        return 0
+    mult = math.prod(math.factorial(mu.count(v)) for v in set(mu))
+    return math.factorial(n) // (math.factorial(n - len(mu)) * mult)
+
+
+def brute_monomial_count(mu, n):
+    padded = tuple(mu) + (0,) * (n - len(mu))
+    return len(set(itertools.permutations(padded)))
+
+
+def test_principal_specialization_matches_the_monomial_route():
+    # the reference: P_lambda(1^n) = sum_mu [m_mu]P_lambda m_mu(1^n), from the Jack row
+    assert [monomial_count(mu, 3) for mu in ((1, 1), (2, 1), (2,))] == [3, 6, 3]
+    assert monomial_count((2,), 1) == 1 and monomial_count((1, 1), 1) == 0
+    for n in range(1, 7):
+        for d in range(1, 5):
+            for mu in partitions_of(d):
+                want = brute_monomial_count(mu, n) if len(mu) <= n else 0
+                assert monomial_count(mu, n) == want, (mu, n)
+    # kappa != 1: arm + kappa (leg + 1) is symmetric in arm and leg at kappa = 1
+    cases = 0
+    for kap in (F(1, 3), F(2), F(7, 11)):
+        for d in range(MAX_DEGREE + 1):
+            for lam in partitions_of(d):
+                row = jack_row(kap, lam)
+                for n in sorted({len(lam) - 1, len(lam), len(lam) + 2, 20} - {-1}):
+                    want = sum((c * monomial_count(mu, n) for mu, c in row.items()), F(0))
+                    assert principal_specialization(lam, kap, n) == want, (kap, lam, n)
+                    cases += 1
+    assert cases == 3261
 
 
 def test_principal_vanishes_below_length():

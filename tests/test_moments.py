@@ -254,6 +254,16 @@ def test_monomial_moment_ratio_matches_per_n_kadell(weight):
             assert monomial_moment_ratio(mu, n, *weight) == kadell_sum(mu, n, *weight), (mu, n)
 
 
+@pytest.mark.parametrize("weight", [(F(1), F(1), F(1, 2)), (F(1, 3), F(1, 2), F(3, 2))], ids=weight_id)
+def test_monomial_moment_ratio_matches_per_n_kadell_degree_5_to_8(weight):
+    # the hook factors of large partitions: arms and legs up to 7, rows and columns up to 7
+    monomials = [mu for d in range(5, 9) for mu in partitions_of(d)]
+    assert len(monomials) == 55
+    for mu in monomials:
+        for n in (*range(1, 10), 12, 30):  # every m = min(n, |mu|), then two n past it
+            assert monomial_moment_ratio(mu, n, *weight) == kadell_sum(mu, n, *weight), (mu, n)
+
+
 def test_monomial_moment_ratio_vanishes_below_the_length():
     # m_(1,1) = P_(1,1) and m_(1,1,1,1) = P_(1,1,1,1) vanish in fewer variables;
     # at kappa = 2 and 3 their Kadell products sit at a pole there

@@ -216,18 +216,23 @@ def test_quadrature_values_equal_one_spec_calls():
         assert value == quadrature(spec)[0], spec
 
 
-def test_quadrature_values_evaluates_each_payload_once_per_node_set():
-    # each spec resolves its payload once, when it is made; evaluation is shared
+def test_quadrature_values_evaluates_each_payload_once_per_node_set(monkeypatch):
+    # each payload is resolved and evaluated once per node set, however many specs share it
     specs = [QuadratureSpec("selberg", n, d, params, 12)
              for n in (2, 3) for params in MIXED_WEIGHTS for d in SYMMETRIC_PAYLOADS]
     evaluations = []
-    for spec in specs:
-        on_t = spec.on_t
-        object.__setattr__(spec, "on_t", lambda t, f=on_t: evaluations.append(f) or f(t))
+    resolve = oracle._on_t
+    monkeypatch.setattr(oracle, "_on_t", lambda spec: lambda t, f=resolve(spec): evaluations.append(f) or f(t))
     oracle.quadrature_values(specs)
     node_sets = {oracle.node_key(s) for s in specs}
     assert len(node_sets) == 8 and len(specs) == 16 * len(SYMMETRIC_PAYLOADS)
     assert len(evaluations) == len(node_sets) * len(SYMMETRIC_PAYLOADS)
+
+
+def test_quadrature_spec_holds_no_function():
+    # a spec keeps its payload's descriptor; quadrature_values resolves it per group
+    for spec in mixed_batch():
+        assert not [name for name, value in vars(spec).items() if callable(value)], spec
 
 
 @pytest.mark.parametrize("c", [-1, 0, 1, 2])
@@ -510,7 +515,7 @@ def test_ball_second_moments_average_every_position(kind, off):
 
 
 def test_loggas_stream_matches_whole_sample(monkeypatch):
-    # 50 007 draws at n = 10 fill 76 chunks of 655 and one short one
+    # 50 007 draws at n = 10 fill 7 chunks of 6553 and one short one
     seen = {name: [] for name in ("sum_sq", "cross_sq")}
     for name, values in seen.items():
         monkeypatch.setitem(oracle.LOGGAS_PAYLOADS, name, _recording(oracle.LOGGAS_PAYLOADS[name], values))
