@@ -35,6 +35,14 @@ def dominance_leq(mu, lam) -> bool:
     return True
 
 
+def monomial_count(mu, n):
+    """m_mu(1^n): the distinct monomials of type mu in n variables, n!/((n-l)! prod_j m_j!)."""
+    if n < len(mu):
+        return 0
+    mult = math.prod(math.factorial(mu.count(v)) for v in set(mu))
+    return math.factorial(n) // (math.factorial(n - len(mu)) * mult)
+
+
 def test_partitions_of_order():
     assert partitions_of(0) == ((),)
     assert partitions_of(2) == ((2,), (1, 1))
@@ -189,6 +197,28 @@ def test_zee():
     assert zee((2, 1)) == 2
     assert zee((3,)) == 3
     assert zee(()) == 1
+
+
+def test_monomial_principal_examples():
+    assert monomial_count((1, 1), 3) == 3
+    assert monomial_count((2, 1), 3) == 6
+    assert monomial_count((2,), 1) == 1
+    assert monomial_count((1, 1), 1) == 0
+
+
+def brute_monomial_count(lam, n):
+    padded = tuple(lam) + (0,) * (n - len(lam))
+    return len(set(itertools.permutations(padded)))
+
+
+def test_monomial_principal_vs_enumeration():
+    for n in range(1, 7):
+        for d in range(1, 5):
+            for lam in partitions_of(d):
+                if len(lam) <= n:
+                    assert monomial_count(lam, n) == brute_monomial_count(lam, n)
+                else:
+                    assert monomial_count(lam, n) == 0
 
 
 def test_boxes_arms_and_legs():

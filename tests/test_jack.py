@@ -1,5 +1,3 @@
-import itertools
-import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +21,7 @@ from selmat.jack import (
     principal_specialization,
 )
 from selmat.selberg import ParamOutOfRangeError, SelbergParams, aomoto_ratio
-from test_combinat import dominance_leq  # the dominance order is only tested
+from test_combinat import dominance_leq, monomial_count  # test-only: dominance order, m_mu(1^n)
 
 KAPPAS = (F(1, 2), F(1), F(2), F(3))
 
@@ -225,28 +223,8 @@ def test_principal_specialization_examples():
             assert principal_specialization((2,), kap, n) == want
 
 
-def monomial_count(mu, n):
-    """m_mu(1^n): the distinct monomials of type mu in n variables, n!/((n-l)! prod_j m_j!)."""
-    if n < len(mu):
-        return 0
-    mult = math.prod(math.factorial(mu.count(v)) for v in set(mu))
-    return math.factorial(n) // (math.factorial(n - len(mu)) * mult)
-
-
-def brute_monomial_count(mu, n):
-    padded = tuple(mu) + (0,) * (n - len(mu))
-    return len(set(itertools.permutations(padded)))
-
-
 def test_principal_specialization_matches_the_monomial_route():
     # the reference: P_lambda(1^n) = sum_mu [m_mu]P_lambda m_mu(1^n), from the Jack row
-    assert [monomial_count(mu, 3) for mu in ((1, 1), (2, 1), (2,))] == [3, 6, 3]
-    assert monomial_count((2,), 1) == 1 and monomial_count((1, 1), 1) == 0
-    for n in range(1, 7):
-        for d in range(1, 5):
-            for mu in partitions_of(d):
-                want = brute_monomial_count(mu, n) if len(mu) <= n else 0
-                assert monomial_count(mu, n) == want, (mu, n)
     # kappa != 1: arm + kappa (leg + 1) is symmetric in arm and leg at kappa = 1
     cases = 0
     for kap in (F(1, 3), F(2), F(7, 11)):
