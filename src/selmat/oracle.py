@@ -472,9 +472,12 @@ def _sequential_self_adjoint(kind: str, n: int, rng, m: int) -> np.ndarray:
     n = 3, as the exact engine gives.
 
     So the sampler draws T_11, then for k = 1..n-1 draws y, puts b = R y with R
-    the Cholesky factor of I - A^2, and draws d.  Nothing is rejected.  Every
-    entry is an m-vector; (I -+ A)^-1 are updated by bordering.  Each draw is
-    exactly uniform, although its last row is drawn last.
+    the Cholesky factor of I - A^2, and draws d.  Nothing is rejected.  No
+    inverse is kept: p + q = 2|y|^2, and since (I - A)^-1 - (I + A)^-1 =
+    2 A (I - A^2)^-1, p - q = 2 b*A z with z = (I - A^2)^-1 b = R*^-1 y, one back
+    substitution.  So d = q - 1 + L u = |y|^2 - b*A z - 1 + 2 (1 - |y|^2) u with
+    u ~ Beta(s + 1, s + 1).  Every entry is an m-vector.  Each draw is exactly
+    uniform, although its last row is drawn last.
     """
     import numpy as np
     beta = 2 if kind == "hermitian" else 1
@@ -484,14 +487,14 @@ def _sequential_self_adjoint(kind: str, n: int, rng, m: int) -> np.ndarray:
 
     a = 2.0 * symmetric_beta((n - 1) * beta / 2) - 1.0
     A = [[a]]  # A[i][j] holds entry (i, j) of every draw
-    minus, plus = [[1.0 / (1.0 - a)]], [[1.0 / (1.0 + a)]]  # (I - A)^-1, (I + A)^-1
     for k in range(1, n):
         s = (n - k - 1) * beta / 2
         g = rng.standard_normal((k, m))
         if beta == 2:
             g = g + 1j * rng.standard_normal((k, m))
         norm2 = (g.real**2 + g.imag**2).sum(axis=0)
-        y = g * np.sqrt(rng.beta(beta * k / 2, 2 * s + 2, m) / norm2)
+        r2 = rng.beta(beta * k / 2, 2 * s + 2, m)
+        y = g * np.sqrt(r2 / norm2)
         # R: lower Cholesky factor of I - A^2
         R = [[None] * k for _ in range(k)]
         for i in range(k):
@@ -500,26 +503,16 @@ def _sequential_self_adjoint(kind: str, n: int, rng, m: int) -> np.ndarray:
                 acc = acc - sum(R[i][l] * np.conj(R[j][l]) for l in range(j))
                 R[i][j] = np.sqrt(acc.real) if i == j else acc / R[j][j]
         b = [sum(R[i][j] * y[j] for j in range(i + 1)) for i in range(k)]
-        v = [sum(minus[i][j] * b[j] for j in range(k)) for i in range(k)]
-        w = [sum(plus[i][j] * b[j] for j in range(k)) for i in range(k)]
-        p = sum((np.conj(b[i]) * v[i]).real for i in range(k))
-        q = sum((np.conj(b[i]) * w[i]).real for i in range(k))
-        d = q - 1.0 + (2.0 - p - q) * symmetric_beta(s)
+        # z = R*^-1 y = (I - A^2)^-1 b, by back substitution on R*
+        z = [None] * k
+        for i in reversed(range(k)):
+            z[i] = (y[i] - sum(np.conj(R[j][i]) * z[j] for j in range(i + 1, k))) / R[i][i]
+        Az = [sum(A[i][j] * z[j] for j in range(k)) for i in range(k)]
+        bAz = sum((np.conj(b[i]) * Az[i]).real for i in range(k))  # (p - q) / 2
+        d = r2 - bAz - 1.0 + 2.0 * (1.0 - r2) * symmetric_beta(s)
         for i in range(k):
             A[i].append(b[i])
         A.append([np.conj(bi) for bi in b] + [d])
-        if k == n - 1:
-            break
-        # border (I - A)^-1 and (I + A)^-1 with the Schur complements 1 - d - p, 1 + d - q
-        sm, sp = 1.0 - d - p, 1.0 + d - q
-        minus = [
-            [minus[i][j] + v[i] * np.conj(v[j]) / sm for j in range(k)] + [v[i] / sm]
-            for i in range(k)
-        ] + [[np.conj(vj) / sm for vj in v] + [1.0 / sm]]
-        plus = [
-            [plus[i][j] + w[i] * np.conj(w[j]) / sp for j in range(k)] + [-w[i] / sp]
-            for i in range(k)
-        ] + [[-np.conj(wj) / sp for wj in w] + [1.0 / sp]]
     return np.array(A, dtype=complex if beta == 2 else float).transpose(2, 0, 1)
 
 

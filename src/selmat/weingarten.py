@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 from .combinat import (
     Partition,
@@ -26,7 +27,6 @@ from .combinat import (
     character,
     coset_type,
     cycle_type,
-    format_partition,
     pair_partitions,
     partition,
     partitions_of,
@@ -175,8 +175,10 @@ def _delta_pair(sigma: Permutation, i_seq) -> int:
     )
 
 
-def _symmetric_group(k: int):
-    return [Permutation(p) for p in itertools.permutations(range(1, k + 1))]
+@lru_cache(maxsize=None)
+def _symmetric_group(k: int) -> tuple[Permutation, ...]:
+    """All k! permutations of {1..k}, built once per k."""
+    return tuple(Permutation(p) for p in itertools.permutations(range(1, k + 1)))
 
 
 def conj_invariant_moment_unitary(i_seq, j_seq, trace_moments: dict, n: int) -> Rational:
@@ -329,7 +331,7 @@ class CovarianceReport:
     eig_trace_direction: Rational
     eig_bulk: Rational
     condition_number: Rational
-    zero_pattern_exact: bool
+    zero_pattern_exact: Optional[bool]  # None when covariance_report skips the check
 
     def to_json(self) -> dict:
         return {
@@ -412,7 +414,7 @@ def covariance_report(
     lo, hi = sorted((eig_trace, eig_bulk))
     if lo <= 0:
         raise ArithmeticError(f"covariance not positive definite at n={n}")
-    zeros = _zero_pattern_exact(kind, n, tm) if check_zeros else True
+    zeros = _zero_pattern_exact(kind, n, tm) if check_zeros else None
     return CovarianceReport(
         ensemble=kind,
         n=n,

@@ -9,7 +9,6 @@ from selmat.combinat import character, partition, partitions_of, zee
 from selmat.exact import GammaProduct
 from selmat.jack import (
     MAX_DEGREE,
-    SymPoly,
     _move_matrix,
     jack_basis_matrix,
     jack_in_monomials,

@@ -438,30 +438,39 @@ def test_sampler_agrees_with_box_reference_n2(kind):
 
 @pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
 def test_sequential_stage_matches_dense_reference(kind):
-    # the same random draws, pushed through dense per-matrix Cholesky and inverses
-    # in place of the bordered m-vector updates
-    n, m, beta = 4, 200, 2 if kind == "hermitian" else 1
-    got = oracle._sequential_self_adjoint(kind, n, np.random.default_rng(5), m)
-    rng = np.random.default_rng(5)
-    s = (n - 1) * beta / 2
-    want = np.zeros((m, n, n), dtype=got.dtype)
-    want[:, 0, 0] = 2.0 * rng.beta(s + 1, s + 1, m) - 1.0
-    for k in range(1, n):
-        s = (n - k - 1) * beta / 2
-        g = rng.standard_normal((k, m))
-        if beta == 2:
-            g = g + 1j * rng.standard_normal((k, m))
-        r2 = rng.beta(beta * k / 2, 2 * s + 2, m)
-        u = rng.random(m) if s == 0 else rng.beta(s + 1, s + 1, m)
-        for t in range(m):
-            A, I = want[t, :k, :k], np.eye(k)
-            y = g[:, t] * math.sqrt(r2[t]) / np.linalg.norm(g[:, t])
-            b = np.linalg.cholesky(I - A @ A) @ y
-            p = (b.conj() @ np.linalg.solve(I - A, b)).real
-            q = (b.conj() @ np.linalg.solve(I + A, b)).real
-            want[t, :k, k], want[t, k, :k] = b, b.conj()
-            want[t, k, k] = q - 1.0 + (2.0 - p - q) * u[t]
-    assert np.allclose(got, want, rtol=0, atol=1e-9)
+    # the same random draws, pushed through dense per-matrix Cholesky and solves
+    # for p and q, in place of the m-vector identities p + q = 2|y|^2 and
+    # p - q = 2 b*A (I - A^2)^-1 b, on blocks up to 5 x 5
+    m, beta = 200, 2 if kind == "hermitian" else 1
+    for n in (2, 4, 6):
+        got = oracle._sequential_self_adjoint(kind, n, np.random.default_rng(5), m)
+        rng = np.random.default_rng(5)
+        s = (n - 1) * beta / 2
+        want = np.zeros((m, n, n), dtype=got.dtype)
+        want[:, 0, 0] = 2.0 * rng.beta(s + 1, s + 1, m) - 1.0
+        for k in range(1, n):
+            s = (n - k - 1) * beta / 2
+            g = rng.standard_normal((k, m))
+            if beta == 2:
+                g = g + 1j * rng.standard_normal((k, m))
+            r2 = rng.beta(beta * k / 2, 2 * s + 2, m)
+            u = rng.random(m) if s == 0 else rng.beta(s + 1, s + 1, m)
+            for t in range(m):
+                A, I = want[t, :k, :k], np.eye(k)
+                y = g[:, t] * math.sqrt(r2[t]) / np.linalg.norm(g[:, t])
+                b = np.linalg.cholesky(I - A @ A) @ y
+                p = (b.conj() @ np.linalg.solve(I - A, b)).real
+                q = (b.conj() @ np.linalg.solve(I + A, b)).real
+                want[t, :k, k], want[t, k, :k] = b, b.conj()
+                want[t, k, k] = q - 1.0 + (2.0 - p - q) * u[t]
+        assert np.allclose(got, want, rtol=0, atol=1e-9), n
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
+def test_sequential_stage_n1_is_one_diagonal_entry(kind):
+    got = oracle._sequential_self_adjoint(kind, 1, np.random.default_rng(5), 7)
+    assert got.shape == (7, 1, 1)
+    assert np.array_equal(got[:, 0, 0], 2.0 * np.random.default_rng(5).random(7) - 1.0)
 
 
 def _recording(f, seen):

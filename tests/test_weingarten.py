@@ -24,7 +24,6 @@ from selmat.weingarten import (
     covariance_report,
     haar_moment_orthogonal,
     haar_moment_unitary,
-    lr_moment_complex,
     lr_moment_real,
     negcorr_report,
     wg_orthogonal,
@@ -223,6 +222,13 @@ def test_covariance_report_structure():
         assert rep.diag_diag_covariance < 0
         js = rep.to_json()
         assert js["ensemble"] == kind and js["n"] == 6
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
+def test_unchecked_covariance_report_claims_no_zero_pattern(kind):
+    rep = covariance_report(kind, 4, check_zeros=False)
+    assert rep.zero_pattern_exact is None
+    assert rep.to_json()["zero_pattern_exact"] is None
 
 
 @pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
