@@ -20,13 +20,13 @@ t = sin^2(theta) substitution, which turns the weight into a smooth
 trigonometric density.  Every acceptance-grid case is smooth after these two
 moves, so the rules converge spectrally.
 
-Every sampler is exact, at any n.  The operator-norm balls are drawn by the
-conditional-distribution method (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. II.3), so nothing is rejected: the self-adjoint balls
-grow one row and column at a time from Beta laws, and the full balls one row
-at a time from Beta radii and Cholesky factors of I - R*R.  The eigenvalue
-log-gas is drawn from the beta-Jacobi matrix model, and Haar matrices from a
-phase-corrected QR.
+Every sampler is exact, at any n, and rejects nothing.  The self-adjoint
+balls are drawn by the conditional-distribution method (Devroye, Non-Uniform
+Random Variate Generation, 1986, ch. II.3): they grow one row and column at a
+time from Beta laws.  A full ball is the leading n x n block of a Haar frame
+in F^(2n+1) (real) or F^(2n) (complex), one Cholesky factor and one solve per
+draw.  The eigenvalue log-gas is drawn from the beta-Jacobi matrix model, and
+Haar matrices from a phase-corrected QR.
 
 numpy is imported inside the functions that use it: the CLI imports this
 module for every command, and the exact commands never need numpy.
@@ -516,53 +516,35 @@ def _sequential_self_adjoint(kind: str, n: int, rng, m: int) -> np.ndarray:
     return np.array(A, dtype=complex if beta == 2 else float).transpose(2, 0, 1)
 
 
-def _sequential_full(kind: str, n: int, rng, m: int) -> np.ndarray:
+def _haar_block(kind: str, n: int, rng, m: int) -> np.ndarray:
     """m exactly uniform draws from the full operator-norm ball, shape (m, n, n).
 
-    T is drawn one row at a time.  Let beta = 1 (full-real, F = R) or 2
-    (full-complex, F = C), let R be the first k rows and M = I - R*R, so that
-    ||T|| <= 1 iff I - T*T = M - (rows k+1..n)*(rows k+1..n) is positive
-    semidefinite.  Adding a row x gives det(M - x*x) = det(M) (1 - x M^-1 x*).
-
-    Claim: R has density proportional to det(M)^((n - k) beta / 2) on M > 0.
-    At k = n this is the uniform law.  Going from k + 1 to k, put
-    s = (n - k - 1) beta / 2; the k + 1 rows have density proportional to
-    det(M)^s (1 - x M^-1 x*)^s on x M^-1 x* < 1.  Write x = y L* with L L* = M:
-    then x M^-1 x* = |y|^2 and dx = det(M)^(beta/2) dy, so integrating y over
-    the unit ball leaves det(M)^(s + beta/2), exponent (n - k) beta / 2 as
-    claimed.  Given R, y is rotation invariant with density proportional to
-    (1 - |y|^2)^s on |y| < 1 in F^n = R^(beta n); its radial density is
-    r^(beta n - 1) (1 - r^2)^s, so |y|^2 ~ Beta(beta n / 2, s + 1).  For example
-    the first row is y itself, so |T_11|^2 ~ Beta(beta / 2, beta (n - 1) + 1):
-    E|T_11|^2 is 1/(2n + 1) for full-real and 1/(2n) for full-complex, as the
-    exact engine gives.
-
-    So the sampler draws, for k = 0..n-1, y with a uniform direction and that
-    radius, puts x = y L* with L the Cholesky factor of M, and sets
-    M <- M - x*x.  Nothing is rejected, and each draw is exactly uniform.
+    Let beta = 1 (full-real, F = R) or 2 (full-complex, F = C).  The n x n
+    leading block of a Haar frame of n orthonormal rows in F^N has density
+    proportional to det(I - T*T)^(beta (N - 2n + 1) / 2 - 1) on the ball
+    (Zyczkowski and Sommers, J. Phys. A 33 (2000); Forrester, Log-gases and
+    Random Matrices (2010), ch. 3), which is constant at N = 2n + 1 (real) and
+    N = 2n (complex).  The frame is L^-1 G, G an n x N standard Gaussian over F
+    and L the Cholesky factor of G G*: G = L (L^-1 G) is G's LQ factorisation,
+    and since G U has G's law for every unitary U, so has L^-1 G U, which is
+    therefore uniform on frames.  For example E|T_11|^2 = 1/N, which is
+    1/(2n + 1) for full-real and 1/(2n) for full-complex, as the exact engine
+    gives.  Nothing is rejected.
     """
     import numpy as np
-    beta = 2 if kind == "full-complex" else 1
-    dtype = complex if beta == 2 else float
-    T = np.empty((m, n, n), dtype=dtype)
-    M = np.tile(np.eye(n, dtype=dtype), (m, 1, 1))
-    for k in range(n):
-        g = rng.standard_normal((m, n))
-        if beta == 2:
-            g = g + 1j * rng.standard_normal((m, n))
-        norm2 = (g.real**2 + g.imag**2).sum(axis=1)
-        y = g * np.sqrt(rng.beta(beta * n / 2, (n - k - 1) * beta / 2 + 1, m) / norm2)[:, None]
-        x = np.einsum("bi,bji->bj", y, np.linalg.cholesky(M).conj())  # x = y L*
-        T[:, k] = x
-        M -= x.conj()[:, :, None] * x[:, None, :]
-    return T
+    N = 2 * n + 1 if kind == "full-real" else 2 * n
+    G = rng.standard_normal((m, n, N))
+    if kind == "full-complex":
+        G = G + 1j * rng.standard_normal((m, n, N))
+    L = np.linalg.cholesky(G @ np.conj(G.transpose(0, 2, 1)))
+    return np.linalg.solve(L, G[:, :, :n])
 
 
 def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
     """Yield batches of matrices uniform on the operator-norm unit ball.
 
     hermitian and symmetric are drawn by _sequential_self_adjoint, full-real
-    and full-complex by _sequential_full, in the chunks of _chunks.  Each draw
+    and full-complex by _haar_block, in the chunks of _chunks.  Each draw
     is exactly uniform, hence exchangeable, and is yielded as drawn, in
     (batch_array, n_drawn) tuples, n_drawn counting the draws so far, until
     `count` matrices have been drawn.  The name, the positional signature and
@@ -571,9 +553,9 @@ def rejection_sample_ball(ensemble_name: str, n: int, count: int, seed: int):
     kind = ensemble_name.lower()
     if kind not in BALL_ENSEMBLES:
         raise ValueError(f"ball sampler covers {BALL_ENSEMBLES}, got {ensemble_name!r}")
-    sequential = _sequential_self_adjoint if kind in ("hermitian", "symmetric") else _sequential_full
+    draw = _sequential_self_adjoint if kind in ("hermitian", "symmetric") else _haar_block
     drawn = 0
-    for T in _chunks(lambda rng, m: sequential(kind, n, rng, m), n, n * n, count, seed):
+    for T in _chunks(lambda rng, m: draw(kind, n, rng, m), n, n * n, count, seed):
         drawn += len(T)
         yield T, drawn
 
@@ -715,12 +697,6 @@ def _haar_chunks(group: str, n: int, seed: int, count: int):
         return q * (d / np.abs(d))[:, None, :]
 
     return _chunks(draw, n, n * n, count, seed)
-
-
-def haar_sample(group: str, n: int, seed: int, count: int = 1) -> np.ndarray:
-    """`count` Haar-distributed matrices, shape (count, n, n)."""
-    import numpy as np
-    return np.concatenate(list(_haar_chunks(group, n, seed, count)))
 
 
 def haar_moment_estimate(group: str, n: int, moment_fns: dict, count: int, seed: int) -> dict:

@@ -16,6 +16,7 @@ import selmat
 from selmat import oracle
 from selmat import verify as verify_mod
 from selmat.cli import EXIT_BROKEN_PIPE, SELECTOR_FLAGS, build_parser, main
+from test_oracle import haar_sample  # test-only: the whole Haar stream held at once
 
 
 def run_cli(capsys, *argv):
@@ -207,7 +208,7 @@ def test_oracle_haar_matches_the_whole_sample(capsys):
         capsys, "oracle", "haar", "--group", "unitary", "--n", "4", "--count", "10003", "--seed", "5"
     )
     assert code == 0
-    m11 = np.abs(oracle.haar_sample("unitary", 4, seed=5, count=10_003)[:, 0, 0]) ** 2
+    m11 = np.abs(haar_sample("unitary", 4, seed=5, count=10_003)[:, 0, 0]) ** 2
     rec = recs[1]
     assert rec["E_abs_U11_sq"] == pytest.approx(float(m11.mean()), rel=1e-12, abs=0)
     want = float(m11.std(ddof=1) / len(m11) ** 0.5)

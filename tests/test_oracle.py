@@ -24,7 +24,6 @@ from selmat.oracle import (
     ball_moment_estimate,
     eval_monomial,
     haar_moment_estimate,
-    haar_sample,
     loggas_moment_estimate,
     quadrature,
     rejection_sample_ball,
@@ -327,10 +326,12 @@ def _full_exact(kind, n):
         ("full-real", 3, 80_000),
         ("full-real", 4, 80_000),
         ("full-real", 10, 20_000),
+        ("full-real", 32, 2000),
         ("full-complex", 2, 80_000),
         ("full-complex", 3, 80_000),
         ("full-complex", 4, 80_000),
         ("full-complex", 10, 20_000),
+        ("full-complex", 32, 2000),
     ],
 )
 def test_rejection_moments_match_exact_engine(kind, n, count):
@@ -376,7 +377,7 @@ def test_row_by_row_stage_uniform_position_by_position(kind, n):
     # the full-ball stage, as the sampler yields it: every entry's |T_ij|^2, a
     # same-row product in every row and a cross product for every pair of rows
     # match the exact values
-    T = oracle._sequential_full(kind, n, np.random.default_rng(17), 100_000)
+    T = oracle._haar_block(kind, n, np.random.default_rng(17), 100_000)
     assert np.linalg.norm(T, ord=2, axis=(1, 2)).max() <= 1.0 + 1e-12
     exact = _full_exact(kind, n)
     sq = np.abs(T) ** 2
@@ -429,11 +430,48 @@ def test_sampler_agrees_with_box_reference_n2(kind):
     count = 40_000
     ref = _box_reference(kind, 2, count, seed=31)
     got = np.concatenate([T for T, _ in rejection_sample_ball(kind, 2, count, seed=32)])
-    assert len(got) == len(ref) == count
-    for name, f in TWO_SAMPLE_STATS.items():
+    _assert_same_means(got, ref, TWO_SAMPLE_STATS)
+
+
+def _assert_same_means(got, ref, stats):
+    """Every statistic's two sample means agree within 4 joint stderrs."""
+    assert len(got) == len(ref)
+    for name, f in stats.items():
         a, b = f(got), f(ref)
-        se = math.hypot(a.std(), b.std()) / math.sqrt(count)
+        se = math.hypot(a.std(), b.std()) / math.sqrt(len(a))
         assert abs(a.mean() - b.mean()) <= 4 * se, (name, a.mean(), b.mean(), se)
+
+
+def _matrix_beta_reference(kind, n, count, seed):
+    """count draws uniform on the self-adjoint ball, as 2 W W* - I with W a block of a Haar frame.
+
+    W is the leading n x k block of n orthonormal rows in F^N, the frame
+    L^-1 G of an n x N Gaussian G with L L* = G G*.  Then W W* is a matrix Beta
+    with equal parameters beta k / 2 = beta (N - k) / 2 = beta (n - 1) / 2 + 1,
+    whose density is constant (Olkin and Rubin 1964; Muirhead 1982, Thm 3.3.1):
+    k = n, N = 2n for hermitian and k = n + 1, N = 2n + 2 for symmetric.
+    """
+    k, N = (n, 2 * n) if kind == "hermitian" else (n + 1, 2 * n + 2)
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((count, n, N))
+    if kind == "hermitian":
+        G = G + 1j * rng.standard_normal((count, n, N))
+    W = np.linalg.solve(np.linalg.cholesky(G @ np.conj(G.transpose(0, 2, 1))), G[:, :, :k])
+    return 2.0 * (W @ np.conj(W.transpose(0, 2, 1))) - np.eye(n)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
+def test_sampler_agrees_with_matrix_beta_reference_n6(kind):
+    # at n = 6, where box rejection keeps next to nothing, the bordered sampler
+    # agrees in law with an unrelated construction on every statistic
+    count, n = 40_000, 6
+    ref = _matrix_beta_reference(kind, n, count, seed=33)
+    got = np.concatenate([T for T, _ in rejection_sample_ball(kind, n, count, seed=34)])
+    assert len(got) == count
+    stats = dict(TWO_SAMPLE_STATS)
+    stats["absTnnSq"] = lambda T: np.abs(T[:, -1, -1]) ** 2
+    stats["traceSq"] = lambda T: np.trace(T, axis1=1, axis2=2).real ** 2
+    _assert_same_means(got, ref, stats)
 
 
 @pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
@@ -742,6 +780,11 @@ def test_loggas_quadrature_needs_even_payload():
     base, _ = quadrature(QuadratureSpec("loggas", 2, ("one",), (2, 1, 0), 36))
     m22, _ = quadrature(QuadratureSpec("loggas", 2, ("monomial", (2, 2)), (2, 1, 0), 36))
     assert m22 / base == pytest.approx(float(full_matrix_moment_ratio("x2x2", 2, 1)), abs=1e-10)
+
+
+def haar_sample(group, n, seed, count=1):
+    """`count` Haar-distributed matrices, shape (count, n, n): every chunk of the oracle's stream."""
+    return np.concatenate(list(oracle._haar_chunks(group, n, seed, count)))
 
 
 def test_haar_unitary_moments():
