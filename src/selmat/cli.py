@@ -12,35 +12,25 @@ with an {"error": {"type", "message"}} record.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 
+from . import DEFAULT_SEED, moments, oracle, weingarten
 from . import verify as verify_mod
 from .combinat import format_partition, parse_partition
 from .exact import format_rational, parse_rational, to_float
 from .jack import jack_in_monomials, kadell_ratio, principal_specialization
-from .moments import (
+from .selberg import (
     FULL_PAYLOADS,
     SHIFTED_PAYLOADS,
-    asymptotic_expansion,
-    beta_remark_combination,
-    ensemble,
-    ensemble_moments,
+    SelbergParams,
+    aomoto_general_ratio,
+    aomoto_ratio,
+    selberg_I0,
 )
-from .oracle import (
-    QuadratureSpec,
-    ball_moment_estimate,
-    ball_second_moments,
-    haar_moment_estimate,
-    loggas_moment_estimate,
-    quadrature,
-)
-from .selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
-from .weingarten import covariance_report, negcorr_report, wg_orthogonal, wg_unitary
 
 
 class Emitter:
@@ -57,6 +47,7 @@ class Emitter:
 
     def close(self):
         if self.fmt == "csv" and self.rows:
+            import csv
             keys = sorted({k for r in self.rows for k in r})
             writer = csv.DictWriter(self.out, fieldnames=keys)
             writer.writeheader()
@@ -228,24 +219,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ensemble", required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--count", type=int, default=100_000)
-    s.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
     m = osub.add_parser("loggas", help="exact i.i.d. beta-Jacobi eigenvalue sampler")
     m.add_argument("--a", type=int, required=True)
     m.add_argument("--b", type=int, required=True)
     m.add_argument("--c", type=int, default=0)
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--count", type=int, default=100_000)
-    m.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    m.add_argument("--seed", type=int, default=DEFAULT_SEED)
     m.add_argument("--payload", action="append", default=None,
                    help="sum_sq | sum_quartic | cross_sq (repeatable)")
     h = osub.add_parser("haar", help="haar moment sanity sample")
     h.add_argument("--group", choices=("unitary", "orthogonal"), required=True)
     h.add_argument("--n", type=int, required=True)
     h.add_argument("--count", type=int, default=20_000)
-    h.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    h.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("verify", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--criteria", default=None, help="comma list, e.g. C1,C2")
     return ap
 
@@ -357,12 +348,13 @@ def _dispatch(args, em: Emitter) -> int:
         em.emit(_exact_record(v, {"lambda": format_partition(args.lam), "n": args.n}))
         return 0
     if cmd == "moments":
-        em.emit(ensemble_moments(ensemble(args.ensemble), args.n, args.convention).to_json())
+        rep = moments.ensemble_moments(moments.ensemble(args.ensemble), args.n, args.convention)
+        em.emit(rep.to_json())
         return 0
     if cmd in ("variance", "sigma"):
-        spec = ensemble(args.ensemble)
+        spec = moments.ensemble(args.ensemble)
         n_list = _checked_n_list(args.n_list)
-        reports = [ensemble_moments(spec, n, args.convention) for n in n_list]
+        reports = [moments.ensemble_moments(spec, n, args.convention) for n in n_list]
         fieldname = "var" if cmd == "variance" else "sigma2"
         for rep in reports:
             v = getattr(rep, fieldname)
@@ -376,14 +368,14 @@ def _dispatch(args, em: Emitter) -> int:
                 }
             )
         if len(reports) >= 3:
-            _, (lim,) = asymptotic_expansion(
+            _, (lim,) = moments.asymptotic_expansion(
                 fieldname, 0, ensemble_name=spec.name, convention=args.convention
             )
             em.emit({"limit_float": float(lim), "ensemble": spec.name, "quantity": fieldname})
         return 0
     if cmd == "asympt":
         # _settle_selector_flags kept only the flags that the quantity uses
-        rf, coeffs = asymptotic_expansion(
+        rf, coeffs = moments.asymptotic_expansion(
             args.quantity,
             args.order,
             kappa=getattr(args, "kappa", None),
@@ -402,9 +394,9 @@ def _dispatch(args, em: Emitter) -> int:
         return 0
     if cmd == "remark-beta":
         for n in _checked_n_list(args.n_list):
-            v = beta_remark_combination(n, args.beta)
+            v = moments.beta_remark_combination(n, args.beta)
             em.emit(_exact_record(v, {"n": n, "beta": format_rational(args.beta)}))
-        _, lc = asymptotic_expansion("remark", 0, beta=args.beta)
+        _, lc = moments.asymptotic_expansion("remark", 0, beta=args.beta)
         em.emit(
             {
                 "beta": format_rational(args.beta),
@@ -414,10 +406,10 @@ def _dispatch(args, em: Emitter) -> int:
         )
         return 0
     if cmd == "covariance":
-        em.emit(covariance_report(args.ensemble, args.n, args.convention).to_json())
+        em.emit(weingarten.covariance_report(args.ensemble, args.n, args.convention).to_json())
         return 0
     if cmd == "negcorr":
-        rep = negcorr_report(args.field, args.n)
+        rep = weingarten.negcorr_report(args.field, args.n)
         em.emit(
             {
                 "field": rep["field"],
@@ -436,7 +428,10 @@ def _dispatch(args, em: Emitter) -> int:
         # () from "--cycle-type 0" is a partition given, not a flag missing
         if ct is None:
             raise ValueError(f"weingarten {args.group} needs {_flag(dest)}")
-        v = wg_unitary(ct, args.k, args.z, args.w) if unitary else wg_orthogonal(ct, args.k, args.z)
+        if unitary:
+            v = weingarten.wg_unitary(ct, args.k, args.z, args.w)
+        else:
+            v = weingarten.wg_orthogonal(ct, args.k, args.z)
         em.emit(_exact_record(v, {"group": args.group, "k": args.k, "type": format_partition(ct)}))
         return 0
     if cmd == "oracle":
@@ -476,24 +471,25 @@ def _dispatch_oracle(args, em: Emitter) -> int:
     if oc == "quad":
         payload = _parse_payload(args.payload)
         if args.kind == "selberg":
-            spec = QuadratureSpec("selberg", args.n, payload, (args.u, args.w, args.kappa), args.points)
+            params = (args.u, args.w, args.kappa)
         else:
-            spec = QuadratureSpec("loggas", args.n, payload, (args.a, args.b, args.c), args.points)
-        val, err = quadrature(spec)
+            params = (args.a, args.b, args.c)
+        spec = oracle.QuadratureSpec(args.kind, args.n, payload, params, args.points)
+        val, err = oracle.quadrature(spec)
         em.emit({"value": val, "error_estimate": err, "points_per_axis": args.points})
         return 0
     if oc == "sample":
-        n, ball = args.n, ensemble(args.ensemble).name
-        fns = ball_second_moments(ball)
+        n, ball = args.n, moments.ensemble(args.ensemble).name
+        fns = oracle.ball_second_moments(ball)
         if n < 2:
             fns = {"T11sq": fns["T11sq"]}
-        est = ball_moment_estimate(ball, n, fns, args.count, args.seed)
+        est = oracle.ball_moment_estimate(ball, n, fns, args.count, args.seed)
         for name, e in sorted(est.items()):
             em.emit({"moment": name, **e.to_json()})
         return 0
     if oc == "loggas":
         payloads = {p: p for p in (args.payload or ["sum_sq"])}
-        res = loggas_moment_estimate(
+        res = oracle.loggas_moment_estimate(
             args.a, args.b, args.c, args.n, payloads, args.count, args.seed
         )
         for name, e in sorted(res.items()):
@@ -501,7 +497,7 @@ def _dispatch_oracle(args, em: Emitter) -> int:
         return 0
     if oc == "haar":
         u11 = {"u11": lambda U: abs(U[:, 0, 0]) ** 2}
-        est = haar_moment_estimate(args.group, args.n, u11, args.count, args.seed)["u11"]
+        est = oracle.haar_moment_estimate(args.group, args.n, u11, args.count, args.seed)["u11"]
         em.emit(
             {
                 "group": args.group,

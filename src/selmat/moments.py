@@ -8,7 +8,7 @@ Selberg weight (u, w, kappa) (``EnsembleSpec.weight``) the monomial moment
 ratios J(m_mu)/J(1) are built once per (mu, u, w, kappa, min(n, |mu|)): each
 Kadell ratio is a product of factors linear in n, the hook product of
 P_lambda(1^n) times the Pochhammer factors.  Each payload E[prod_i x_i^e_i]
-is defined once, by its exponents (``PAYLOAD_POWERS``), and one expansion
+is defined once, by its exponents (``selberg.PAYLOAD_POWERS``), and one expansion
 generic in n writes it in those ratios (x = 2t - 1 on the self-adjoint
 balls, t = x^2 on the full balls).  With the variance assembly, at the
 identity function of n, it builds one function per (ensemble, convention)
@@ -38,16 +38,13 @@ from .combinat import boxes
 from .exact import Rational, format_rational
 from .jack import monomial_to_jack
 from .jack import kadell_ratio  # noqa: F401  re-exported; perfbench traces its bindings
+from .selberg import FULL_PAYLOADS, PAYLOAD_POWERS, SHIFTED_PAYLOADS
 
 CONVENTIONS = ("forced", "paper")
 
 SELF_ADJOINT = "self_adjoint"
 FULL_MATRIX = "full_matrix"
 
-# Each payload moment E[prod_i x_i^e_i] of the spectral variable x, by its exponents e
-PAYLOAD_POWERS = {"x2": (2,), "x1x1": (1, 1), "x2x2": (2, 2), "x4": (4,)}
-SHIFTED_PAYLOADS = tuple(PAYLOAD_POWERS)
-FULL_PAYLOADS = tuple(p for p, e in PAYLOAD_POWERS.items() if all(x % 2 == 0 for x in e))
 MOMENT_FIELDS = ("M2", "M4", "M22", "M11", "var", "sigma2")  # MomentReport's exact fields
 
 

@@ -43,8 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import partition
-from .moments import PAYLOAD_POWERS
-from .selberg import SelbergParams, check_aomoto_indices
+from .selberg import PAYLOAD_POWERS, SelbergParams, check_aomoto_indices
 
 
 class UnsupportedDimensionError(ValueError):
@@ -148,7 +147,7 @@ def _payload(desc, n: int) -> tuple:
     f maps points (N, n) to N values.  Descriptors: ("one",), ("monomial", lam),
     ("elementary", m) for e_m, ("sympoly", ((mu, coefficient), ...)); and, not
     symmetric, ("aomoto", (m1, m2, m3)) for prod_{i<=m1} t_i prod_{j=m1+1-m3}^{m1+m2-m3}
-    (1 - t_j) and ("shifted", name) for prod_i (t_i - 1/2)^e_i, e = moments.PAYLOAD_POWERS[name].
+    (1 - t_j) and ("shifted", name) for prod_i (t_i - 1/2)^e_i, e = PAYLOAD_POWERS[name].
     even: even in each variable, as the a = 2 log-gas map needs.
     """
     import numpy as np

@@ -13,6 +13,11 @@ from fractions import Fraction
 
 from .exact import GammaProduct, Rational, format_rational
 
+# Each payload moment E[prod_i x_i^e_i] of the spectral variable x, by its exponents e
+PAYLOAD_POWERS = {"x2": (2,), "x1x1": (1, 1), "x2x2": (2, 2), "x4": (4,)}
+SHIFTED_PAYLOADS = tuple(PAYLOAD_POWERS)
+FULL_PAYLOADS = tuple(p for p, e in PAYLOAD_POWERS.items() if all(x % 2 == 0 for x in e))
+
 
 class ParamOutOfRangeError(ValueError):
     """Parameters violate the Selberg convergence constraints."""

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import DEFAULT_SEED  # noqa: F401  re-exported: the default --seed of verify
 from .combinat import Permutation, partitions_of
 from .exact import format_rational, to_float
 from .jack import jack_in_monomials, kadell_ratio, monomial_to_jack
@@ -39,7 +40,6 @@ from .weingarten import (
     zonal_spherical,
 )
 
-DEFAULT_SEED = 20240801
 QUAD_POINTS = 28
 QUAD_RTOL = 1e-11  # |quad - exact| <= QUAD_RTOL |exact| for every C1 case
 MC_COUNT = 400_000

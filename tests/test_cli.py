@@ -539,6 +539,13 @@ EXACT_COMMANDS = [
 ]
 
 
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter that imports this selmat."""
+    src = os.path.dirname(os.path.dirname(selmat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+
+
 def test_exact_commands_run_without_numpy():
     # each CLI call is a fresh process, so an exact command must not pay numpy's import
     script = f"""
@@ -553,14 +560,48 @@ with contextlib.redirect_stdout(io.StringIO()):
     loaded.append("numpy" in sys.modules)
 print(json.dumps([codes, loaded]))
 """
-    src = os.path.dirname(os.path.dirname(selmat.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    res = _fresh_python(script)
     assert res.returncode == 0, res.stderr
     codes, loaded = json.loads(res.stdout)
     assert codes == [0] * (len(EXACT_COMMANDS) + 1)
     # no exact command loads numpy, and the oracle call shows that the check sees it load
     assert loaded == [False, True]
+
+
+ON_FIRST_USE = ("moments", "oracle", "verify", "weingarten")
+
+# argv (None: `import selmat.cli` alone) -> the on-first-use layers it executes
+EXECUTED_LAYERS = [
+    (None, []),
+    (("jack", "expand", "--lam", "2,1", "--kappa", "1/2"), []),
+    (("kadell", "--lam", "2,1", "--n", "3", "--u", "1", "--w", "1", "--kappa", "2"), []),
+    (("selberg", "--n", "2", "--u", "1/2", "--w", "1", "--kappa", "1"), []),
+    (("aomoto", "--n", "3", "--u", "1", "--w", "1", "--kappa", "1/2", "--m", "2"), []),
+    (("sigma", "--ensemble", "symmetric", "--n-list", "2:5"), ["moments"]),
+    (("asympt", "--quantity", "x2", "--kappa", "1", "--order", "1"), ["moments"]),
+    (("weingarten", "unitary", "--k", "2", "--cycle-type", "2", "--z", "5"), ["weingarten"]),
+    (("covariance", "--ensemble", "her", "--n", "3"), ["moments", "weingarten"]),
+    (("oracle", "quad", "--n", "2", "--payload", "elementary:1", "--points", "8"), ["oracle"]),
+    (("verify", "--criteria", "C2"), list(ON_FIRST_USE)),
+]
+
+
+def test_each_command_executes_only_the_layers_it_calls():
+    # each CLI call is a fresh process, so a layer it does not call should cost it nothing;
+    # a layer waiting for first use is a module subclass, and reading an attribute would run it
+    script = f"""
+import contextlib, io, json, sys, types
+from selmat.cli import main
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = 0 if argv is None else main(argv)
+executed = [m for m in {ON_FIRST_USE!r} if type(sys.modules["selmat." + m]) is types.ModuleType]
+print(json.dumps([code, executed]))
+"""
+    for argv, expected in EXECUTED_LAYERS:
+        res = _fresh_python(script, json.dumps(argv))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == [0, expected], argv
 
 
 def _refuse_constant(name):
