@@ -19,12 +19,13 @@ parts, hence every coefficient is independent of the number of variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import Partition, boxes, partition, partitions_of
-from .exact import Rational, pochhammer
+from .exact import Rational
 from .selberg import SelbergParams
 
 MAX_DEGREE = 12
@@ -171,19 +172,54 @@ def monomial_to_jack(mu: Partition, kappa) -> dict:
     return dict(monomial_to_jack_matrix(Fraction(kappa), sum(mu))[mu])
 
 
+def _hook_forms(lam: Partition, q: int, P: int) -> tuple[list, int]:
+    """([(a, b), ...], d) with P_lambda^(1/kappa)(1^n) = prod (a + b n) / d, kappa = P/q.
+
+    Box (i, j), counted from 0, gives q (kappa (n - i) + j) = q j - i P + P n over
+    q (arm + kappa (leg + 1)) (Stanley, Adv. Math. 77 (1989), Thm 5.4).
+    """
+    forms, d = [], 1
+    for i, j, arm, leg in boxes(lam):
+        forms.append((q * j - i * P, P))
+        d *= q * arm + P * (leg + 1)
+    return forms, d
+
+
+@lru_cache(maxsize=None)
+def kadell_factors(lam: Partition, u, w, kappa) -> tuple:
+    """(c, num, den) with kadell_ratio = c prod_num (a + b n) / prod_den (a + b n).
+
+    With q the common denominator of u, w and kappa, U = q u, W = q w and P = q kappa:
+    ``num`` holds the hook forms, then q (u+(n-i)kappa+j) = P n + U + q j - i P; ``den``
+    holds q (u+w+(2n-i-1)kappa+j) = 2P n + U + W + q j - (i+1)P over its content g, whose
+    g's go into c.  The one place the product is written, built once per lambda.
+    """
+    u, w, kappa = Fraction(u), Fraction(w), Fraction(kappa)
+    q = math.lcm(u.denominator, w.denominator, kappa.denominator)
+    U, W, P = int(q * u), int(q * w), int(q * kappa)
+    num, d = _hook_forms(lam, q, P)
+    c, den = Fraction(1, d), []
+    for i, part in enumerate(lam, start=1):
+        for j in range(part):
+            num.append((U + q * j - i * P, P))
+            a, b = U + W + q * j - (i + 1) * P, 2 * P
+            g = math.gcd(a, b)
+            den.append((a // g, b // g))
+            c /= g
+    return c, tuple(num), tuple(den)
+
+
 def principal_specialization(lam: Partition, kappa, n: int) -> Rational:
     """P_lambda^(1/kappa)(1^n) = prod over the boxes (i, j) of lambda, counted from 0, of
     (kappa (n - i) + j) / (arm + kappa (leg + 1)): exact, 0 if n < l, and no Jack row
-    (Stanley, Adv. Math. 77 (1989), Thm 5.4; Macdonald VI (10.20)).
+    (``_hook_forms``).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     lam, kappa = partition(lam), Fraction(kappa)
     _check_jack_args(kappa, sum(lam))
-    out = Fraction(1)
-    for i, j, arm, leg in boxes(lam):
-        out *= (kappa * (n - i) + j) / (arm + kappa * (leg + 1))
-    return out
+    forms, d = _hook_forms(lam, kappa.denominator, kappa.numerator)
+    return Fraction(math.prod(a + b * n for a, b in forms), d)
 
 
 def kadell_ratio(lam: Partition, n: int, u, w, kappa) -> Rational:
@@ -197,11 +233,8 @@ def kadell_ratio(lam: Partition, n: int, u, w, kappa) -> Rational:
     _check_jack_args(params.kappa, sum(lam))  # before the shortcut, so it refuses at every n
     if n < len(lam):
         return Fraction(0)
-    out = principal_specialization(lam, params.kappa, n)
-    for i, part in enumerate(lam, start=1):
-        out *= pochhammer(params.u + (n - i) * params.kappa, part)
-        out /= pochhammer(params.u + params.w + (2 * n - i - 1) * params.kappa, part)
-    return out
+    c, num, den = kadell_factors(lam, params.u, params.w, params.kappa)
+    return c * math.prod(a + b * n for a, b in num) / math.prod(a + b * n for a, b in den)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ eigenvalue ratios) agree under both.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,9 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .combinat import boxes
 from .exact import Rational, format_rational
-from .jack import monomial_to_jack
+from .jack import kadell_factors, monomial_to_jack
 from .jack import kadell_ratio  # noqa: F401  re-exported; perfbench traces its bindings
 from .selberg import FULL_PAYLOADS, PAYLOAD_POWERS, SHIFTED_PAYLOADS
 
@@ -368,17 +368,13 @@ def monomial_moment_ratio(mu: tuple, n: int, u, w, kappa) -> Fraction:
     """J(m_mu)/J(1) over [0,1]^n at the Selberg weight (u, w, kappa) of ``SelbergParams``.
 
     m_mu = sum_lambda c_lambda P_lambda (``monomial_to_jack``), so the ratio is
-    sum_lambda c_lambda K_lambda(n) with the Kadell ratio
-
-        K_lambda(n) = P_lambda(1^n) prod_i (u+(n-i)k)_{lambda_i} / (u+w+(2n-i-1)k)_{lambda_i},
-        P_lambda(1^n) = prod_{boxes (i, j)} (k(n-i) + j) / (arm + k(leg+1)),
-
-    rows and columns counted from 0 (``principal_specialization``), so every
-    factor is linear in n.  K_lambda = 0 for n < l(lambda): the polynomial
-    vanishes there, but the product can sit at a pole, so only the lambda
-    with l(lambda) <= min(n, |mu|) are summed.  The sum is built once as a rational
-    function of n per (mu, u, w, kappa, min(n, |mu|)) (monomial_moment_function)
-    and evaluated here; ``kadell_ratio`` is the per-n reference.
+    sum_lambda c_lambda K_lambda(n) with K_lambda the Kadell ratio, a product of
+    factors linear in n (``jack.kadell_factors``).  K_lambda = 0 for n < l(lambda):
+    the polynomial vanishes there, but the product can sit at a pole, so only the
+    lambda with l(lambda) <= min(n, |mu|) are summed.  The sum is built once as a
+    rational function of n per (mu, u, w, kappa, min(n, |mu|))
+    (monomial_moment_function) and evaluated here; ``kadell_ratio`` reads the
+    same factors at one n.
     """
     if not mu:
         return Fraction(1)
@@ -395,30 +391,15 @@ def monomial_moment_function(mu: tuple, u, w, kappa, m: int) -> RationalFunction
     monomial_moment_ratio).  The terms are put over the lcm of their linear
     denominator factors, giving one integer numerator/denominator pair.
     """
-    u, w, kappa = Fraction(u), Fraction(w), Fraction(kappa)
-    # with q the common denominator, U = q u, W = q w and P = q kappa are integers
-    q = math.lcm(u.denominator, w.denominator, kappa.denominator)
-    U, W, P = int(q * u), int(q * w), int(q * kappa)
-    terms = []  # (scalar, integer polynomial in n, denominator factors (b, a) of b n + a)
+    terms = []  # (scalar, integer polynomial in n, {(a, b): multiplicity of a + b n})
     for lam, c in monomial_to_jack(mu, kappa).items():
         if len(lam) > m:
             continue
-        poly, den = [1], {}
-        # P_lambda(1^n): q (kappa (n-i) + j) = P n + q j - i P over q (arm + kappa (leg+1))
-        for i, j, arm, leg in boxes(lam):
-            poly = _poly_mul(poly, (q * j - i * P, P))
-            c /= q * arm + P * (leg + 1)
-        # q (u+(n-i)kappa+j) = P n + U + q j - i P and
-        # q (u+w+(2n-i-1)kappa+j) = 2P n + U + W + q j - (i+1)P; the q's cancel
-        for i, part in enumerate(lam, start=1):
-            for j in range(part):
-                poly = _poly_mul(poly, (U + q * j - i * P, P))
-                b, a = 2 * P, U + W + q * j - (i + 1) * P
-                g = math.gcd(b, a)
-                factor = (b // g, a // g)
-                den[factor] = den.get(factor, 0) + 1
-                c /= g
-        terms.append((c, poly, den))
+        scale, forms, den = kadell_factors(lam, u, w, kappa)
+        poly = [1]
+        for form in forms:
+            poly = _poly_mul(poly, form)
+        terms.append((c * scale, poly, collections.Counter(den)))
     lcm = {}
     for _, _, den in terms:
         for f, k in den.items():
@@ -426,14 +407,14 @@ def monomial_moment_function(mu: tuple, u, w, kappa, m: int) -> RationalFunction
     common = math.lcm(*(c.denominator for c, _, _ in terms))
     num = []
     for c, poly, den in terms:
-        for (b, a), k in lcm.items():
-            for _ in range(k - den.get((b, a), 0)):
-                poly = _poly_mul(poly, (a, b))
+        for form, k in lcm.items():
+            for _ in range(k - den[form]):
+                poly = _poly_mul(poly, form)
         num = _poly_add(num, [int(c * common) * x for x in poly])
     den_poly = [common]
-    for (b, a), k in lcm.items():
+    for form, k in lcm.items():
         for _ in range(k):
-            den_poly = _poly_mul(den_poly, (a, b))
+            den_poly = _poly_mul(den_poly, form)
     return RationalFunction.from_fraction_polys(num, den_poly)
 
 

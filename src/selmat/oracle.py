@@ -35,7 +35,6 @@ module for every command, and the exact commands never need numpy.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
@@ -61,9 +60,6 @@ class SampleEstimate:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 CHUNK_ENTRIES = 2**16  # one sampling chunk holds about this many array entries

@@ -10,7 +10,6 @@ per axis) must agree to QUAD_RTOL relative to the exact value; Monte Carlo cases
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,11 +50,9 @@ class CheckResult:
     name: str
     passed: bool
     n_cases: int
-    seconds: float
     details: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        """The record without its timing, so that it is byte-deterministic."""
         return {
             "criterion": self.criterion,
             "name": self.name,
@@ -65,9 +62,9 @@ class CheckResult:
         }
 
 
-def _result(criterion, name, details, t0) -> CheckResult:
+def _result(criterion, name, details) -> CheckResult:
     passed = all(d.get("pass", True) for d in details)
-    return CheckResult(criterion, name, passed, len(details), time.perf_counter() - t0, details)
+    return CheckResult(criterion, name, passed, len(details), details)
 
 
 # -- C1 ---------------------------------------------------------------------
@@ -81,7 +78,6 @@ def check_selberg_quadrature() -> CheckResult:
     (one quadrature_values batch) to the I0 quadrature at the same weight.
     Every case passes iff |quad - exact| <= QUAD_RTOL |exact|.
     """
-    t0 = time.perf_counter()
     details = []
     i0_cases, ratio_cases = [], []  # (detail, spec) and (detail, spec, I0 detail)
     kappas = (Fraction(1, 2), Fraction(1), Fraction(2))
@@ -133,7 +129,7 @@ def check_selberg_quadrature() -> CheckResult:
         detail["quad"] = val / i0_case["quad"]
     for detail in details:
         detail["pass"] = abs(detail["quad"] - detail["exact"]) <= QUAD_RTOL * abs(detail["exact"])
-    return _result("C1", "selberg/aomoto/kadell vs quadrature", details, t0)
+    return _result("C1", "selberg/aomoto/kadell vs quadrature", details)
 
 
 # -- C2 ---------------------------------------------------------------------
@@ -210,7 +206,6 @@ def _conversion_table(kap: Fraction) -> dict:
 
 def check_jack_tables() -> CheckResult:
     """Degree <= 4 Jack/monomial tables at kappa in {1/2, 1, 2, 3}, exactly."""
-    t0 = time.perf_counter()
     details = []
     for kap in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
         ptab = _p_table(kap)
@@ -227,7 +222,7 @@ def check_jack_tables() -> CheckResult:
             details.append(
                 {"case": f"m_{mu} kappa={kap}", "pass": got == want}
             )
-    return _result("C2", "jack coefficient tables (exact)", details, t0)
+    return _result("C2", "jack coefficient tables (exact)", details)
 
 
 # -- C3 ---------------------------------------------------------------------
@@ -249,7 +244,6 @@ EXPANSION_DATA = {
 
 def check_expansions() -> CheckResult:
     """Exact Laurent data of the box-moment quantities, reconstructed from samples."""
-    t0 = time.perf_counter()
     details = []
     for (kap, payload), want in EXPANSION_DATA.items():
         _, got = asymptotic_expansion(payload, len(want) - 1, kappa=kap)
@@ -261,7 +255,7 @@ def check_expansions() -> CheckResult:
                 "pass": got == want,
             }
         )
-    return _result("C3", "exact moment expansions", details, t0)
+    return _result("C3", "exact moment expansions", details)
 
 
 # -- C4 ---------------------------------------------------------------------
@@ -275,7 +269,6 @@ VARIANCE_CONSTANTS = {
 
 def check_variance_constants() -> CheckResult:
     """Paper-convention variance constants, plus the full-matrix 1/(8 beta) chain."""
-    t0 = time.perf_counter()
     details = []
     for name, c in VARIANCE_CONSTANTS.items():
         spec = ensemble(name)
@@ -319,7 +312,7 @@ def check_variance_constants() -> CheckResult:
             ) / ((2 + (2 * n - 1) * b / 2) * den1 * den2)
             chain_ok &= m2 == want2 and m22 == want22 and m4 == want4
         details.append({"case": f"{name} closed-form chain n<=50", "pass": chain_ok})
-    return _result("C4", "variance constants", details, t0)
+    return _result("C4", "variance constants", details)
 
 
 # -- C5 ---------------------------------------------------------------------
@@ -327,7 +320,6 @@ def check_variance_constants() -> CheckResult:
 
 def check_remark() -> CheckResult:
     """Exact 1/(64 beta) constant of the box combination; 16x identity vs forced var."""
-    t0 = time.perf_counter()
     details = []
     for beta in (1, 2, 4, 6):
         _, lc = asymptotic_expansion("remark", 0, beta=beta)
@@ -346,7 +338,7 @@ def check_remark() -> CheckResult:
             for n in range(2, 51)
         )
         details.append({"case": f"{name} forced var = 16 x remark, n<=50", "pass": ok})
-    return _result("C5", "general-beta box combination", details, t0)
+    return _result("C5", "general-beta box combination", details)
 
 
 # -- C6 ---------------------------------------------------------------------
@@ -354,7 +346,6 @@ def check_remark() -> CheckResult:
 
 def check_sigma2() -> CheckResult:
     """sigma^2 in [0.1, 10] for all six ensembles and 2 <= n <= 200; exact limit 1/2."""
-    t0 = time.perf_counter()
     details = []
     for name in (
         "hermitian", "symmetric", "quaternion", "full-real", "full-complex", "full-quaternion",
@@ -375,7 +366,7 @@ def check_sigma2() -> CheckResult:
             {"case": f"{name} exact limit", "limit": format_rational(lim),
              "target": "1/2", "pass": lim == Fraction(1, 2)}
         )
-    return _result("C6", "thin-shell constant bounds", details, t0)
+    return _result("C6", "thin-shell constant bounds", details)
 
 
 # -- C7 ---------------------------------------------------------------------
@@ -383,7 +374,6 @@ def check_sigma2() -> CheckResult:
 
 def check_weingarten_values() -> CheckResult:
     """Closed-form Weingarten and zonal spherical values, n = 3..20, exactly."""
-    t0 = time.perf_counter()
     details = []
     ok_u = all(
         wg_unitary((1, 1), 2, n) == Fraction(1, n * n - 1)
@@ -415,7 +405,7 @@ def check_weingarten_values() -> CheckResult:
         for n in range(3, 21)
     )
     details.append({"case": "k=1 values 1/n", "pass": ok_k1})
-    return _result("C7", "weingarten closed forms", details, t0)
+    return _result("C7", "weingarten closed forms", details)
 
 
 # -- C8 ---------------------------------------------------------------------
@@ -423,7 +413,6 @@ def check_weingarten_values() -> CheckResult:
 
 def check_covariance() -> CheckResult:
     """Zero pattern, structural identities, and conditioning of the covariance."""
-    t0 = time.perf_counter()
     details = []
     for kind in ("hermitian", "symmetric"):
         spec = ensemble(kind)
@@ -463,7 +452,7 @@ def check_covariance() -> CheckResult:
                 "pass": cond_ok and abs(c100 - 2) <= 0.05,
             }
         )
-    return _result("C8", "covariance structure of self-adjoint balls", details, t0)
+    return _result("C8", "covariance structure of self-adjoint balls", details)
 
 
 # -- C9 ---------------------------------------------------------------------
@@ -471,7 +460,6 @@ def check_covariance() -> CheckResult:
 
 def check_negcorr() -> CheckResult:
     """Exact full-matrix correlation values and sign patterns, 2 <= n <= 50."""
-    t0 = time.perf_counter()
     details = []
     vals_ok = {"c": True, "r": True}
     ineq_ok = {"c": True, "r": True}
@@ -493,7 +481,7 @@ def check_negcorr() -> CheckResult:
     for f in ("c", "r"):
         details.append({"case": f"field {f} exact values", "pass": vals_ok[f]})
         details.append({"case": f"field {f} inequality pattern", "pass": ineq_ok[f]})
-    return _result("C9", "entrywise correlation values", details, t0)
+    return _result("C9", "entrywise correlation values", details)
 
 
 # -- C10 --------------------------------------------------------------------
@@ -505,7 +493,6 @@ def check_oracle_concordance(seed: int) -> CheckResult:
     Also adjudicates the scaling convention: the paper-convention second
     moments sit far outside the Monte Carlo error band.
     """
-    t0 = time.perf_counter()
     details = []
     n = 3
     for kind in ("hermitian", "symmetric"):
@@ -543,7 +530,7 @@ def check_oracle_concordance(seed: int) -> CheckResult:
                 "pass": all(d["z_paper"] > 10 for d in distinguishable),
             }
         )
-    return _result("C10", "ball-sampler concordance", details, t0)
+    return _result("C10", "ball-sampler concordance", details)
 
 
 # -- runner -----------------------------------------------------------------

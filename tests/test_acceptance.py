@@ -1,12 +1,13 @@
 """The acceptance gate: every criterion at its stated tolerance, plus determinism.
 
-The full suite (the same one `selmat verify` runs) executes once per session;
-criteria are asserted individually so the report shows one pass/fail line per
+The full suite (the same one `selmat verify` runs) executes once per session,
+one criterion at a time so that each is timed; criteria are asserted individually so the report shows one pass/fail line per
 criterion.  Determinism is checked by running the whole suite a second time
 with the same seed and comparing the serialised bytes.
 """
 
 import ast
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,13 +32,19 @@ def _run_serialised():
 
 @pytest.fixture(scope="session")
 def suite():
-    results, serialised = _run_serialised()
-    return {r.criterion: r for r in results}, serialised
+    """{criterion: result}, the serialised bytes, and {criterion: wall seconds}."""
+    results, seconds = {}, {}
+    for crit in V.ALL_CRITERIA:
+        t0 = time.perf_counter()
+        [results[crit]] = V.run_all(SEED, (crit,))
+        seconds[crit] = time.perf_counter() - t0
+    serialised = "".join(V.serialize_result(r) + "\n" for r in results.values())
+    return results, serialised, seconds
 
 
-def _report(res):
+def _report(res, seconds):
     lines = [f"{res.criterion} {'PASS' if res.passed else 'FAIL'}: {res.name} "
-             f"({res.n_cases} cases, {res.seconds:.1f}s)"]
+             f"({res.n_cases} cases, {seconds:.1f}s)"]
     for d in res.details:
         if not d.get("pass", True):
             lines.append(f"  FAILED case: {d}")
@@ -46,30 +53,30 @@ def _report(res):
 
 @pytest.mark.parametrize("crit", V.ALL_CRITERIA)
 def test_criterion(suite, crit):
-    results, _ = suite
+    results, _, seconds = suite
     res = results[crit]
-    print(_report(res))
-    assert res.passed, _report(res)
+    print(_report(res, seconds[crit]))
+    assert res.passed, _report(res, seconds[crit])
 
 
 def test_case_counts(suite):
     """Every criterion checks all of its cases: a dropped block fails here, not only a failed case."""
-    results, _ = suite
+    results, _, _ = suite
     assert {c: r.n_cases for c, r in results.items()} == CASE_COUNTS
     assert all(r.n_cases == len(r.details) for r in results.values())
 
 
 def test_criterion_runtimes(suite):
-    results, _ = suite
-    assert results["C1"].seconds < 120  # stated bound: 2 minutes
-    assert results["C2"].seconds < 1
-    assert results["C3"].seconds < 10
-    assert results["C10"].seconds < 300  # stated bound: 5 minutes
+    _, _, seconds = suite
+    assert seconds["C1"] < 120  # stated bound: 2 minutes
+    assert seconds["C2"] < 1
+    assert seconds["C3"] < 10
+    assert seconds["C10"] < 300  # stated bound: 5 minutes
 
 
 def test_c11_determinism(suite):
     """Two runs of the verify suite with the same seed are byte-identical."""
-    _, first_bytes = suite
+    _, first_bytes, _ = suite
     _, second_bytes = _run_serialised()
     print("C11 PASS: determinism (byte-identical verify output)"
           if first_bytes == second_bytes else "C11 FAIL")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from selmat import moments
 from selmat.combinat import partitions_of
-from selmat.jack import kadell_ratio, monomial_to_jack
+from selmat.exact import pochhammer
+from selmat.jack import jack_row, kadell_factors, monomial_to_jack
 from selmat.moments import (
     ENSEMBLES,
     InconsistentSamplesError,
@@ -28,6 +29,7 @@ from selmat.moments import (
     trace_moments,
 )
 from selmat.selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio
+from test_combinat import monomial_count  # test-only: m_mu(1^n)
 
 
 def test_ensemble_specs():
@@ -238,12 +240,28 @@ def weight_id(weight):
     return str(kappa) if u == w == 1 else ",".join(map(str, weight))
 
 
+@lru_cache(maxsize=None)
+def principal_by_row(lam, kappa, n):
+    """P_lambda(1^n) = sum_nu [m_nu]P_lambda m_nu(1^n), from the Jack row, not the hook product."""
+    return sum((c * monomial_count(nu, n) for nu, c in jack_row(kappa, lam).items()), F(0))
+
+
 def kadell_sum(mu, n, u, w, kappa):
-    """J(m_mu)/J(1) at one n: sum over lambda of c_lambda times kadell_ratio."""
-    return sum(
-        (c * kadell_ratio(lam, n, u, w, kappa) for lam, c in monomial_to_jack(mu, kappa).items()),
-        F(0),
-    )
+    """J(m_mu)/J(1) at one n: sum over lambda of c_lambda K_lambda(n), independently of jack's
+    Kadell factors: K_lambda(n) = P_lambda(1^n) prod_i (u+(n-i)kappa)_{lambda_i} /
+    (u+w+(2n-i-1)kappa)_{lambda_i} at this n, and 0 for n < l(lambda).
+    """
+    u, w, kappa = F(u), F(w), F(kappa)
+    total = F(0)
+    for lam, c in monomial_to_jack(mu, kappa).items():
+        if n < len(lam):
+            continue
+        k = principal_by_row(lam, kappa, n)
+        for i, part in enumerate(lam, start=1):
+            k *= pochhammer(u + (n - i) * kappa, part)
+            k /= pochhammer(u + w + (2 * n - i - 1) * kappa, part)
+        total += c * k
+    return total
 
 
 @pytest.mark.parametrize("weight", KADELL_WEIGHTS, ids=weight_id)
@@ -262,6 +280,16 @@ def test_monomial_moment_ratio_matches_per_n_kadell_degree_5_to_8(weight):
     for mu in monomials:
         for n in (*range(1, 10), 12, 30):  # every m = min(n, |mu|), then two n past it
             assert monomial_moment_ratio(mu, n, *weight) == kadell_sum(mu, n, *weight), (mu, n)
+
+
+def test_kadell_factors_are_built_once_per_partition():
+    # at m = 12 the 77 degree-12 monomial functions read every lambda of degree 12;
+    # each lambda's factors are built once, not once per mu (no other test uses this weight)
+    weight = (F(2, 3), F(5, 4), F(1))
+    misses = kadell_factors.cache_info().misses
+    for mu in partitions_of(12):
+        moments.monomial_moment_function(mu, *weight, 12)
+    assert kadell_factors.cache_info().misses - misses == len(partitions_of(12)) == 77
 
 
 def test_monomial_moment_ratio_vanishes_below_the_length():

@@ -687,7 +687,7 @@ def test_rejection_full_real_n2():
 def test_rejection_determinism():
     a = ball_moment_estimate("symmetric", 2, {"x": lambda T: T[:, 0, 0] ** 2}, 30_000, seed=21)
     b = ball_moment_estimate("symmetric", 2, {"x": lambda T: T[:, 0, 0] ** 2}, 30_000, seed=21)
-    assert a["x"].to_json_str() == b["x"].to_json_str()
+    assert a["x"].to_json() == b["x"].to_json()
     c = ball_moment_estimate("symmetric", 2, {"x": lambda T: T[:, 0, 0] ** 2}, 30_000, seed=22)
     assert c["x"].mean != a["x"].mean
 
@@ -747,7 +747,7 @@ def test_loggas_matches_exact_moments(name, n):
 
 def test_loggas_determinism():
     run = lambda seed: loggas_moment_estimate(2, 2, 1, 5, {"s": "sum_sq"}, 2000, seed)["s"]
-    assert run(5).to_json_str() == run(5).to_json_str()
+    assert run(5).to_json() == run(5).to_json()
     assert run(6).mean != run(5).mean
 
 
