@@ -15,6 +15,8 @@ only the layers it calls.  Their names re-exported here resolve the same way.
 
 import importlib.util
 import sys
+import threading
+import types
 
 from .combinat import Partition, Permutation, partitions_of
 from .exact import GammaProduct, PoleError, Rational, pochhammer, to_float
@@ -25,15 +27,37 @@ __version__ = "0.1.0"
 
 DEFAULT_SEED = 20240801  # the default --seed of verify and of the sampling oracles
 
+# Every first use runs under this lock.  importlib's LazyLoader resets the module's class
+# to types.ModuleType before it executes the module and, on Python 3.10 and 3.11, takes no
+# lock, so a second thread could read a layer still without attributes.
+_FIRST_USE = threading.RLock()
+_executing = set()  # id()s of the layers whose code runs now, on the thread holding the lock
+
+
+class _OnFirstUse(types.ModuleType):
+    """A layer that has not executed: its first attribute read executes it.
+
+    Threads that read it meanwhile wait for the lock; the class becomes
+    types.ModuleType once the code has run.
+    """
+
+    def __getattribute__(self, attr):
+        with _FIRST_USE:
+            if type(self) is _OnFirstUse and id(self) not in _executing:
+                _executing.add(id(self))
+                try:
+                    types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
+                finally:
+                    _executing.discard(id(self))
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
 
 def _lazy(name: str):
     """The module `name`, put in sys.modules; it executes on its first attribute access."""
-    spec = importlib.util.find_spec(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(importlib.util.find_spec(name))
+    module.__class__ = _OnFirstUse
     sys.modules[name] = module
-    loader.exec_module(module)
     return module
 
 

@@ -209,6 +209,18 @@ def kadell_factors(lam: Partition, u, w, kappa) -> tuple:
     return c, tuple(num), tuple(den)
 
 
+@lru_cache(maxsize=None)
+def kadell_numerator(lam: Partition, u, w, kappa) -> tuple:
+    """prod_num (a + b n) of ``kadell_factors`` expanded: integer coefficients, ascending in n.
+
+    Built once per (lambda, u, w, kappa), for every monomial function that reads lambda.
+    """
+    poly = (1,)
+    for a, b in kadell_factors(lam, u, w, kappa)[1]:
+        poly = tuple(a * c + b * d for c, d in zip(poly + (0,), (0,) + poly))
+    return poly
+
+
 def principal_specialization(lam: Partition, kappa, n: int) -> Rational:
     """P_lambda^(1/kappa)(1^n) = prod over the boxes (i, j) of lambda, counted from 0, of
     (kappa (n - i) + j) / (arm + kappa (leg + 1)): exact, 0 if n < l, and no Jack row

@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exact import Rational, format_rational
-from .jack import kadell_factors, monomial_to_jack
+from .jack import kadell_factors, kadell_numerator, monomial_to_jack
 from .jack import kadell_ratio  # noqa: F401  re-exported; perfbench traces its bindings
 from .selberg import FULL_PAYLOADS, PAYLOAD_POWERS, SHIFTED_PAYLOADS
 
@@ -395,11 +395,8 @@ def monomial_moment_function(mu: tuple, u, w, kappa, m: int) -> RationalFunction
     for lam, c in monomial_to_jack(mu, kappa).items():
         if len(lam) > m:
             continue
-        scale, forms, den = kadell_factors(lam, u, w, kappa)
-        poly = [1]
-        for form in forms:
-            poly = _poly_mul(poly, form)
-        terms.append((c * scale, poly, collections.Counter(den)))
+        scale, _, den = kadell_factors(lam, u, w, kappa)
+        terms.append((c * scale, list(kadell_numerator(lam, u, w, kappa)), collections.Counter(den)))
     lcm = {}
     for _, _, den in terms:
         for f, k in den.items():
@@ -589,18 +586,23 @@ def trace_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> dic
     (1,1) -> E[(Tr T)^2] = n M2 + n(n-1) M11, (2,) -> E[Tr T^2] = n M2.
     Full matrix (powers of TT*): (1,) -> E[Tr TT*] = n M2,
     (1,1) -> E[(Tr TT*)^2] = n M4 + n(n-1) M22, (2,) -> E[Tr (TT*)^2] = n M4.
+    At an int n, or as functions of n at _N, equal to those at every n >= Q_N_FROM.
     """
-    r = ensemble_moments(spec, n, convention)
+    if n is _N:
+        M2, M4, M22, M11 = ensemble_moment_functions(spec, convention)[:4]
+    else:
+        r = ensemble_moments(spec, n, convention)
+        M2, M4, M22, M11 = r.M2, r.M4, r.M22, r.M11
     if spec.family == SELF_ADJOINT:
         return {
             (1,): Fraction(0),  # odd moment on a symmetric box
-            (1, 1): n * r.M2 + n * (n - 1) * r.M11,
-            (2,): n * r.M2,
+            (1, 1): n * M2 + n * (n - 1) * M11,
+            (2,): n * M2,
         }
     return {
-        (1,): n * r.M2,
-        (1, 1): n * r.M4 + n * (n - 1) * r.M22,
-        (2,): n * r.M4,
+        (1,): n * M2,
+        (1, 1): n * M4 + n * (n - 1) * M22,
+        (2,): n * M4,
     }
 
 

@@ -9,13 +9,24 @@ Terms whose C_lambda(z) vanishes are dropped from the defining sums,
 matching the definitions' explicit filter.
 
 Moment formulas take the needed E[Tr_tau] data as an injected mapping keyed
-by cycle/coset type, so the scaling-convention choice stays upstream.
+by cycle/coset type, so the scaling-convention choice stays upstream.  The
+delta symbols read only which indices are equal, so each moment sum walks its
+permutations once per index pattern (the indices relabelled by first
+occurrence) into a tally of (Wg type, trace type) counts; a sum is then
+count * Wg * E[Tr] over the tally, read at one n.
+
+Every table and sum also takes n = moments._N, the identity function of n:
+Wg and the moments are then RationalFunctions of n.  For k <= 2 no C_lambda(n)
+or C'_lambda(n) vanishes at n >= 2, so the unfiltered functions are exact
+there; ``covariance_report`` and ``negcorr_report`` evaluate them at every
+n >= moments.Q_N_FROM, where the trace moments are one function too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,29 +54,37 @@ class PoleAtIntegerError(ArithmeticError):
     """Requested a Weingarten value whose every character term is filtered out."""
 
 
+def _point(z):
+    """z as a table key: a number as a Fraction, a function of n (moments._N) as itself."""
+    return z if callable(z) else Fraction(z)
+
+
+def _box_product(lam: Partition, z, step: int):
+    """prod over boxes (i,j) of (z + step j - i - step + 1): C_lambda at step 1, C'_lambda at 2."""
+    out = Fraction(1)
+    for i, part in enumerate(lam, start=1):
+        for j in range(1, part + 1):
+            out *= z + step * (j - 1) + 1 - i
+    return out
+
+
 def c_lambda(lam: Partition, z) -> Rational:
     """C_lambda(z) = prod over boxes (i,j) of (z + j - i)."""
-    z = Fraction(z)
-    out = Fraction(1)
-    for i, part in enumerate(partition(lam), start=1):
-        for j in range(1, part + 1):
-            out *= z + j - i
-    return out
+    return _box_product(partition(lam), Fraction(z), 1)
 
 
 def c_lambda_prime(lam: Partition, z) -> Rational:
     """C'_lambda(z) = prod over boxes (i,j) of (z + 2j - i - 1)."""
-    z = Fraction(z)
-    out = Fraction(1)
-    for i, part in enumerate(partition(lam), start=1):
-        for j in range(1, part + 1):
-            out *= z + 2 * j - i - 1
-    return out
+    return _box_product(partition(lam), Fraction(z), 2)
 
 
 @lru_cache(maxsize=None)
-def _wg_unitary_table(k: int, z: Fraction, w) -> dict:
-    """{cycle type: Wg^U} at one (k, z[, w]); filtered-sum per the definition."""
+def _wg_unitary_table(k: int, z, w) -> dict:
+    """{cycle type: Wg^U} at one (k, z[, w]); filtered-sum per the definition.
+
+    At z = moments._N (and w = _N or None) no term is filtered: a RationalFunction
+    never equals 0, and the table holds Wg^U as functions of n.
+    """
     if k > MAX_K_UNITARY:
         raise ValueError(f"unitary Weingarten capped at k <= {MAX_K_UNITARY}")
     table = {}
@@ -74,11 +93,11 @@ def _wg_unitary_table(k: int, z: Fraction, w) -> dict:
     for mu in partitions_of(k):
         total = Fraction(0)
         for lam in partitions_of(k):
-            cz = c_lambda(lam, z)
+            cz = _box_product(lam, z, 1)
             if cz == 0:
                 continue
             if w is not None:
-                cw = c_lambda(lam, w)
+                cw = _box_product(lam, w, 1)
                 if cw == 0:
                     continue
                 cz = cz * cw
@@ -129,15 +148,15 @@ def zonal_spherical(lam: Partition, sigma: Permutation) -> Rational:
 
 
 @lru_cache(maxsize=None)
-def _wg_orthogonal_table(k: int, z: Fraction) -> dict:
-    """{coset type: Wg^O} at one (k, z); filtered-sum per the definition."""
+def _wg_orthogonal_table(k: int, z) -> dict:
+    """{coset type: Wg^O} at one (k, z); filtered-sum per the definition (none at z = _N)."""
     if k > MAX_K_ORTHOGONAL:
         raise ValueError(f"orthogonal Weingarten capped at k <= {MAX_K_ORTHOGONAL}")
     omega = _zonal_table(k)
     pref = Fraction(2**k * math.factorial(k), math.factorial(2 * k))
     terms = []
     for lam in partitions_of(k):
-        cz = c_lambda_prime(lam, z)
+        cz = _box_product(lam, z, 2)
         if cz != 0:
             two_lam = partition(tuple(2 * p for p in lam))
             terms.append((lam, character(two_lam, (1,) * (2 * k)) / cz))
@@ -181,6 +200,88 @@ def _symmetric_group(k: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(1, k + 1)))
 
 
+def _pattern(seq) -> tuple:
+    """seq relabelled 0, 1, ... by first occurrence: the equalities the deltas read."""
+    first = {}
+    return tuple(first.setdefault(x, len(first)) for x in seq)
+
+
+def _tally(pairs) -> tuple:
+    """((types..., trace type), count) over an iterable of such keys."""
+    return tuple(Counter(pairs).items())
+
+
+@lru_cache(maxsize=None)
+def _conj_unitary_tally(pattern: tuple) -> tuple:
+    """(Wg cycle type, Tr cycle type) counts over sigma, tau in S_k, delta_sigma(i, j) = 1."""
+    k = len(pattern) // 2
+    i_seq, j_seq = pattern[:k], pattern[k:]
+    perms = _symmetric_group(k)
+    return _tally(
+        (cycle_type(sigma.inverse() * tau), cycle_type(tau))
+        for sigma in perms
+        if _delta(sigma, i_seq, j_seq)
+        for tau in perms
+    )
+
+
+@lru_cache(maxsize=None)
+def _conj_orthogonal_tally(pattern: tuple) -> tuple:
+    """(Wg coset type, Tr' coset type) counts over pair partitions sigma, tau, delta'_sigma(i) = 1."""
+    pps = pair_partitions(len(pattern) // 2)
+    return _tally(
+        (coset_type(sigma.inverse() * tau), coset_type(tau))
+        for sigma in pps
+        if _delta_pair(sigma, pattern)
+        for tau in pps
+    )
+
+
+@lru_cache(maxsize=None)
+def _lr_complex_tally(pattern: tuple) -> tuple:
+    """(Wg cycle type, Tr cycle type) counts for the index pattern of (i, j, i', j')."""
+    k = len(pattern) // 4
+    i_seq, j_seq, ip_seq, jp_seq = (pattern[s * k : (s + 1) * k] for s in range(4))
+    perms = _symmetric_group(k)
+    return _tally(
+        (cycle_type(tau * sigma1.inverse() * sigma2), cycle_type(tau))
+        for sigma1 in perms
+        if _delta(sigma1, i_seq, ip_seq)
+        for sigma2 in perms
+        if _delta(sigma2, j_seq, jp_seq)
+        for tau in perms
+    )
+
+
+@lru_cache(maxsize=None)
+def _lr_real_tally(pattern: tuple) -> tuple:
+    """(Wg coset type, Wg coset type, Tr' coset type) counts for the index pattern of (i, j)."""
+    half = len(pattern) // 2
+    i_seq, j_seq = pattern[:half], pattern[half:]
+    pps = pair_partitions(half // 2)
+    return _tally(
+        (coset_type(sigma1.inverse() * tau1), coset_type(sigma2.inverse() * tau2),
+         coset_type(tau1.inverse() * tau2))
+        for sigma1 in pps
+        if _delta_pair(sigma1, i_seq)
+        for sigma2 in pps
+        if _delta_pair(sigma2, j_seq)
+        for tau1 in pps
+        for tau2 in pps
+    )
+
+
+def _tally_sum(tally: tuple, wg: dict, trace_moments: dict):
+    """sum over the tally of count * prod Wg[types] * E[Tr_type], with Wg read from one table."""
+    total = 0 * next(iter(wg.values()))  # a Fraction, or a function of n at z = moments._N
+    for (*wg_types, trace_type), count in tally:
+        term = count * trace_moments[trace_type]
+        for t in wg_types:
+            term *= wg[t]
+        total += term
+    return total
+
+
 def conj_invariant_moment_unitary(i_seq, j_seq, trace_moments: dict, n: int) -> Rational:
     """E[T_{i1 j1} ... T_{ik jk}] for a conjugation-invariant Hermitian ensemble.
 
@@ -189,16 +290,8 @@ def conj_invariant_moment_unitary(i_seq, j_seq, trace_moments: dict, n: int) -> 
     k = len(i_seq)
     if k != len(j_seq) or k > 2:
         raise ValueError("index sequences must have equal length k <= 2")
-    total = Fraction(0)
-    for sigma in _symmetric_group(k):
-        d = _delta(sigma, i_seq, j_seq)
-        if not d:
-            continue
-        sig_inv = sigma.inverse()
-        for tau in _symmetric_group(k):
-            wg = wg_unitary(cycle_type(sig_inv * tau), k, n)
-            total += wg * trace_moments[cycle_type(tau)]
-    return total
+    tally = _conj_unitary_tally(_pattern((*i_seq, *j_seq)))
+    return _tally_sum(tally, _wg_unitary_table(k, _point(n), None), trace_moments)
 
 
 def conj_invariant_moment_orthogonal(i_seq, trace_moments: dict, n: int) -> Rational:
@@ -208,17 +301,8 @@ def conj_invariant_moment_orthogonal(i_seq, trace_moments: dict, n: int) -> Rati
     """
     if len(i_seq) % 2 or len(i_seq) > 4:
         raise ValueError("need an index sequence of length 2k, k <= 2")
-    k = len(i_seq) // 2
-    total = Fraction(0)
-    pps = pair_partitions(k)
-    for sigma in pps:
-        if not _delta_pair(sigma, i_seq):
-            continue
-        sig_inv = sigma.inverse()
-        for tau in pps:
-            wg = wg_orthogonal(coset_type(sig_inv * tau), k, n)
-            total += wg * trace_moments[coset_type(tau)]
-    return total
+    tally = _conj_orthogonal_tally(_pattern(i_seq))
+    return _tally_sum(tally, _wg_orthogonal_table(len(i_seq) // 2, _point(n)), trace_moments)
 
 
 def lr_moment_complex(i_seq, j_seq, ip_seq, jp_seq, trace_moments: dict, n: int) -> Rational:
@@ -229,20 +313,9 @@ def lr_moment_complex(i_seq, j_seq, ip_seq, jp_seq, trace_moments: dict, n: int)
     k = len(i_seq)
     if not (len(j_seq) == len(ip_seq) == len(jp_seq) == k) or k > 2:
         raise ValueError("index sequences must have equal length k <= 2")
-    total = Fraction(0)
-    perms = _symmetric_group(k)
-    for sigma1 in perms:
-        d1 = _delta(sigma1, i_seq, ip_seq)
-        if not d1:
-            continue
-        s1_inv = sigma1.inverse()
-        for sigma2 in perms:
-            if not _delta(sigma2, j_seq, jp_seq):
-                continue
-            for tau in perms:
-                wg = wg_unitary(cycle_type(tau * s1_inv * sigma2), k, n, n)
-                total += wg * trace_moments[cycle_type(tau)]
-    return total
+    tally = _lr_complex_tally(_pattern((*i_seq, *j_seq, *ip_seq, *jp_seq)))
+    z = _point(n)
+    return _tally_sum(tally, _wg_unitary_table(k, z, z), trace_moments)
 
 
 def lr_moment_real(i_seq, j_seq, trace_moments: dict, n: int) -> Rational:
@@ -252,24 +325,8 @@ def lr_moment_real(i_seq, j_seq, trace_moments: dict, n: int) -> Rational:
     """
     if len(i_seq) != len(j_seq) or len(i_seq) % 2 or len(i_seq) > 4:
         raise ValueError("need row/column sequences of equal length 2k, k <= 2")
-    k = len(i_seq) // 2
-    total = Fraction(0)
-    pps = pair_partitions(k)
-    for sigma1 in pps:
-        if not _delta_pair(sigma1, i_seq):
-            continue
-        s1_inv = sigma1.inverse()
-        for sigma2 in pps:
-            if not _delta_pair(sigma2, j_seq):
-                continue
-            s2_inv = sigma2.inverse()
-            for tau1 in pps:
-                w1 = wg_orthogonal(coset_type(s1_inv * tau1), k, n)
-                t1_inv = tau1.inverse()
-                for tau2 in pps:
-                    w2 = wg_orthogonal(coset_type(s2_inv * tau2), k, n)
-                    total += w1 * w2 * trace_moments[coset_type(t1_inv * tau2)]
-    return total
+    tally = _lr_real_tally(_pattern((*i_seq, *j_seq)))
+    return _tally_sum(tally, _wg_orthogonal_table(len(i_seq) // 2, _point(n)), trace_moments)
 
 
 def haar_moment_unitary(i_seq, j_seq, ip_seq, jp_seq, n: int) -> Rational:
@@ -355,7 +412,8 @@ class CovarianceReport:
 def self_adjoint_second_moments(kind: str, n: int, trace_moments: dict) -> dict:
     """Exact E[T_11 T_22], E|T_12|^2 and E[T_11^2] of the hermitian or symmetric ball.
 
-    Keyed as oracle.ball_second_moments keys the matching payloads.
+    Keyed as oracle.ball_second_moments keys the matching payloads; at n =
+    moments._N, with trace moments as functions of n, they are functions of n.
     """
     if kind == "hermitian":
         m = lambda k, l: conj_invariant_moment_unitary(k, l, trace_moments, n)
@@ -366,35 +424,52 @@ def self_adjoint_second_moments(kind: str, n: int, trace_moments: dict) -> dict:
     return {"T11T22": m((1, 1, 2, 2)), "T12sq": m((1, 2, 1, 2)), "T11sq": m((1, 1, 1, 1))}
 
 
-def _zero_pattern_exact(kind: str, n: int, trace_moments: dict) -> bool:
-    """Check every off-pattern second moment vanishes identically.
+@lru_cache(maxsize=None)
+def _equality_patterns(length: int, labels: int) -> tuple:
+    """One index tuple per equality pattern on at most `labels` labels: the tuples that
+    first-occurrence relabelling leaves fixed (15 of length 4 on 4 labels)."""
+    out = [()]
+    for _ in range(length):
+        out = [p + (x,) for p in out for x in range(min(labels, max(p, default=-1) + 2))]
+    return tuple(out)
 
-    Enumerates all index patterns on up to four distinct labels; the vanishing
-    comes from the index-matching deltas, so checking class representatives
-    covers every index tuple at this n.
+
+def _off_pattern_moments(kind: str, n, trace_moments: dict, labels: int) -> list:
+    """The second moments whose index pattern is off the covariance's support.
+
+    One per equality pattern on `labels` labels (i1 i2 j1 j2 for the hermitian
+    ball): the sums read only which indices are equal, so these cover every
+    index tuple on that many labels.  Each vanishes by the index-matching deltas.
     """
-    labels = [1, 2, 3, 4][: max(2, min(n, 4))]
-    ok = True
-    if kind == "hermitian":
-        for idx in itertools.product(labels, repeat=4):
-            k1, l1, k2, l2 = idx
-            val = conj_invariant_moment_unitary((k1, k2), (l1, l2), trace_moments, n)
-            if sorted((k1, k2)) != sorted((l1, l2)):
-                ok &= val == 0
-    else:
-        for idx in itertools.product(labels, repeat=4):
-            counts = {v: idx.count(v) for v in set(idx)}
-            val = conj_invariant_moment_orthogonal(idx, trace_moments, n)
-            if any(c % 2 for c in counts.values()):
-                ok &= val == 0
-    return ok
+    out = []
+    for idx in _equality_patterns(4, labels):
+        if kind == "hermitian":
+            i_seq, j_seq = idx[:2], idx[2:]
+            if sorted(i_seq) != sorted(j_seq):
+                out.append(conj_invariant_moment_unitary(i_seq, j_seq, trace_moments, n))
+        elif any(idx.count(v) % 2 for v in idx):
+            out.append(conj_invariant_moment_orthogonal(idx, trace_moments, n))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _covariance_functions(kind: str, convention: str) -> tuple:
+    """(second moments, off-pattern moments) of the ball as functions of n, exact at n >= Q_N_FROM."""
+    from .moments import _N, ensemble, trace_moments as trace_of
+
+    tm = trace_of(ensemble(kind), _N, convention)
+    return self_adjoint_second_moments(kind, _N, tm), _off_pattern_moments(kind, _N, tm, 4)
 
 
 def covariance_report(
     ensemble_name: str, n: int, convention: str = "forced", check_zeros: bool = True
 ) -> CovarianceReport:
-    """Exact covariance structure for the Hermitian or real symmetric ball."""
-    from .moments import ensemble, trace_moments as trace_of
+    """Exact covariance structure for the Hermitian or real symmetric ball.
+
+    Per n below moments.Q_N_FROM; from there the moments are functions of n,
+    built once per (ball, convention) and evaluated at n.
+    """
+    from .moments import Q_N_FROM, ensemble, trace_moments as trace_of
 
     spec = ensemble(ensemble_name)
     kind = spec.name
@@ -402,8 +477,14 @@ def covariance_report(
         raise ValueError(f"covariance_report covers hermitian|symmetric, got {ensemble_name!r}")
     if n < 2:
         raise ValueError("need n >= 2")
-    tm = trace_of(spec, n, convention)
-    m = self_adjoint_second_moments(kind, n, tm)
+    if n < Q_N_FROM:
+        tm = trace_of(spec, n, convention)
+        m = self_adjoint_second_moments(kind, n, tm)
+        off = _off_pattern_moments(kind, n, tm, min(n, 4)) if check_zeros else []
+    else:
+        functions, off_functions = _covariance_functions(kind, convention)
+        m = {key: f(n) for key, f in functions.items()}
+        off = [f(n) for f in off_functions] if check_zeros else []
     a, b = m["T11sq"], m["T11T22"]
     # variance of sqrt(2) Re T_12: E|T_12|^2 on the hermitian ball, 2 E[T_12^2] on the symmetric
     offdiag_marginal = m["absT12sq"] if kind == "hermitian" else 2 * m["T12sq"]
@@ -414,7 +495,7 @@ def covariance_report(
     lo, hi = sorted((eig_trace, eig_bulk))
     if lo <= 0:
         raise ArithmeticError(f"covariance not positive definite at n={n}")
-    zeros = _zero_pattern_exact(kind, n, tm) if check_zeros else None
+    zeros = all(v == 0 for v in off) if check_zeros else None
     return CovarianceReport(
         ensemble=kind,
         n=n,
@@ -434,30 +515,46 @@ def covariance_report(
 # ---------------------------------------------------------------------------
 
 
+_FULL_BALLS = {"c": "full-complex", "complex": "full-complex", "r": "full-real", "real": "full-real"}
+
+
+def _full_ball_moments(name: str, n, trace_moments: dict) -> tuple:
+    """(E|T_11|^2, cross, same_row) of the full ball at n, or as functions of n at moments._N."""
+    if name == "full-complex":
+        m = lambda i, j: lr_moment_complex(i, j, i, j, trace_moments, n)
+        return m((1,), (1,)), m((1, 2), (1, 2)), m((1, 1), (1, 2))
+    m = lambda i, j: lr_moment_real(i, j, trace_moments, n)
+    return m((1, 1), (1, 1)), m((1, 1, 2, 2), (1, 1, 2, 2)), m((1, 1, 1, 1), (1, 1, 2, 2))
+
+
+@lru_cache(maxsize=None)
+def _full_ball_functions(name: str) -> tuple:
+    """_full_ball_moments as functions of n, exact at n >= Q_N_FROM."""
+    from .moments import _N, ensemble, trace_moments as trace_of
+
+    return _full_ball_moments(name, _N, trace_of(ensemble(name), _N))
+
+
 def negcorr_report(field: str, n: int) -> dict:
     """Exact entrywise fourth-moment comparison for the full-matrix ball.
 
     cross: E[|T_ij|^2 |T_lr|^2] with i != l, j != r (positively correlated);
     same_row: E[|T_ij|^2 |T_ir|^2], j != r (negatively correlated);
     second_moment_sq: (E[|T_11|^2])^2, the uncorrelated benchmark.
+    Per n below moments.Q_N_FROM, from there as functions of n evaluated at n.
     """
-    from .moments import ensemble, trace_moments as trace_of
+    from .moments import Q_N_FROM, ensemble, trace_moments as trace_of
 
     if n < 2:
         raise ValueError("need n >= 2")
     f = field.lower()
-    if f in ("c", "complex"):
-        tm = trace_of(ensemble("full-complex"), n)
-        second = lr_moment_complex((1,), (1,), (1,), (1,), tm, n)
-        cross = lr_moment_complex((1, 2), (1, 2), (1, 2), (1, 2), tm, n)
-        same_row = lr_moment_complex((1, 1), (1, 2), (1, 1), (1, 2), tm, n)
-    elif f in ("r", "real"):
-        tm = trace_of(ensemble("full-real"), n)
-        second = lr_moment_real((1, 1), (1, 1), tm, n)
-        cross = lr_moment_real((1, 1, 2, 2), (1, 1, 2, 2), tm, n)
-        same_row = lr_moment_real((1, 1, 1, 1), (1, 1, 2, 2), tm, n)
-    else:
+    name = _FULL_BALLS.get(f)
+    if name is None:
         raise ValueError(f"field must be 'r' or 'c', got {field!r}")
+    if n < Q_N_FROM:
+        second, cross, same_row = _full_ball_moments(name, n, trace_of(ensemble(name), n))
+    else:
+        second, cross, same_row = (g(n) for g in _full_ball_functions(name))
     return {
         "field": f[0],
         "n": n,

@@ -604,6 +604,43 @@ print(json.dumps([code, executed]))
         assert json.loads(res.stdout) == [0, expected], argv
 
 
+# one attribute each on-first-use layer defines
+LAYER_ATTRIBUTES = {
+    "moments": "ensemble_moments", "oracle": "quadrature", "verify": "run_all",
+    "weingarten": "covariance_report",
+}
+
+
+def test_layers_first_touched_by_threads_at_once_all_execute():
+    # a layer's first attribute read executes it; a thread reading it meanwhile once found
+    # no attribute there.  Four threads, each starting at another layer, read all four.
+    script = f"""
+import json, sys, threading
+import selmat
+sys.setswitchinterval(1e-5)  # hand the interpreter lock round often
+attrs = {LAYER_ATTRIBUTES!r}
+layers = sorted(attrs)
+barrier = threading.Barrier(len(layers))
+errors = []
+def touch(start):
+    barrier.wait()
+    for layer in layers[start:] + layers[:start]:
+        try:
+            getattr(sys.modules["selmat." + layer], attrs[layer])
+        except Exception as exc:
+            errors.append(repr(exc))
+threads = [threading.Thread(target=touch, args=(i,)) for i in range(len(layers))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(json.dumps([errors, sum(t.is_alive() for t in threads)]))
+"""
+    res = _fresh_python(script)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[], 0]
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction as F
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -290,6 +291,45 @@ def test_kadell_factors_are_built_once_per_partition():
     for mu in partitions_of(12):
         moments.monomial_moment_function(mu, *weight, 12)
     assert kadell_factors.cache_info().misses - misses == len(partitions_of(12)) == 77
+
+
+def _monomial_function_by_form_products(mu, u, w, kappa, m):
+    # monomial_moment_function as it was written before the expanded numerators were
+    # cached: each term multiplies its lambda's numerator forms out again
+    terms = []
+    for lam, c in monomial_to_jack(mu, kappa).items():
+        if len(lam) <= m:
+            scale, forms, den = kadell_factors(lam, u, w, kappa)
+            poly = [1]
+            for form in forms:
+                poly = moments._poly_mul(poly, form)
+            terms.append((c * scale, poly, Counter(den)))
+    lcm = {}
+    for _, _, den in terms:
+        for f, k in den.items():
+            lcm[f] = max(lcm.get(f, 0), k)
+    common = math.lcm(*(c.denominator for c, _, _ in terms))
+    num = []
+    for c, poly, den in terms:
+        for form, k in lcm.items():
+            for _ in range(k - den[form]):
+                poly = moments._poly_mul(poly, form)
+        num = moments._poly_add(num, [int(c * common) * x for x in poly])
+    den_poly = [common]
+    for form, k in lcm.items():
+        for _ in range(k):
+            den_poly = moments._poly_mul(den_poly, form)
+    return moments.RationalFunction.from_fraction_polys(num, den_poly)
+
+
+def test_monomial_functions_read_the_cached_numerators_unchanged():
+    weight = (F(2, 3), F(5, 4), F(1))
+    for d in range(1, 9):
+        for mu in partitions_of(d):
+            for m in range(1, d + 1):
+                got = moments.monomial_moment_function(mu, *weight, m)
+                want = _monomial_function_by_form_products(mu, *weight, m)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (mu, m)
 
 
 def test_monomial_moment_ratio_vanishes_below_the_length():

@@ -1,11 +1,12 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from selmat import weingarten
+from selmat import moments, weingarten
 from selmat.combinat import (
     Permutation,
     character,
@@ -17,6 +18,7 @@ from selmat.combinat import (
 )
 from selmat.moments import ensemble, ensemble_moments, trace_moments
 from selmat.weingarten import (
+    CovarianceReport,
     c_lambda,
     c_lambda_prime,
     conj_invariant_moment_orthogonal,
@@ -24,12 +26,82 @@ from selmat.weingarten import (
     covariance_report,
     haar_moment_orthogonal,
     haar_moment_unitary,
+    lr_moment_complex,
     lr_moment_real,
     negcorr_report,
+    self_adjoint_second_moments,
     wg_orthogonal,
     wg_unitary,
     zonal_spherical,
 )
+
+# -- the moment sums by brute force: every sigma, tau pair, one term at a time ---------
+
+
+def _delta(sigma, i_seq, j_seq):
+    return all(i_seq[sigma(s) - 1] == j_seq[s - 1] for s in range(1, sigma.degree + 1))
+
+
+def _delta_pair(sigma, i_seq):
+    return all(i_seq[sigma(2 * s - 1) - 1] == i_seq[sigma(2 * s) - 1] for s in range(1, sigma.degree // 2 + 1))
+
+
+def _symmetric_group(k):
+    return [Permutation(p) for p in itertools.permutations(range(1, k + 1))]
+
+
+def reference_conj_unitary(i_seq, j_seq, tm, n):
+    k = len(i_seq)
+    total = F(0)
+    for sigma in _symmetric_group(k):
+        if _delta(sigma, i_seq, j_seq):
+            for tau in _symmetric_group(k):
+                total += wg_unitary(cycle_type(sigma.inverse() * tau), k, n) * tm[cycle_type(tau)]
+    return total
+
+
+def reference_conj_orthogonal(i_seq, tm, n):
+    k = len(i_seq) // 2
+    total = F(0)
+    for sigma in pair_partitions(k):
+        if _delta_pair(sigma, i_seq):
+            for tau in pair_partitions(k):
+                total += wg_orthogonal(coset_type(sigma.inverse() * tau), k, n) * tm[coset_type(tau)]
+    return total
+
+
+def reference_lr_complex(i_seq, j_seq, ip_seq, jp_seq, tm, n):
+    k = len(i_seq)
+    total = F(0)
+    perms = _symmetric_group(k)
+    for sigma1 in perms:
+        if not _delta(sigma1, i_seq, ip_seq):
+            continue
+        for sigma2 in perms:
+            if not _delta(sigma2, j_seq, jp_seq):
+                continue
+            for tau in perms:
+                wg = wg_unitary(cycle_type(tau * sigma1.inverse() * sigma2), k, n, n)
+                total += wg * tm[cycle_type(tau)]
+    return total
+
+
+def reference_lr_real(i_seq, j_seq, tm, n):
+    k = len(i_seq) // 2
+    total = F(0)
+    pps = pair_partitions(k)
+    for sigma1 in pps:
+        if not _delta_pair(sigma1, i_seq):
+            continue
+        for sigma2 in pps:
+            if not _delta_pair(sigma2, j_seq):
+                continue
+            for tau1 in pps:
+                w1 = wg_orthogonal(coset_type(sigma1.inverse() * tau1), k, n)
+                for tau2 in pps:
+                    w2 = wg_orthogonal(coset_type(sigma2.inverse() * tau2), k, n)
+                    total += w1 * w2 * tm[coset_type(tau1.inverse() * tau2)]
+    return total
 
 
 def test_c_lambda_examples():
@@ -233,11 +305,16 @@ def test_unchecked_covariance_report_claims_no_zero_pattern(kind):
 
 @pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
 def test_covariance_identity_guard(monkeypatch, kind):
-    # E[T_11^2] = 1 against E[T_11 T_22] = 0 plus an off-diagonal part of 1/3 or 2/3
+    # E[T_11^2] = 1 against E[T_11 T_22] = 0 plus an off-diagonal part of 1/3 or 2/3,
+    # on the per-n route below Q_N_FROM and on the functions of n from there
     broken = {"T11T22": F(0), "absT12sq": F(1, 3), "T12sq": F(1, 3), "T11sq": F(1)}
     monkeypatch.setattr(weingarten, "self_adjoint_second_moments", lambda kind, n, tm: broken)
     with pytest.raises(ArithmeticError):
-        covariance_report(kind, 4, check_zeros=False)
+        covariance_report(kind, moments.Q_N_FROM - 1, check_zeros=False)
+    constants = {key: (lambda n, v=v: v) for key, v in broken.items()}
+    monkeypatch.setattr(weingarten, "_covariance_functions", lambda kind, conv: (constants, []))
+    with pytest.raises(ArithmeticError):
+        covariance_report(kind, moments.Q_N_FROM, check_zeros=False)
 
 
 def test_covariance_condition_number_trend():
@@ -301,3 +378,137 @@ def test_lr_real_zero_pattern():
     tmr = trace_moments(ensemble("full-real"), 3)
     # an index appearing an odd number of times in rows gives zero
     assert lr_moment_real((1, 2, 3, 3), (1, 1, 2, 2), tmr, 3) == 0
+
+
+# -- tallied sums against the brute-force loops ------------------------------------------
+
+TALLY_NS = (2, 3, 5, 9)
+
+
+def _random_trace_moments(seed):
+    # no ball's moments: a cancellation among those cannot hide a wrong count
+    rng = random.Random(seed)
+    return {t: F(rng.randint(-99, 99), rng.randint(1, 99)) for t in ((1,), (1, 1), (2,))}
+
+
+@pytest.mark.parametrize("n", TALLY_NS)
+def test_tallied_sums_match_brute_force_on_every_short_index_tuple(n):
+    # every tuple of 2 or 4 indices on at most 4 labels
+    tm = _random_trace_moments(n)
+    for length in (2, 4):
+        for idx in itertools.product((1, 2, 3, 4), repeat=length):
+            half = length // 2
+            i_seq, j_seq = idx[:half], idx[half:]
+            assert conj_invariant_moment_unitary(i_seq, j_seq, tm, n) == reference_conj_unitary(
+                i_seq, j_seq, tm, n
+            ), idx
+            assert conj_invariant_moment_orthogonal(idx, tm, n) == reference_conj_orthogonal(idx, tm, n), idx
+        for idx in itertools.product((1, 2, 3, 4), repeat=4):  # k = 1 left-right sums
+            seqs = [(x,) for x in idx]
+            assert lr_moment_complex(*seqs, tm, n) == reference_lr_complex(*seqs, tm, n), idx
+            assert lr_moment_real(idx[:2], idx[2:], tm, n) == reference_lr_real(idx[:2], idx[2:], tm, n), idx
+
+
+@pytest.mark.parametrize("n", TALLY_NS)
+def test_tallied_sums_match_brute_force_on_every_index_pattern_of_eight(n):
+    # the k = 2 left-right sums read 8 indices: one tuple per equality pattern on at most
+    # 4 labels (2795 of the 65536 tuples), each written in labels drawn at random
+    tm = _random_trace_moments(n)
+    rng = random.Random(100 + n)
+    patterns = weingarten._equality_patterns(8, 4)
+    assert len(patterns) == 1 + 127 + 966 + 1701  # Stirling numbers S(8, b), b <= 4
+    for pattern in patterns:
+        labels = rng.sample(range(1, 10), 4)
+        idx = tuple(labels[x] for x in pattern)
+        i, j, ip, jp = idx[:2], idx[2:4], idx[4:6], idx[6:]
+        assert lr_moment_complex(i, j, ip, jp, tm, n) == reference_lr_complex(i, j, ip, jp, tm, n), idx
+        assert lr_moment_real(idx[:4], idx[4:], tm, n) == reference_lr_real(idx[:4], idx[4:], tm, n), idx
+
+
+def test_equality_patterns_are_the_relabelled_tuples():
+    for length, labels in ((4, 2), (4, 3), (4, 4), (5, 3)):
+        tuples = itertools.product(range(labels), repeat=length)
+        assert set(weingarten._equality_patterns(length, labels)) == {
+            weingarten._pattern(t) for t in tuples
+        }
+    assert len(weingarten._equality_patterns(4, 4)) == 15
+
+
+# -- covariance and correlation reports against the per-n route --------------------------
+
+
+def _per_n_covariance(kind, n, conv, check_zeros):
+    tm = trace_moments(ensemble(kind), n, conv)
+    m = self_adjoint_second_moments(kind, n, tm)
+    a, b = m["T11sq"], m["T11T22"]
+    off = m["absT12sq"] if kind == "hermitian" else 2 * m["T12sq"]
+    eig_trace, eig_bulk = a + (n - 1) * b, a - b
+    zeros = None
+    if check_zeros:  # every index tuple, as the support of the covariance says
+        zeros = True
+        for k1, k2, l1, l2 in itertools.product(range(1, min(n, 4) + 1), repeat=4):
+            if kind == "hermitian":
+                if sorted((k1, k2)) != sorted((l1, l2)):
+                    zeros &= conj_invariant_moment_unitary((k1, k2), (l1, l2), tm, n) == 0
+            elif any(c % 2 for c in Counter((k1, k2, l1, l2)).values()):
+                zeros &= conj_invariant_moment_orthogonal((k1, k2, l1, l2), tm, n) == 0
+    return CovarianceReport(
+        kind, n, conv, a, off, b, eig_trace, eig_bulk,
+        max(eig_trace, eig_bulk) / min(eig_trace, eig_bulk), zeros,
+    )
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
+def test_covariance_report_equals_the_per_n_route(kind):
+    for conv in ("forced", "paper"):
+        for n in range(2, 61):
+            for check_zeros in (True, False):
+                assert covariance_report(kind, n, conv, check_zeros) == _per_n_covariance(
+                    kind, n, conv, check_zeros
+                ), (conv, n, check_zeros)
+
+
+@pytest.mark.parametrize("field, ball", [("c", "full-complex"), ("r", "full-real")])
+def test_negcorr_report_equals_the_per_n_route(field, ball):
+    for n in range(2, 61):
+        tm = trace_moments(ensemble(ball), n)
+        if field == "c":
+            second = lr_moment_complex((1,), (1,), (1,), (1,), tm, n)
+            cross = lr_moment_complex((1, 2), (1, 2), (1, 2), (1, 2), tm, n)
+            same_row = lr_moment_complex((1, 1), (1, 2), (1, 1), (1, 2), tm, n)
+        else:
+            second = lr_moment_real((1, 1), (1, 1), tm, n)
+            cross = lr_moment_real((1, 1, 2, 2), (1, 1, 2, 2), tm, n)
+            same_row = lr_moment_real((1, 1, 1, 1), (1, 1, 2, 2), tm, n)
+        assert negcorr_report(field, n) == {
+            "field": field, "n": n, "cross": cross, "same_row": same_row,
+            "second_moment": second, "second_moment_sq": second**2,
+        }, n
+
+
+def test_reports_read_functions_of_n_from_q_n_from_and_per_n_below(monkeypatch):
+    # below Q_N_FROM a monomial ratio reads m = min(n, |mu|) < |mu|, so the functions of n
+    # are not the definition there; from Q_N_FROM on no per-n moment is built
+    def refuse(*args):
+        raise AssertionError("a function of n read below Q_N_FROM")
+
+    per_n = moments.trace_moments
+
+    def per_n_below(spec, n, *convention):
+        if n is not moments._N and n >= moments.Q_N_FROM:
+            raise AssertionError(f"per-n trace moments built at n={n}")
+        return per_n(spec, n, *convention)
+
+    monkeypatch.setattr(moments, "trace_moments", per_n_below)
+    for n in (moments.Q_N_FROM, 7, 60):
+        for kind in ("hermitian", "symmetric"):
+            covariance_report(kind, n, "paper")
+        for field in ("r", "c"):
+            negcorr_report(field, n)
+    monkeypatch.setattr(weingarten, "_covariance_functions", refuse)
+    monkeypatch.setattr(weingarten, "_full_ball_functions", refuse)
+    for n in range(2, moments.Q_N_FROM):
+        for kind in ("hermitian", "symmetric"):
+            covariance_report(kind, n, "paper")
+        for field in ("r", "c"):
+            negcorr_report(field, n)
