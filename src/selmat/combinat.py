@@ -10,9 +10,10 @@ coefficient tables used elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
+
+from .exact import Value
 
 Partition = tuple[int, ...]
 
@@ -85,15 +86,15 @@ def boxes(lam: Partition) -> list[tuple[int, int, int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """Permutation of {1..k} stored as the image tuple (images[i-1] = sigma(i))."""
 
-    images: tuple[int, ...]
+    __slots__ = _fields = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":

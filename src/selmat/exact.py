@@ -13,8 +13,9 @@ is a plain multiset comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 Rational = Fraction
@@ -27,8 +28,11 @@ class PoleError(ArithmeticError):
 
 
 def format_rational(x: Rational) -> str:
-    """Canonical string form, ``"p/q"`` (or ``"p"`` for integers)."""
-    return str(Fraction(x))
+    """Canonical string form, ``"p/q"`` (or ``"p"`` for integers), of any length."""
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    # str(int) stops at CPython's int_max_str_digits; an int through Decimal prints the same, unlimited
+    return f"{Decimal(p)}" if q == 1 else f"{Decimal(p)}/{Decimal(q)}"
 
 
 def parse_rational(s: str) -> Rational:
@@ -67,13 +71,59 @@ def log_abs_rational(x: Rational) -> float:
     return shift * _LOG2 + math.log(float(scaled))
 
 
-@dataclass(frozen=True)
-class Approx:
+class Value:
+    """Base of selmat's value classes: equality, hash and repr over ``_fields``.
+
+    A subclass lists its fields in ``_fields`` (its ``__slots__`` may hold more,
+    derived ones) and sets them in its own ``__init__``, through ``_set`` or,
+    in the classes built per n or per arithmetic step, one
+    ``object.__setattr__`` each; afterwards assignment and deletion raise
+    AttributeError.  Equality needs the same class and equal fields, the hash
+    is that of the fields and the repr reads ``Name(field=value, ...)``.
+    The methods are written out here rather than generated by the standard
+    library's class decorator, which imports ``inspect`` and compiles each
+    class's methods when its module loads: a one-shot command would pay that
+    at every start.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # the field tuple (one field: its value)
+
+    def _set(self, *values):
+        for f, v in zip(self._fields, values):
+            object.__setattr__(self, f, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Approx(Value):
     """Double-precision mirror of an exact value, carried in log space too."""
 
-    value: float
-    log_value: float
-    sign: int
+    __slots__ = _fields = ("value", "log_value", "sign")
+
+    def __init__(self, value: float, log_value: float, sign: int):
+        self._set(value, log_value, sign)
 
 
 def _approx_from_log(log_value: float, sign: int) -> Approx:

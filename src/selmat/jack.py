@@ -20,23 +20,23 @@ parts, hence every coefficient is independent of the number of variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import Partition, boxes, partition, partitions_of
-from .exact import Rational
+from .exact import Rational, Value
 from .selberg import SelbergParams
 
 MAX_DEGREE = 12
 
 
-@dataclass(frozen=True)
-class SymPoly:
+class SymPoly(Value):
     """Graded symmetric polynomial in the monomial basis (zero coeffs dropped)."""
 
-    degree: int
-    coeffs: tuple  # tuple of (Partition, Fraction), sorted by partition
+    __slots__ = _fields = ("degree", "coeffs")
+
+    def __init__(self, degree: int, coeffs: tuple):  # coeffs: (Partition, Fraction) pairs, sorted
+        self._set(degree, coeffs)
 
     @classmethod
     def from_dict(cls, degree: int, coeffs: dict) -> "SymPoly":

@@ -30,12 +30,11 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exact import Rational, format_rational
+from .exact import Rational, Value, format_rational
 from .jack import kadell_factors, kadell_numerator, monomial_to_jack
 from .jack import kadell_ratio  # noqa: F401  re-exported; perfbench traces its bindings
 from .selberg import FULL_PAYLOADS, PAYLOAD_POWERS, SHIFTED_PAYLOADS
@@ -52,8 +51,7 @@ class InconsistentSamplesError(ValueError):
     """No rational function within the degree bound fits all samples."""
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Value):
     """A matrix ensemble: self-adjoint or full over the beta = 1, 2, 4 algebras.
 
     Carries the log-gas exponents (a, b, c) of the eigenvalue / singular-value
@@ -61,14 +59,14 @@ class EnsembleSpec:
     kappa = beta/2 and the real dimension d_n of the matrix space.
     """
 
-    family: str
-    beta: int
+    __slots__ = _fields = ("family", "beta")
 
-    def __post_init__(self):
-        if self.family not in (SELF_ADJOINT, FULL_MATRIX):
-            raise ValueError(f"unknown family {self.family}")
-        if self.beta not in (1, 2, 4):
-            raise ValueError(f"beta must be 1, 2 or 4, got {self.beta}")
+    def __init__(self, family: str, beta: int):
+        if family not in (SELF_ADJOINT, FULL_MATRIX):
+            raise ValueError(f"unknown family {family}")
+        if beta not in (1, 2, 4):
+            raise ValueError(f"beta must be 1, 2 or 4, got {beta}")
+        self._set(family, beta)
 
     @property
     def a(self) -> int:
@@ -242,8 +240,7 @@ def _rf_parts(x) -> Optional[tuple]:
     return None
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Value):
     """p(n)/q(n) with coprime integer-coefficient polynomials, q normalised.
 
     Normal form: coefficients ascending in degree, integer, with no common
@@ -254,8 +251,11 @@ class RationalFunction:
     gcd-of-denominators scheme), so equal functions compare equal.
     """
 
-    numerator: tuple  # int coefficients, ascending degree
-    denominator: tuple
+    __slots__ = _fields = ("numerator", "denominator")
+
+    def __init__(self, numerator: tuple, denominator: tuple):  # int coefficients, ascending degree
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
 
     @classmethod
     def _normal(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
@@ -484,19 +484,27 @@ def full_matrix_moment_ratio(payload: str, n: int, beta: int) -> Rational:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """Second/fourth entrywise-reduced moments, variance and sigma^2 at one n."""
+class MomentReport(Value):
+    """Second/fourth entrywise-reduced moments, variance and sigma^2 at one n.
 
-    n: int
-    ensemble: EnsembleSpec
-    convention: str
-    M2: Rational
-    M4: Rational
-    M22: Rational
-    M11: Optional[Rational]  # cross linear moment; None for full-matrix families
-    var: Rational
-    sigma2: Rational
+    M11, the cross linear moment, is None for the full-matrix families.
+    """
+
+    __slots__ = _fields = ("n", "ensemble", "convention", *MOMENT_FIELDS)
+
+    def __init__(self, n: int, ensemble: EnsembleSpec, convention: str, M2: Rational,
+                 M4: Rational, M22: Rational, M11: Optional[Rational], var: Rational,
+                 sigma2: Rational):
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "ensemble", ensemble)
+        put(self, "convention", convention)
+        put(self, "M2", M2)
+        put(self, "M4", M4)
+        put(self, "M22", M22)
+        put(self, "M11", M11)
+        put(self, "var", var)
+        put(self, "sigma2", sigma2)
 
     def to_json(self) -> dict:
         def fmt(x):

@@ -37,11 +37,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import partition
+from .exact import Value
 from .selberg import PAYLOAD_POWERS, SelbergParams, check_aomoto_indices
 
 
@@ -49,17 +49,18 @@ class UnsupportedDimensionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SampleEstimate:
+class SampleEstimate(Value):
     """Monte Carlo mean of i.i.d. draws with its standard error; reproducible by seed."""
 
-    mean: float
-    stderr: float
-    n_samples: int
-    seed: int
+    __slots__ = _fields = ("mean", "stderr", "n_samples", "seed")
+
+    def __init__(self, mean: float, stderr: float, n_samples: int, seed: int):
+        self._set(mean, stderr, n_samples, seed)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "mean": self.mean, "stderr": self.stderr, "n_samples": self.n_samples, "seed": self.seed
+        }
 
 
 CHUNK_ENTRIES = 2**16  # one sampling chunk holds about this many array entries
@@ -222,8 +223,7 @@ def _symmetrized(f, n):
 QUADRATURE_MAX_NODES = 2**22  # 40^4 fits; the mesh alone takes 8 n bytes per node
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Value):
     """Deterministic tensor-product rule for one integrand.
 
     kind: "selberg" (params u, w, kappa on [0,1]^n) or "loggas"
@@ -234,19 +234,16 @@ class QuadratureSpec:
     integrand reduces to (parameters at which the integral diverges raise
     ParamOutOfRangeError); on_t_key, the log-gas map a and the payload, is what
     _on_t depends on besides node_key; scale multiplies the weighed sum.  The
-    payload is checked here, but a spec holds no function.
+    payload is checked here, but a spec holds no function.  The derived
+    weight, on_t_key and scale take no part in equality, hash or repr.
     """
 
-    kind: str
-    n: int
-    payload: tuple
-    params: tuple
-    points_per_axis: int = 40
-    weight: SelbergParams = field(init=False, repr=False, compare=False)
-    on_t_key: tuple = field(init=False, repr=False, compare=False)
-    scale: float = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "n", "payload", "params", "points_per_axis")
+    __slots__ = (*_fields, "weight", "on_t_key", "scale")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, n: int, payload: tuple, params: tuple, points_per_axis: int = 40):
+        self._set(kind, n, payload, params, points_per_axis)
+        put = object.__setattr__
         a = 0  # the log-gas map, none for a Selberg integrand
         if self.kind == "selberg":
             weight = SelbergParams(self.n, *self.params)
@@ -255,7 +252,7 @@ class QuadratureSpec:
             weight = SelbergParams(self.n, *_loggas_selberg_params(a, b, c))
         else:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        object.__setattr__(self, "weight", weight)
+        put(self, "weight", weight)
         _, _, even = _payload(self.payload, self.n)
         if a == 2 and not even:
             raise ValueError(
@@ -276,8 +273,8 @@ class QuadratureSpec:
         if a == 1:  # x = 2t - 1: dx = 2^n dt and |Delta(x)|^b is 2^(b n(n-1)/2) |Delta(t)|^b
             scale = scale * 2.0 ** (n + b * n * (n - 1) // 2)
         # a = 2, x = sqrt(t): an even integrand is 2^n times its [0,1]^n part; dx = dt / (2 sqrt t)
-        object.__setattr__(self, "on_t_key", (a, repr(self.payload)))
-        object.__setattr__(self, "scale", scale)
+        put(self, "on_t_key", (a, repr(self.payload)))
+        put(self, "scale", scale)
 
 
 def _on_t(spec: QuadratureSpec) -> Callable:
@@ -293,7 +290,8 @@ def _on_t(spec: QuadratureSpec) -> Callable:
 def quadrature(spec: QuadratureSpec) -> tuple[float, float]:
     """(value, error_estimate); the estimate compares two resolutions."""
     coarse_pts = max(8, spec.points_per_axis - max(4, spec.points_per_axis // 3))
-    fine, coarse = quadrature_values([spec, replace(spec, points_per_axis=coarse_pts)])
+    coarse = QuadratureSpec(spec.kind, spec.n, spec.payload, spec.params, coarse_pts)
+    fine, coarse = quadrature_values([spec, coarse])
     return fine, abs(fine - coarse)
 
 

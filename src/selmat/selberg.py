@@ -8,10 +8,9 @@ always exact Rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GammaProduct, Rational, format_rational
+from .exact import GammaProduct, Rational, Value, format_rational
 
 # Each payload moment E[prod_i x_i^e_i] of the spectral variable x, by its exponents e
 PAYLOAD_POWERS = {"x2": (2,), "x1x1": (1, 1), "x2x2": (2, 2), "x4": (4,)}
@@ -27,19 +26,16 @@ class IndexConstraintError(ValueError):
     """Index arguments outside the valid (m1, m2, m3) region."""
 
 
-@dataclass(frozen=True)
-class SelbergParams:
+class SelbergParams(Value):
     """(n, u, w, kappa) for the weight prod t^(u-1)(1-t)^(w-1) prod|t_i-t_j|^(2kappa)."""
 
-    n: int
-    u: Rational
-    w: Rational
-    kappa: Rational
+    __slots__ = _fields = ("n", "u", "w", "kappa")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "w", Fraction(self.w))
-        object.__setattr__(self, "kappa", Fraction(self.kappa))
+    def __init__(self, n: int, u: Rational, w: Rational, kappa: Rational):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "u", Fraction(u))
+        object.__setattr__(self, "w", Fraction(w))
+        object.__setattr__(self, "kappa", Fraction(kappa))
         self.validate()
 
     def validate(self):

@@ -10,12 +10,11 @@ per axis) must agree to QUAD_RTOL relative to the exact value; Monte Carlo cases
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import DEFAULT_SEED  # noqa: F401  re-exported: the default --seed of verify
 from .combinat import Permutation, partitions_of
-from .exact import format_rational, to_float
+from .exact import Value, format_rational, to_float
 from .jack import jack_in_monomials, kadell_ratio, monomial_to_jack
 from .moments import (
     asymptotic_expansion,
@@ -44,13 +43,22 @@ QUAD_RTOL = 1e-11  # |quad - exact| <= QUAD_RTOL |exact| for every C1 case
 MC_COUNT = 400_000
 
 
-@dataclass
-class CheckResult:
-    criterion: str
-    name: str
-    passed: bool
-    n_cases: int
-    details: list = field(default_factory=list)
+class CheckResult(Value):
+    """One criterion's verdict and its per-case detail records; unlike the
+    other value classes it may be changed after construction, so it has no hash."""
+
+    __slots__ = _fields = ("criterion", "name", "passed", "n_cases", "details")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, criterion: str, name: str, passed: bool, n_cases: int,
+                 details: list | None = None):
+        self.criterion = criterion
+        self.name = name
+        self.passed = passed
+        self.n_cases = n_cases
+        self.details = [] if details is None else details
 
     def to_json(self) -> dict:
         return {

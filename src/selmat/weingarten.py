@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -43,7 +42,7 @@ from .combinat import (
     partitions_of,
     zee,
 )
-from .exact import Rational, format_rational
+from .exact import Rational, Value, format_rational
 from .jack import jack_in_power_sums
 
 MAX_K_UNITARY = 6
@@ -369,8 +368,7 @@ def haar_moment_orthogonal(i_seq, j_seq, n: int) -> Rational:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CovarianceReport:
+class CovarianceReport(Value):
     """Covariance matrix structure of a self-adjoint operator-norm ball.
 
     On the diagonal-marginal block the matrix is (a-b) I + b J; every other
@@ -379,16 +377,25 @@ class CovarianceReport:
     d_n - 1).
     """
 
-    ensemble: str
-    n: int
-    convention: str
-    diag_variance: Rational  # a
-    offdiag_variance: Rational  # marginal variance of the off-diagonal coordinates
-    diag_diag_covariance: Rational  # b
-    eig_trace_direction: Rational
-    eig_bulk: Rational
-    condition_number: Rational
-    zero_pattern_exact: Optional[bool]  # None when covariance_report skips the check
+    __slots__ = _fields = (
+        "ensemble",
+        "n",
+        "convention",
+        "diag_variance",  # a
+        "offdiag_variance",  # marginal variance of the off-diagonal coordinates
+        "diag_diag_covariance",  # b
+        "eig_trace_direction",
+        "eig_bulk",
+        "condition_number",
+        "zero_pattern_exact",  # None when covariance_report skips the check
+    )
+
+    def __init__(self, ensemble: str, n: int, convention: str, diag_variance: Rational,
+                 offdiag_variance: Rational, diag_diag_covariance: Rational,
+                 eig_trace_direction: Rational, eig_bulk: Rational,
+                 condition_number: Rational, zero_pattern_exact: Optional[bool]):
+        self._set(ensemble, n, convention, diag_variance, offdiag_variance, diag_diag_covariance,
+                  eig_trace_direction, eig_bulk, condition_number, zero_pattern_exact)
 
     def to_json(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -322,6 +323,45 @@ def test_aomoto_general_ratio_where_an_overlap_factor_vanishes(capsys, n, want):
         "--m1", m, "--m2", m, "--m3", m,
     )
     assert code == 0 and recs[1]["exact"] == want
+
+
+def _digits_to_int(text: str) -> int:
+    # int() refuses past sys.get_int_max_str_digits(); Decimal's conversion does not
+    return int(decimal.Decimal(text))
+
+
+@pytest.mark.parametrize(
+    "n,u,w,kappa",
+    [("100", "1", "1", "1"), ("200", "1", "1", "1/2"), ("40", "7/11", "3/2", "10"),
+     ("2", "7/11", "3/2", "1000")],
+)
+def test_selberg_values_past_the_int_string_limit_print(capsys, n, u, w, kappa):
+    # each exact value has a numerator or denominator past CPython's 4300-digit limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, recs = run_cli(capsys, "selberg", "--n", n, "--u", u, "--w", w, "--kappa", kappa)
+    assert code == 0, recs[-1]
+    rec = recs[1]
+    text = rec["exact"] if "exact" in rec else rec["exact_gamma"]["prefactor"]
+    p, _, q = text.partition("/")
+    assert max(len(p), len(q)) > 4300
+    got = F(_digits_to_int(p), _digits_to_int(q or "1"))
+    want = selmat.selberg_I0(selmat.SelbergParams(int(n), F(u), F(w), F(kappa))).simplify()
+    assert got == (want if "exact" in rec else want.prefactor)
+    log_value = math.log(abs(got.numerator)) - math.log(got.denominator)
+    for a, e in rec.get("exact_gamma", {}).get("factors", ()):
+        log_value += e * math.lgamma(float(F(a)))
+    assert rec["log_value"] == pytest.approx(log_value, rel=1e-12)
+    if limit is not None:  # formatting changed no process-wide setting
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_rational_flag_past_the_int_string_limit_exits_2():
+    # parsing user input keeps CPython's limit
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int string limit")
+    with pytest.raises(SystemExit) as exc:
+        main(["selberg", "--n", "2", "--u", "1" * 5001, "--w", "1", "--kappa", "1"])
+    assert exc.value.code == 2
 
 
 def test_bad_flags_exit_2():

@@ -54,8 +54,9 @@ def test_rational_field_ops_exact():
 
 
 def test_rational_serialization_roundtrip():
-    for v in (F(1, 3), F(-7, 2), F(5), F(0)):
+    for v in (F(1, 3), F(-7, 2), F(5), F(0), F(-1000), F(10**40, 3), F(-(7**900), 3**1200)):
         assert parse_rational(format_rational(v)) == v
+        assert format_rational(v) == str(v)  # the Decimal route prints what str prints
     # a ValueError, as argparse reports a bad flag value; Fraction raises ZeroDivisionError
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")

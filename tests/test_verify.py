@@ -85,6 +85,29 @@ assert "concurrent.futures" not in sys.modules, "concurrent.futures"
     assert res.returncode == 0, res.stderr
 
 
+def test_cli_start_up_loads_no_dataclasses_or_inspect():
+    # each CLI call is a fresh process: the import and typical commands must not pay for
+    # dataclasses and the inspect, ast and dis modules it loads; only modules that selmat
+    # adds count, as site may load some of them before
+    script = """
+import contextlib, io, sys
+before = set(sys.modules)
+def added(when):
+    new = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+    assert not new, f"{when} loads {sorted(new)}"
+import selmat.cli
+added("import selmat.cli")
+for argv in (["sigma", "--ensemble", "hermitian", "--n-list", "2:5"],
+             ["covariance", "--ensemble", "hermitian", "--n", "4"],
+             ["verify", "--criteria", "C2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert selmat.cli.main(argv) == 0, argv
+    added(" ".join(argv))
+"""
+    res = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_piped_verify_prints_one_config_record():
     # stdout is a pipe, and without PYTHONUNBUFFERED it is block-buffered: the config
     # line must be written once, and the criteria after it in criteria order
