@@ -34,23 +34,37 @@ _FIRST_USE = threading.RLock()
 _executing = set()  # id()s of the layers whose code runs now, on the thread holding the lock
 
 
-class _OnFirstUse(types.ModuleType):
-    """A layer that has not executed: its first attribute read executes it.
+def _execute(module) -> None:
+    """Run a layer's code unless it has run, or runs now on this thread."""
+    with _FIRST_USE:
+        if type(module) is _OnFirstUse and id(module) not in _executing:
+            _executing.add(id(module))
+            try:
+                types.ModuleType.__getattribute__(module, "__spec__").loader.exec_module(module)
+            finally:
+                _executing.discard(id(module))
+            types.ModuleType.__setattr__(module, "__class__", types.ModuleType)
 
-    Threads that read it meanwhile wait for the lock; the class becomes
+
+class _OnFirstUse(types.ModuleType):
+    """A layer that has not executed: its first attribute read, write or delete executes it.
+
+    A write made first would otherwise be overwritten when the code runs.
+    Threads that touch it meanwhile wait for the lock; the class becomes
     types.ModuleType once the code has run.
     """
 
     def __getattribute__(self, attr):
-        with _FIRST_USE:
-            if type(self) is _OnFirstUse and id(self) not in _executing:
-                _executing.add(id(self))
-                try:
-                    types.ModuleType.__getattribute__(self, "__spec__").loader.exec_module(self)
-                finally:
-                    _executing.discard(id(self))
-                self.__class__ = types.ModuleType
+        _execute(self)
         return types.ModuleType.__getattribute__(self, attr)
+
+    def __setattr__(self, attr, value):
+        _execute(self)
+        types.ModuleType.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        _execute(self)
+        types.ModuleType.__delattr__(self, attr)
 
 
 def _lazy(name: str):

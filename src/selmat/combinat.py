@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .exact import Value
 

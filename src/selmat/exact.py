@@ -16,7 +16,6 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
 
 Rational = Fraction
 
@@ -239,7 +238,7 @@ class GammaProduct:
     def is_rational(self) -> bool:
         return not self.factors
 
-    def simplify(self) -> Union[Rational, "GammaProduct"]:
+    def simplify(self) -> Rational | GammaProduct:
         """Collapse to an exact Rational when every Gamma factor cancelled."""
         return self.prefactor if self.is_rational() else self
 
@@ -277,7 +276,7 @@ class GammaProduct:
         return _approx_from_log(log_v, sign)
 
 
-def to_float(v: Union[Rational, GammaProduct]) -> Approx:
+def to_float(v: Rational | GammaProduct) -> Approx:
     """Double-precision evaluation (via log-gamma for Gamma products)."""
     if isinstance(v, GammaProduct):
         return v.approx()

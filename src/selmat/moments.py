@@ -30,9 +30,9 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .exact import Rational, Value, format_rational
 from .jack import kadell_factors, kadell_numerator, monomial_to_jack
@@ -230,7 +230,7 @@ def _cancel(num: list, den: list, g: list) -> tuple:
     return _poly_exact_div(num, g), _poly_exact_div(den, g)
 
 
-def _rf_parts(x) -> Optional[tuple]:
+def _rf_parts(x) -> tuple | None:
     """(numerator, denominator) of a RationalFunction, int or Fraction."""
     if isinstance(x, RationalFunction):
         return x.numerator, x.denominator
@@ -258,7 +258,7 @@ class RationalFunction(Value):
         object.__setattr__(self, "denominator", denominator)
 
     @classmethod
-    def _normal(cls, num: Sequence[int], den: Sequence[int]) -> "RationalFunction":
+    def _normal(cls, num: Sequence[int], den: Sequence[int]) -> RationalFunction:
         """The normal form of num/den for coprime integer polynomials."""
         num, den = _poly_trim(list(num)), _poly_trim(list(den))
         if not den:
@@ -271,7 +271,7 @@ class RationalFunction(Value):
         return cls(tuple(c // g for c in num), tuple(c // g for c in den))
 
     @classmethod
-    def from_fraction_polys(cls, num: Sequence[Fraction], den: Sequence[Fraction]) -> "RationalFunction":
+    def from_fraction_polys(cls, num: Sequence[Fraction], den: Sequence[Fraction]) -> RationalFunction:
         num, den = _poly_trim(list(num)), _poly_trim(list(den))
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
@@ -307,7 +307,7 @@ class RationalFunction(Value):
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RationalFunction":
+    def __neg__(self) -> RationalFunction:
         return RationalFunction(tuple(-c for c in self.numerator), self.denominator)
 
     def __sub__(self, other):
@@ -329,7 +329,7 @@ class RationalFunction(Value):
 
     __rmul__ = __mul__
 
-    def _reciprocal(self) -> "RationalFunction":
+    def _reciprocal(self) -> RationalFunction:
         if not self.numerator:
             raise ZeroDivisionError("division by the zero function")
         return self._normal(self.denominator, self.numerator)
@@ -493,7 +493,7 @@ class MomentReport(Value):
     __slots__ = _fields = ("n", "ensemble", "convention", *MOMENT_FIELDS)
 
     def __init__(self, n: int, ensemble: EnsembleSpec, convention: str, M2: Rational,
-                 M4: Rational, M22: Rational, M11: Optional[Rational], var: Rational,
+                 M4: Rational, M22: Rational, M11: Rational | None, var: Rational,
                  sigma2: Rational):
         put = object.__setattr__
         put(self, "n", n)
@@ -594,7 +594,8 @@ def trace_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> dic
     (1,1) -> E[(Tr T)^2] = n M2 + n(n-1) M11, (2,) -> E[Tr T^2] = n M2.
     Full matrix (powers of TT*): (1,) -> E[Tr TT*] = n M2,
     (1,1) -> E[(Tr TT*)^2] = n M4 + n(n-1) M22, (2,) -> E[Tr (TT*)^2] = n M4.
-    At an int n, or as functions of n at _N, equal to those at every n >= Q_N_FROM.
+    At an int n, or as functions of n at _N, equal to those at every n >= Q_N_FROM;
+    on the balls of beta 1 and 2 the functions equal them at n = 2 and 3 as well.
     """
     if n is _N:
         M2, M4, M22, M11 = ensemble_moment_functions(spec, convention)[:4]
@@ -676,7 +677,7 @@ def reconstruct_rational(samples: Sequence[tuple], deg_bound: int) -> RationalFu
     )
 
 
-def _try_degree(pts, d) -> Optional[RationalFunction]:
+def _try_degree(pts, d) -> RationalFunction | None:
     # unknowns: p_0..p_d, q_0..q_d with p(n_i) - v_i q(n_i) = 0
     rows = []
     for n, v in pts[: 2 * d + 2]:
@@ -699,7 +700,7 @@ def _try_degree(pts, d) -> Optional[RationalFunction]:
     return rf if ok else None
 
 
-def _nullspace_vector(rows) -> Optional[list]:
+def _nullspace_vector(rows) -> list | None:
     """One nonzero rational kernel vector of the row system, or None."""
     if not rows:
         return None
@@ -769,7 +770,7 @@ def asympt_quantity(
     *,
     kappa=None,
     beta=None,
-    ensemble_name: Optional[str] = None,
+    ensemble_name: str | None = None,
     convention: str = "forced",
 ) -> RationalFunction:
     """A named quantity as one rational function of n, for ``asymptotic_expansion``.

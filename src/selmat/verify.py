@@ -17,22 +17,21 @@ from .combinat import Permutation, partitions_of
 from .exact import Value, format_rational, to_float
 from .jack import jack_in_monomials, kadell_ratio, monomial_to_jack
 from .moments import (
+    _N,
     asymptotic_expansion,
     beta_remark_combination,
     ensemble,
     ensemble_moments,
     full_matrix_moment_ratio,
-    trace_moments,
 )
 from .oracle import QuadratureSpec, ball_moment_estimate, ball_second_moments, node_key
 from .oracle import quadrature, quadrature_values
 from .selberg import aomoto_general_ratio, aomoto_ratio, selberg_I0
 from .weingarten import (
-    conj_invariant_moment_orthogonal,
-    conj_invariant_moment_unitary,
+    covariance_functions,
     covariance_report,
+    full_ball_functions,
     negcorr_report,
-    self_adjoint_second_moments,
     wg_orthogonal,
     wg_unitary,
     zonal_spherical,
@@ -381,18 +380,17 @@ def check_sigma2() -> CheckResult:
 
 
 def check_weingarten_values() -> CheckResult:
-    """Closed-form Weingarten and zonal spherical values, n = 3..20, exactly."""
+    """Closed-form Weingarten and zonal spherical values, as identities of functions of n."""
     details = []
-    ok_u = all(
-        wg_unitary((1, 1), 2, n) == Fraction(1, n * n - 1)
-        and wg_unitary((2,), 2, n) == Fraction(-1, n * (n * n - 1))
-        for n in range(3, 21)
+    n = _N
+    ok_u = (
+        wg_unitary((1, 1), 2, n) == 1 / (n * n - 1)
+        and wg_unitary((2,), 2, n) == -1 / (n * (n * n - 1))
     )
     details.append({"case": "Wg^U k=2 closed forms", "pass": ok_u})
-    ok_o = all(
-        wg_orthogonal((1, 1), 2, n) == Fraction(n + 1, n * (n - 1) * (n + 2))
-        and wg_orthogonal((2,), 2, n) == Fraction(-1, n * (n - 1) * (n + 2))
-        for n in range(3, 21)
+    ok_o = (
+        wg_orthogonal((1, 1), 2, n) == (n + 1) / (n * (n - 1) * (n + 2))
+        and wg_orthogonal((2,), 2, n) == -1 / (n * (n - 1) * (n + 2))
     )
     details.append({"case": "Wg^O k=2 closed forms", "pass": ok_o})
     import itertools as it
@@ -408,10 +406,7 @@ def check_weingarten_values() -> CheckResult:
             and zonal_spherical((1, 1), Permutation.from_cycles(4, (2, 3))) == Fraction(-1, 2),
         }
     )
-    ok_k1 = all(
-        wg_unitary((1,), 1, n) == Fraction(1, n) and wg_orthogonal((1,), 1, n) == Fraction(1, n)
-        for n in range(3, 21)
-    )
+    ok_k1 = wg_unitary((1,), 1, n) == 1 / n and wg_orthogonal((1,), 1, n) == 1 / n
     details.append({"case": "k=1 values 1/n", "pass": ok_k1})
     return _result("C7", "weingarten closed forms", details)
 
@@ -420,39 +415,27 @@ def check_weingarten_values() -> CheckResult:
 
 
 def check_covariance() -> CheckResult:
-    """Zero pattern, structural identities, and conditioning of the covariance."""
+    """Zero pattern and structural identity as identities of functions of n; conditioning.
+
+    A RationalFunction never equals the int 0, so a zero function is read off
+    its empty numerator.
+    """
     details = []
     for kind in ("hermitian", "symmetric"):
-        spec = ensemble(kind)
-        ident_ok = True
-        zeros_ok = True
-        for n in range(2, 51):
-            tm = trace_moments(spec, n, "forced")
-            m = self_adjoint_second_moments(kind, n, tm)
-            if kind == "hermitian":
-                ident_ok &= m["T11sq"] == m["T11T22"] + m["absT12sq"]
-                # complex zero statements: E[T_kl T_kl] = 0 and mixed patterns
-                zeros_ok &= conj_invariant_moment_unitary((1, 1), (2, 2), tm, n) == 0
-                zeros_ok &= conj_invariant_moment_unitary((1, 1), (2, 1), tm, n) == 0
-                if n > 2:
-                    zeros_ok &= conj_invariant_moment_unitary((1, 2), (1, 3), tm, n) == 0
-            else:
-                ident_ok &= m["T11sq"] == m["T11T22"] + 2 * m["T12sq"]
-                zeros_ok &= conj_invariant_moment_orthogonal((1, 1, 1, 2), tm, n) == 0
-                if n > 2:
-                    zeros_ok &= conj_invariant_moment_orthogonal((1, 2, 1, 3), tm, n) == 0
+        m, off = covariance_functions(kind, "forced")
+        offdiag = m["absT12sq"] if kind == "hermitian" else 2 * m["T12sq"]
+        ident_ok = m["T11sq"] == m["T11T22"] + offdiag
         details.append({"case": f"{kind} structural identity n<=50", "pass": ident_ok})
+        zeros_ok = not any(f.numerator for f in off)
         details.append({"case": f"{kind} zero statements n<=50", "pass": zeros_ok})
         full_zero = all(
-            covariance_report(kind, n, "forced", check_zeros=True).zero_pattern_exact
-            for n in (2, 3, 4, 5)
+            covariance_report(kind, n, "forced").zero_pattern_exact for n in (2, 3, 4, 5)
         )
         details.append({"case": f"{kind} exhaustive index patterns n<=5", "pass": full_zero})
         cond_ok = all(
-            covariance_report(kind, n, "forced", check_zeros=False).condition_number <= 3
-            for n in range(2, 101)
+            covariance_report(kind, n, "forced").condition_number <= 3 for n in range(2, 101)
         )
-        c100 = float(covariance_report(kind, 100, "forced", check_zeros=False).condition_number)
+        c100 = float(covariance_report(kind, 100, "forced").condition_number)
         details.append(
             {
                 "case": f"{kind} condition number",
@@ -465,30 +448,25 @@ def check_covariance() -> CheckResult:
 
 # -- C9 ---------------------------------------------------------------------
 
+# (E|T_11|^2, cross, same_row) of the full balls in closed form
+NEGCORR_VALUES = {
+    "c": (1 / (2 * _N), 1 / (4 * _N * _N - 1), 1 / (2 * _N * (2 * _N + 1))),
+    "r": (1 / (2 * _N + 1), (_N + 1) / (_N * (2 * _N + 1) * (2 * _N + 3)),
+          1 / ((2 * _N + 1) * (2 * _N + 3))),
+}
+
 
 def check_negcorr() -> CheckResult:
-    """Exact full-matrix correlation values and sign patterns, 2 <= n <= 50."""
+    """Exact full-matrix correlation values as identities in n; sign patterns, 2 <= n <= 50."""
     details = []
-    vals_ok = {"c": True, "r": True}
-    ineq_ok = {"c": True, "r": True}
-    for n in range(2, 51):
-        c = negcorr_report("c", n)
-        vals_ok["c"] &= (
-            c["cross"] == Fraction(1, 4 * n * n - 1)
-            and c["same_row"] == Fraction(1, 2 * n * (2 * n + 1))
-            and c["second_moment"] == Fraction(1, 2 * n)
-        )
-        ineq_ok["c"] &= c["cross"] > c["second_moment_sq"] > c["same_row"]
-        r = negcorr_report("r", n)
-        vals_ok["r"] &= (
-            r["cross"] == Fraction(n + 1, n * (2 * n + 1) * (2 * n + 3))
-            and r["same_row"] == Fraction(1, (2 * n + 1) * (2 * n + 3))
-            and r["second_moment"] == Fraction(1, 2 * n + 1)
-        )
-        ineq_ok["r"] &= r["cross"] > r["second_moment_sq"] > r["same_row"]
-    for f in ("c", "r"):
-        details.append({"case": f"field {f} exact values", "pass": vals_ok[f]})
-        details.append({"case": f"field {f} inequality pattern", "pass": ineq_ok[f]})
+    for f, ball in (("c", "full-complex"), ("r", "full-real")):
+        vals_ok = full_ball_functions(ball) == NEGCORR_VALUES[f]
+        ineq_ok = True
+        for n in range(2, 51):
+            rep = negcorr_report(f, n)
+            ineq_ok &= rep["cross"] > rep["second_moment_sq"] > rep["same_row"]
+        details.append({"case": f"field {f} exact values", "pass": vals_ok})
+        details.append({"case": f"field {f} inequality pattern", "pass": ineq_ok})
     return _result("C9", "entrywise correlation values", details)
 
 
@@ -504,9 +482,8 @@ def check_oracle_concordance(seed: int) -> CheckResult:
     details = []
     n = 3
     for kind in ("hermitian", "symmetric"):
-        spec = ensemble(kind)
         exact = {
-            conv: self_adjoint_second_moments(kind, n, trace_moments(spec, n, conv))
+            conv: {name: f(n) for name, f in covariance_functions(kind, conv)[0].items()}
             for conv in ("forced", "paper")
         }
         est = ball_moment_estimate(kind, n, ball_second_moments(kind), MC_COUNT, seed)

@@ -18,8 +18,12 @@ count * Wg * E[Tr] over the tally, read at one n.
 Every table and sum also takes n = moments._N, the identity function of n:
 Wg and the moments are then RationalFunctions of n.  For k <= 2 no C_lambda(n)
 or C'_lambda(n) vanishes at n >= 2, so the unfiltered functions are exact
-there; ``covariance_report`` and ``negcorr_report`` evaluate them at every
-n >= moments.Q_N_FROM, where the trace moments are one function too.
+there.  The trace moments of the hermitian, symmetric and full real and complex
+balls are one function of n at every n >= 2 too: at n = 2 and 3 the hook
+numerator of each lambda with l(lambda) > n vanishes, and no Kadell denominator
+form does for |mu| <= 4.  So ``covariance_report`` and ``negcorr_report``
+evaluate ``covariance_functions`` and ``full_ball_functions``, built once per
+ball, at every n >= 2.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .combinat import (
     Partition,
@@ -113,8 +116,7 @@ def wg_unitary(pi_cycle_type: Partition, k: int, z, w=None) -> Rational:
     mu = partition(pi_cycle_type)
     if sum(mu) != k:
         raise ValueError(f"cycle type {mu} is not a partition of k={k}")
-    wkey = Fraction(w) if w is not None else None
-    return _wg_unitary_table(k, Fraction(z), wkey)[mu]
+    return _wg_unitary_table(k, _point(z), None if w is None else _point(w))[mu]
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +174,7 @@ def wg_orthogonal(sigma_coset_type: Partition, k: int, z) -> Rational:
     mu = partition(sigma_coset_type)
     if sum(mu) != k:
         raise ValueError(f"coset type {mu} is not a partition of k={k}")
-    return _wg_orthogonal_table(k, Fraction(z))[mu]
+    return _wg_orthogonal_table(k, _point(z))[mu]
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +389,13 @@ class CovarianceReport(Value):
         "eig_trace_direction",
         "eig_bulk",
         "condition_number",
-        "zero_pattern_exact",  # None when covariance_report skips the check
+        "zero_pattern_exact",
     )
 
     def __init__(self, ensemble: str, n: int, convention: str, diag_variance: Rational,
                  offdiag_variance: Rational, diag_diag_covariance: Rational,
                  eig_trace_direction: Rational, eig_bulk: Rational,
-                 condition_number: Rational, zero_pattern_exact: Optional[bool]):
+                 condition_number: Rational, zero_pattern_exact: bool):
         self._set(ensemble, n, convention, diag_variance, offdiag_variance, diag_diag_covariance,
                   eig_trace_direction, eig_bulk, condition_number, zero_pattern_exact)
 
@@ -441,57 +443,49 @@ def _equality_patterns(length: int, labels: int) -> tuple:
     return tuple(out)
 
 
-def _off_pattern_moments(kind: str, n, trace_moments: dict, labels: int) -> list:
-    """The second moments whose index pattern is off the covariance's support.
+def _off_pattern_moments(kind: str, trace_moments: dict) -> list:
+    """The second moments, as functions of n, whose index pattern is off the covariance's support.
 
-    One per equality pattern on `labels` labels (i1 i2 j1 j2 for the hermitian
-    ball): the sums read only which indices are equal, so these cover every
-    index tuple on that many labels.  Each vanishes by the index-matching deltas.
+    One per equality pattern on 4 labels (i1 i2 j1 j2 for the hermitian ball):
+    the sums read only which indices are equal, so these cover every index
+    tuple at every n.  Each vanishes by the index-matching deltas.
     """
+    from .moments import _N
+
     out = []
-    for idx in _equality_patterns(4, labels):
+    for idx in _equality_patterns(4, 4):
         if kind == "hermitian":
             i_seq, j_seq = idx[:2], idx[2:]
             if sorted(i_seq) != sorted(j_seq):
-                out.append(conj_invariant_moment_unitary(i_seq, j_seq, trace_moments, n))
+                out.append(conj_invariant_moment_unitary(i_seq, j_seq, trace_moments, _N))
         elif any(idx.count(v) % 2 for v in idx):
-            out.append(conj_invariant_moment_orthogonal(idx, trace_moments, n))
+            out.append(conj_invariant_moment_orthogonal(idx, trace_moments, _N))
     return out
 
 
 @lru_cache(maxsize=None)
-def _covariance_functions(kind: str, convention: str) -> tuple:
-    """(second moments, off-pattern moments) of the ball as functions of n, exact at n >= Q_N_FROM."""
+def covariance_functions(kind: str, convention: str) -> tuple:
+    """(second moments, off-pattern moments) of the ball as functions of n, exact at n >= 2."""
     from .moments import _N, ensemble, trace_moments as trace_of
 
     tm = trace_of(ensemble(kind), _N, convention)
-    return self_adjoint_second_moments(kind, _N, tm), _off_pattern_moments(kind, _N, tm, 4)
+    return self_adjoint_second_moments(kind, _N, tm), _off_pattern_moments(kind, tm)
 
 
-def covariance_report(
-    ensemble_name: str, n: int, convention: str = "forced", check_zeros: bool = True
-) -> CovarianceReport:
+def covariance_report(ensemble_name: str, n: int, convention: str = "forced") -> CovarianceReport:
     """Exact covariance structure for the Hermitian or real symmetric ball.
 
-    Per n below moments.Q_N_FROM; from there the moments are functions of n,
-    built once per (ball, convention) and evaluated at n.
+    The moments are functions of n, built once per (ball, convention) and evaluated at n.
     """
-    from .moments import Q_N_FROM, ensemble, trace_moments as trace_of
+    from .moments import ensemble
 
-    spec = ensemble(ensemble_name)
-    kind = spec.name
+    kind = ensemble(ensemble_name).name
     if kind not in ("hermitian", "symmetric"):
         raise ValueError(f"covariance_report covers hermitian|symmetric, got {ensemble_name!r}")
     if n < 2:
         raise ValueError("need n >= 2")
-    if n < Q_N_FROM:
-        tm = trace_of(spec, n, convention)
-        m = self_adjoint_second_moments(kind, n, tm)
-        off = _off_pattern_moments(kind, n, tm, min(n, 4)) if check_zeros else []
-    else:
-        functions, off_functions = _covariance_functions(kind, convention)
-        m = {key: f(n) for key, f in functions.items()}
-        off = [f(n) for f in off_functions] if check_zeros else []
+    functions, off_functions = covariance_functions(kind, convention)
+    m = {key: f(n) for key, f in functions.items()}
     a, b = m["T11sq"], m["T11T22"]
     # variance of sqrt(2) Re T_12: E|T_12|^2 on the hermitian ball, 2 E[T_12^2] on the symmetric
     offdiag_marginal = m["absT12sq"] if kind == "hermitian" else 2 * m["T12sq"]
@@ -502,7 +496,6 @@ def covariance_report(
     lo, hi = sorted((eig_trace, eig_bulk))
     if lo <= 0:
         raise ArithmeticError(f"covariance not positive definite at n={n}")
-    zeros = all(v == 0 for v in off) if check_zeros else None
     return CovarianceReport(
         ensemble=kind,
         n=n,
@@ -513,7 +506,7 @@ def covariance_report(
         eig_trace_direction=eig_trace,
         eig_bulk=eig_bulk,
         condition_number=hi / lo,
-        zero_pattern_exact=zeros,
+        zero_pattern_exact=all(f(n) == 0 for f in off_functions),
     )
 
 
@@ -525,21 +518,17 @@ def covariance_report(
 _FULL_BALLS = {"c": "full-complex", "complex": "full-complex", "r": "full-real", "real": "full-real"}
 
 
-def _full_ball_moments(name: str, n, trace_moments: dict) -> tuple:
-    """(E|T_11|^2, cross, same_row) of the full ball at n, or as functions of n at moments._N."""
-    if name == "full-complex":
-        m = lambda i, j: lr_moment_complex(i, j, i, j, trace_moments, n)
-        return m((1,), (1,)), m((1, 2), (1, 2)), m((1, 1), (1, 2))
-    m = lambda i, j: lr_moment_real(i, j, trace_moments, n)
-    return m((1, 1), (1, 1)), m((1, 1, 2, 2), (1, 1, 2, 2)), m((1, 1, 1, 1), (1, 1, 2, 2))
-
-
 @lru_cache(maxsize=None)
-def _full_ball_functions(name: str) -> tuple:
-    """_full_ball_moments as functions of n, exact at n >= Q_N_FROM."""
+def full_ball_functions(name: str) -> tuple:
+    """(E|T_11|^2, cross, same_row) of the full ball as functions of n, exact at n >= 2."""
     from .moments import _N, ensemble, trace_moments as trace_of
 
-    return _full_ball_moments(name, _N, trace_of(ensemble(name), _N))
+    tm = trace_of(ensemble(name), _N)
+    if name == "full-complex":
+        m = lambda i, j: lr_moment_complex(i, j, i, j, tm, _N)
+        return m((1,), (1,)), m((1, 2), (1, 2)), m((1, 1), (1, 2))
+    m = lambda i, j: lr_moment_real(i, j, tm, _N)
+    return m((1, 1), (1, 1)), m((1, 1, 2, 2), (1, 1, 2, 2)), m((1, 1, 1, 1), (1, 1, 2, 2))
 
 
 def negcorr_report(field: str, n: int) -> dict:
@@ -548,20 +537,15 @@ def negcorr_report(field: str, n: int) -> dict:
     cross: E[|T_ij|^2 |T_lr|^2] with i != l, j != r (positively correlated);
     same_row: E[|T_ij|^2 |T_ir|^2], j != r (negatively correlated);
     second_moment_sq: (E[|T_11|^2])^2, the uncorrelated benchmark.
-    Per n below moments.Q_N_FROM, from there as functions of n evaluated at n.
+    Read off ``full_ball_functions`` at n.
     """
-    from .moments import Q_N_FROM, ensemble, trace_moments as trace_of
-
     if n < 2:
         raise ValueError("need n >= 2")
     f = field.lower()
     name = _FULL_BALLS.get(f)
     if name is None:
         raise ValueError(f"field must be 'r' or 'c', got {field!r}")
-    if n < Q_N_FROM:
-        second, cross, same_row = _full_ball_moments(name, n, trace_of(ensemble(name), n))
-    else:
-        second, cross, same_row = (g(n) for g in _full_ball_functions(name))
+    second, cross, same_row = (g(n) for g in full_ball_functions(name))
     return {
         "field": f[0],
         "n": n,

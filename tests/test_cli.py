@@ -681,6 +681,23 @@ print(json.dumps([errors, sum(t.is_alive() for t in threads)]))
     assert json.loads(res.stdout) == [[], 0]
 
 
+def test_layer_written_before_its_first_read_keeps_the_write():
+    # a write or delete is the first use too: a write made before the layer executed
+    # was overwritten when the first read executed it
+    script = """
+import json
+from selmat import moments, verify, weingarten
+weingarten.MAX_K_UNITARY = 99
+moments.Q_N_FROM = 7
+del verify.MC_COUNT
+print(json.dumps([weingarten.MAX_K_UNITARY, moments.Q_N_FROM, hasattr(verify, "MC_COUNT"),
+                  callable(verify.run_all)]))
+"""
+    res = _fresh_python(script)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [99, 7, False, True]
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 import selmat
+from selmat import moments
 from selmat import verify as V
 from selmat.exact import to_float
 from selmat.jack import jack_in_monomials, kadell_ratio
@@ -85,15 +86,14 @@ assert "concurrent.futures" not in sys.modules, "concurrent.futures"
     assert res.returncode == 0, res.stderr
 
 
-def test_cli_start_up_loads_no_dataclasses_or_inspect():
-    # each CLI call is a fresh process: the import and typical commands must not pay for
-    # dataclasses and the inspect, ast and dis modules it loads; only modules that selmat
-    # adds count, as site may load some of them before
-    script = """
+# each CLI call is a fresh process: the import and typical commands must not pay for
+# dataclasses and the inspect, ast and dis modules it loads, nor for typing, which only
+# annotations would read; only modules that selmat adds count, as site may load some before
+START_UP = """
 import contextlib, io, sys
 before = set(sys.modules)
 def added(when):
-    new = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+    new = {"dataclasses", "inspect", "typing"} & (set(sys.modules) - before)
     assert not new, f"{when} loads {sorted(new)}"
 import selmat.cli
 added("import selmat.cli")
@@ -104,7 +104,17 @@ for argv in (["sigma", "--ensemble", "hermitian", "--n-list", "2:5"],
         assert selmat.cli.main(argv) == 0, argv
     added(" ".join(argv))
 """
-    res = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True)
+
+
+def test_cli_start_up_loads_no_dataclasses_or_inspect():
+    res = subprocess.run([sys.executable, "-c", START_UP], env=ENV, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_cli_start_up_without_site_loads_no_typing():
+    # a site that preloads typing hides it from the test above; -S loads no site
+    res = subprocess.run([sys.executable, "-S", "-c", START_UP], env=ENV, capture_output=True,
+                         text=True)
     assert res.returncode == 0, res.stderr
 
 
@@ -125,3 +135,43 @@ sys.exit(main(["verify", "--criteria", "C2,C10"]))
     records = [json.loads(line) for line in res.stdout.splitlines()]
     assert ["config" in r for r in records] == [True, False, False, False]
     assert [r.get("criterion") for r in records[1:3]] == ["C2", "C10"]
+
+
+def _vanishing_up_to(n_max):
+    """A nonzero polynomial in n that vanishes at every n in 2..n_max."""
+    out = 1
+    for j in range(2, n_max + 1):
+        out *= moments._N - j
+    return out
+
+
+@pytest.mark.parametrize("kind, key", [("hermitian", "absT12sq"), ("symmetric", "T12sq")])
+def test_c8_fails_an_identity_broken_only_beyond_n_100(monkeypatch, kind, key):
+    # C8 once checked its identity at n <= 50 only; it now compares functions of n
+    real = V.covariance_functions
+
+    def broken(ball, convention):
+        m, off = real(ball, convention)
+        if ball == kind:
+            m = {**m, key: m[key] + _vanishing_up_to(100)}
+        return m, off
+
+    monkeypatch.setattr(V, "covariance_functions", broken)
+    res = V.check_covariance()
+    assert not res.passed
+    assert [d["case"] for d in res.details if not d["pass"]] == [f"{kind} structural identity n<=50"]
+
+
+def test_c9_fails_a_cross_function_off_only_beyond_n_50(monkeypatch):
+    real = V.full_ball_functions
+
+    def broken(ball):
+        second, cross, same_row = real(ball)
+        if ball == "full-complex":
+            cross = cross + _vanishing_up_to(50)
+        return second, cross, same_row
+
+    monkeypatch.setattr(V, "full_ball_functions", broken)
+    res = V.check_negcorr()
+    assert not res.passed
+    assert [d["case"] for d in res.details if not d["pass"]] == ["field c exact values"]

@@ -297,30 +297,21 @@ def test_covariance_report_structure():
 
 
 @pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
-def test_unchecked_covariance_report_claims_no_zero_pattern(kind):
-    rep = covariance_report(kind, 4, check_zeros=False)
-    assert rep.zero_pattern_exact is None
-    assert rep.to_json()["zero_pattern_exact"] is None
-
-
-@pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
 def test_covariance_identity_guard(monkeypatch, kind):
     # E[T_11^2] = 1 against E[T_11 T_22] = 0 plus an off-diagonal part of 1/3 or 2/3,
-    # on the per-n route below Q_N_FROM and on the functions of n from there
+    # at the smallest n and at a large one: the reports have one route
     broken = {"T11T22": F(0), "absT12sq": F(1, 3), "T12sq": F(1, 3), "T11sq": F(1)}
-    monkeypatch.setattr(weingarten, "self_adjoint_second_moments", lambda kind, n, tm: broken)
-    with pytest.raises(ArithmeticError):
-        covariance_report(kind, moments.Q_N_FROM - 1, check_zeros=False)
     constants = {key: (lambda n, v=v: v) for key, v in broken.items()}
-    monkeypatch.setattr(weingarten, "_covariance_functions", lambda kind, conv: (constants, []))
-    with pytest.raises(ArithmeticError):
-        covariance_report(kind, moments.Q_N_FROM, check_zeros=False)
+    monkeypatch.setattr(weingarten, "covariance_functions", lambda kind, conv: (constants, []))
+    for n in (2, 60):
+        with pytest.raises(ArithmeticError):
+            covariance_report(kind, n)
 
 
 def test_covariance_condition_number_trend():
     for kind in ("hermitian", "symmetric"):
         conds = [
-            float(covariance_report(kind, n, "paper", check_zeros=False).condition_number)
+            float(covariance_report(kind, n, "paper").condition_number)
             for n in (4, 10, 30, 100)
         ]
         assert all(c <= 3 for c in conds)
@@ -333,7 +324,7 @@ def test_covariance_asymptotics():
 
     def laurent(kind, attr, order):
         samples = [
-            (n, getattr(covariance_report(kind, n, "paper", check_zeros=False), attr))
+            (n, getattr(covariance_report(kind, n, "paper"), attr))
             for n in range(4, 21)
         ]
         return laurent_coefficients(reconstruct_rational(samples, 8), order)
@@ -355,8 +346,8 @@ def test_covariance_asymptotics():
 def test_covariance_convention_free_conditioning():
     for kind in ("hermitian", "symmetric"):
         for n in (3, 12):
-            a = covariance_report(kind, n, "forced", check_zeros=False).condition_number
-            b = covariance_report(kind, n, "paper", check_zeros=False).condition_number
+            a = covariance_report(kind, n, "forced").condition_number
+            b = covariance_report(kind, n, "paper").condition_number
             assert a == b
 
 
@@ -437,21 +428,19 @@ def test_equality_patterns_are_the_relabelled_tuples():
 # -- covariance and correlation reports against the per-n route --------------------------
 
 
-def _per_n_covariance(kind, n, conv, check_zeros):
+def _per_n_covariance(kind, n, conv):
     tm = trace_moments(ensemble(kind), n, conv)
     m = self_adjoint_second_moments(kind, n, tm)
     a, b = m["T11sq"], m["T11T22"]
     off = m["absT12sq"] if kind == "hermitian" else 2 * m["T12sq"]
     eig_trace, eig_bulk = a + (n - 1) * b, a - b
-    zeros = None
-    if check_zeros:  # every index tuple, as the support of the covariance says
-        zeros = True
-        for k1, k2, l1, l2 in itertools.product(range(1, min(n, 4) + 1), repeat=4):
-            if kind == "hermitian":
-                if sorted((k1, k2)) != sorted((l1, l2)):
-                    zeros &= conj_invariant_moment_unitary((k1, k2), (l1, l2), tm, n) == 0
-            elif any(c % 2 for c in Counter((k1, k2, l1, l2)).values()):
-                zeros &= conj_invariant_moment_orthogonal((k1, k2, l1, l2), tm, n) == 0
+    zeros = True  # every index tuple, as the support of the covariance says
+    for k1, k2, l1, l2 in itertools.product(range(1, min(n, 4) + 1), repeat=4):
+        if kind == "hermitian":
+            if sorted((k1, k2)) != sorted((l1, l2)):
+                zeros &= conj_invariant_moment_unitary((k1, k2), (l1, l2), tm, n) == 0
+        elif any(c % 2 for c in Counter((k1, k2, l1, l2)).values()):
+            zeros &= conj_invariant_moment_orthogonal((k1, k2, l1, l2), tm, n) == 0
     return CovarianceReport(
         kind, n, conv, a, off, b, eig_trace, eig_bulk,
         max(eig_trace, eig_bulk) / min(eig_trace, eig_bulk), zeros,
@@ -462,10 +451,7 @@ def _per_n_covariance(kind, n, conv, check_zeros):
 def test_covariance_report_equals_the_per_n_route(kind):
     for conv in ("forced", "paper"):
         for n in range(2, 61):
-            for check_zeros in (True, False):
-                assert covariance_report(kind, n, conv, check_zeros) == _per_n_covariance(
-                    kind, n, conv, check_zeros
-                ), (conv, n, check_zeros)
+            assert covariance_report(kind, n, conv) == _per_n_covariance(kind, n, conv), (conv, n)
 
 
 @pytest.mark.parametrize("field, ball", [("c", "full-complex"), ("r", "full-real")])
@@ -486,28 +472,21 @@ def test_negcorr_report_equals_the_per_n_route(field, ball):
         }, n
 
 
-def test_reports_read_functions_of_n_from_q_n_from_and_per_n_below(monkeypatch):
-    # below Q_N_FROM a monomial ratio reads m = min(n, |mu|) < |mu|, so the functions of n
-    # are not the definition there; from Q_N_FROM on no per-n moment is built
-    def refuse(*args):
-        raise AssertionError("a function of n read below Q_N_FROM")
+def test_reports_build_no_per_n_trace_moment_at_any_n(monkeypatch):
+    # the functions of n equal the per-n moments of these four balls at every n >= 2
+    # (a hook numerator vanishes where a monomial ratio reads m = min(n, |mu|) < |mu|),
+    # so the reports have one route and build no per-n trace moment
+    functions_of_n = moments.trace_moments
 
-    per_n = moments.trace_moments
-
-    def per_n_below(spec, n, *convention):
-        if n is not moments._N and n >= moments.Q_N_FROM:
+    def functions_only(spec, n, *convention):
+        if n is not moments._N:
             raise AssertionError(f"per-n trace moments built at n={n}")
-        return per_n(spec, n, *convention)
+        return functions_of_n(spec, n, *convention)
 
-    monkeypatch.setattr(moments, "trace_moments", per_n_below)
-    for n in (moments.Q_N_FROM, 7, 60):
-        for kind in ("hermitian", "symmetric"):
-            covariance_report(kind, n, "paper")
-        for field in ("r", "c"):
-            negcorr_report(field, n)
-    monkeypatch.setattr(weingarten, "_covariance_functions", refuse)
-    monkeypatch.setattr(weingarten, "_full_ball_functions", refuse)
-    for n in range(2, moments.Q_N_FROM):
+    monkeypatch.setattr(moments, "trace_moments", functions_only)
+    for cached in (weingarten.covariance_functions, weingarten.full_ball_functions):
+        monkeypatch.setattr(weingarten, cached.__name__, cached.__wrapped__)
+    for n in (2, 3, 4, 7, 60):
         for kind in ("hermitian", "symmetric"):
             covariance_report(kind, n, "paper")
         for field in ("r", "c"):
