@@ -7,13 +7,16 @@ of n, and ``RationalFunction`` does exact arithmetic on them.  At each ball's
 Selberg weight (u, w, kappa) (``EnsembleSpec.weight``) the monomial moment
 ratios J(m_mu)/J(1) are built once per (mu, u, w, kappa, min(n, |mu|)): each
 Kadell ratio is a product of factors linear in n, the hook product of
-P_lambda(1^n) times the Pochhammer factors.  Each payload E[prod_i x_i^e_i]
-is defined once, by its exponents (``selberg.PAYLOAD_POWERS``), and one expansion
-generic in n writes it in those ratios (x = 2t - 1 on the self-adjoint
-balls, t = x^2 on the full balls).  With the variance assembly, at the
-identity function of n, it builds one function per (ensemble, convention)
-and one per beta, which every n >= 4 evaluates in integer arithmetic; their
-Laurent expansions at infinity are the asymptotics.
+P_lambda(1^n) times the Pochhammer factors.  One expansion generic in n writes
+the power-sum moments E[p_rho(x)] of the spectral variable x in those ratios:
+p_k(2t - 1) is a binomial sum of the p_j(t) on the self-adjoint balls, p_k(x) =
+p_(k/2)(t) on the full balls, and a product of p_j(t) is a sum of monomials.
+The moment fields, the trace moments and the box combination read these
+E[p_rho]; each payload E[prod_i x_i^e_i], defined once by its exponents
+(``selberg.PAYLOAD_POWERS``), is E[p_e]/n or (E[p_e1 p_e2] - E[p_(e1+e2)])/(n(n-1)).
+At the identity function of n this builds one function per (ensemble,
+convention) and one per beta, which every n >= 4 evaluates in integer
+arithmetic; their Laurent expansions at infinity are the asymptotics.
 The J-level shifted payloads are still sampled per n and interpolated by a
 rational function of n (exact linear solve).  Nothing is fitted in floats.
 
@@ -34,8 +37,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
+from .combinat import partition, partitions_of
 from .exact import Rational, Value, format_rational
-from .jack import kadell_factors, kadell_numerator, monomial_to_jack
+from .jack import _merge_count, kadell_factors, kadell_numerator, monomial_to_jack
 from .jack import kadell_ratio  # noqa: F401  re-exported; perfbench traces its bindings
 from .selberg import FULL_PAYLOADS, PAYLOAD_POWERS, SHIFTED_PAYLOADS
 
@@ -426,14 +430,39 @@ def _monomial_ratios(n, weight: tuple):
     return lambda mu: monomial_moment_ratio(mu, n, *weight)
 
 
-def _payload_moment(payload: str, n, R, a: int):
-    """E[prod_i x_i^e_i] for e = PAYLOAD_POWERS[payload], from the monomial ratios R(mu).
+def _power_moment(rho: tuple, n, R, a: int):
+    """E[p_rho(x)], p_rho = prod_k sum_i x_i^k, of the spectral variable x, from the ratios R(mu).
 
-    x^e expands binomially in t for x = 2t - 1 (a = 1), and is t^(e/2) for
-    t = x^2 (a = 2).  m_mu has (n)_l / prod_j m_j(mu)! monomials (l = l(mu)), so
-    by symmetry each has mean R(mu) prod_j m_j(mu)! / (n)_l; terms are merged by
-    mu, and by l, before R is read.  n is an int (R returns Fractions) or the
-    identity function of n (R returns RationalFunctions).
+    p_k(x) is sum_j C(k, j) 2^j (-1)^(k-j) p_j(t) for x = 2t - 1 (a = 1), with p_0 = n,
+    and p_(k/2)(t) for t = x^2 (a = 2).  A product p_nu(t) is sum_mu [m_mu]p_nu m_mu
+    (``jack._merge_count``), and E[m_mu] = R(mu); terms are merged by mu before R is
+    read.  n is an int (R returns Fractions) or the identity function of n (R returns
+    RationalFunctions).
+    """
+    per_part = [  # p_k(x) as (j, coefficient of p_j(t))
+        [(j, math.comb(k, j) * 2**j * (-1) ** (k - j)) for j in range(k + 1)] if a == 1
+        else [(k // 2, 1)]
+        for k in rho
+    ]
+    terms = collections.Counter()  # (mu, z) -> coefficient of n^z R(mu)
+    for term in itertools.product(*per_part):
+        nu = partition(j for j, _ in term)
+        coefficient = math.prod(c for _, c in term)
+        for mu in partitions_of(sum(nu)):  # z = len(term) - len(nu) factors p_0 = n
+            terms[mu, len(term) - len(nu)] += _merge_count(nu, mu) * coefficient
+    return sum(c * n**z * (R(mu) if mu else 1) for (mu, z), c in terms.items() if c)
+
+
+def _power_moments(n, weight: tuple, a: int):
+    """rho -> E[p_rho(x)] at weight (u, w, kappa): at an int n, or in n at _N."""
+    R = _monomial_ratios(n, weight)
+    return lambda rho: _power_moment(rho, n, R, a)
+
+
+def _payload_moment(payload: str, n, E, a: int):
+    """E[prod_i x_i^e_i] for e = PAYLOAD_POWERS[payload], from the power-sum moments E(rho).
+
+    By symmetry E[x_1^e] = E[p_e]/n and E[x_1^e1 x_2^e2] = (E[p_e1 p_e2] - E[p_(e1+e2)])/(n(n-1)).
     """
     if a == 2 and payload not in FULL_PAYLOADS:  # t = x^2 takes only even exponents
         raise ValueError(f"unknown full-matrix payload {payload!r}")
@@ -442,25 +471,9 @@ def _payload_moment(payload: str, n, R, a: int):
         raise ValueError(f"unknown payload {payload!r}; choose from {SHIFTED_PAYLOADS}")
     if n is not _N and n < len(powers):
         raise ValueError(f"payload {payload} needs n >= {len(powers)}, got n={n}")
-    per_variable = [  # x^e as (j, coefficient of t^j)
-        [(j, math.comb(e, j) * 2**j * (-1) ** (e - j)) for j in range(e + 1)] if a == 1
-        else [(e // 2, 1)]
-        for e in powers
-    ]
-    by_length = {}  # l -> mu -> coefficient of R(mu)
-    for term in itertools.product(*per_variable):
-        mu = tuple(sorted((j for j, _ in term if j), reverse=True))
-        coefficient = math.prod(c for _, c in term)
-        group = by_length.setdefault(len(mu), {})
-        group[mu] = group.get(mu, 0) + coefficient
-    out = by_length.pop(0, {}).get((), 0)
-    for l, group in by_length.items():
-        total = sum(
-            c * math.prod(math.factorial(mu.count(v)) for v in set(mu)) * R(mu)
-            for mu, c in group.items()
-        )
-        out = out + total / math.prod(n - i for i in range(l))
-    return out
+    if len(powers) == 1:
+        return E(powers) / n
+    return (E(partition(powers)) - E((sum(powers),))) / (n * (n - 1))
 
 
 def shifted_moment_ratio(payload: str, n: int, kappa) -> Rational:
@@ -469,14 +482,14 @@ def shifted_moment_ratio(payload: str, n: int, kappa) -> Rational:
     payload: "x2" -> (t1-1/2)^2, "x1x1" -> (t1-1/2)(t2-1/2),
     "x2x2" -> (t1-1/2)^2 (t2-1/2)^2, "x4" -> (t1-1/2)^4; t - 1/2 = x/2.
     """
-    x_moment = _payload_moment(payload, n, _monomial_ratios(n, (1, 1, Fraction(kappa))), 1)
+    x_moment = _payload_moment(payload, n, _power_moments(n, (1, 1, Fraction(kappa)), 1), 1)
     return x_moment / 2 ** sum(PAYLOAD_POWERS[payload])
 
 
 def full_matrix_moment_ratio(payload: str, n: int, beta: int) -> Rational:
     """N(payload)/N(1) for the full-matrix singular-value density, exactly (t = x^2)."""
     k = Fraction(beta, 2)
-    return _payload_moment(payload, n, _monomial_ratios(n, (k, 1, k)), 2)
+    return _payload_moment(payload, n, _power_moments(n, (k, 1, k), 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -543,26 +556,29 @@ def _scale(convention: str) -> Fraction:
 # |mu|, so one rational function of n holds; below it the formulas run per n.
 Q_N_FROM = 4
 
-def _sum_sq_moments(n, M2, M22, M4) -> tuple:
-    """E[S] and E[S^2] of S = sum x_i^2 from the reduced moments."""
-    return n * M2, n * M4 + n * (n - 1) * M22
+
+def _power_table(spec: EnsembleSpec, n, convention: str) -> dict:
+    """{rho: E[p_rho(x)]} that the moment fields and trace moments read, in the convention."""
+    h = _scale(convention)
+    if spec.family == SELF_ADJOINT:
+        rhos = (2,), (1, 1), (2, 2), (4,)
+    else:  # no odd power of a singular value; the convention has no effect
+        rhos, h = ((2,), (2, 2), (4,)), 1
+    E = _power_moments(n, spec.weight, spec.a)
+    return {rho: h ** (sum(rho) // 2) * E(rho) for rho in rhos}
 
 
 def _moment_fields(spec: EnsembleSpec, n, convention: str) -> tuple:
-    """The MOMENT_FIELDS at an int n, or as functions of n at _N."""
-    h = _scale(convention)
-    R = _monomial_ratios(n, spec.weight)
-    if spec.family == SELF_ADJOINT:
-        M2, M11, M22, M4 = (
-            h ** (sum(PAYLOAD_POWERS[p]) // 2) * _payload_moment(p, n, R, 1)
-            for p in SHIFTED_PAYLOADS
-        )
-    else:  # the convention has no effect on the full balls
-        M2, M22, M4 = (_payload_moment(p, n, R, 2) for p in FULL_PAYLOADS)
-        M11 = None
-    T2, T4 = _sum_sq_moments(n, M2, M22, M4)
+    """The MOMENT_FIELDS at an int n, or as functions of n at _N.
+
+    With S = sum x_i^2 = p_2, E[S] = E[p_2] and E[S^2] = E[p_(2,2)].
+    """
+    E = _power_table(spec, n, convention)
+    M = {p: _payload_moment(p, n, E.__getitem__, spec.a)
+         for p in (SHIFTED_PAYLOADS if spec.family == SELF_ADJOINT else FULL_PAYLOADS)}
+    T2, T4 = E[(2,)], E[(2, 2)]
     T2sq = T2**2
-    return M2, M4, M22, M11, T4 - T2sq, spec.dim(n) * (T4 / T2sq - 1)
+    return M["x2"], M["x4"], M["x2x2"], M.get("x1x1"), T4 - T2sq, spec.dim(n) * (T4 / T2sq - 1)
 
 
 @lru_cache(maxsize=None)
@@ -587,39 +603,27 @@ def ensemble_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> 
     return MomentReport(n, spec, convention, *fields)
 
 
-def trace_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> dict:
-    """E[Tr_tau] data keyed by cycle/coset type, for the Weingarten sums.
+def trace_moments(spec: EnsembleSpec, n, convention: str = "forced") -> dict:
+    """E[Tr_tau] data keyed by cycle/coset type, for the Weingarten sums, from E[p_rho(x)].
 
-    Self-adjoint (powers of T itself): (1,) -> E[Tr T] = 0 by symmetry,
-    (1,1) -> E[(Tr T)^2] = n M2 + n(n-1) M11, (2,) -> E[Tr T^2] = n M2.
-    Full matrix (powers of TT*): (1,) -> E[Tr TT*] = n M2,
-    (1,1) -> E[(Tr TT*)^2] = n M4 + n(n-1) M22, (2,) -> E[Tr (TT*)^2] = n M4.
-    At an int n, or as functions of n at _N, equal to those at every n >= Q_N_FROM;
-    on the balls of beta 1 and 2 the functions equal them at n = 2 and 3 as well.
+    Self-adjoint (powers of T): (1,) -> E[Tr T] = 0 by symmetry, (1,1) -> E[(Tr T)^2] =
+    E[p_(1,1)], (2,) -> E[Tr T^2] = E[p_2].  Full matrix (powers of TT*, eigenvalues x^2):
+    (1,) -> E[p_2], (1,1) -> E[p_(2,2)], (2,) -> E[p_4].  At an int n >= 2, or as functions
+    of n at _N; the functions equal the per-n values at every n >= Q_N_FROM, and on the
+    balls of beta 1 and 2 at n = 2 and 3 as well.
     """
-    if n is _N:
-        M2, M4, M22, M11 = ensemble_moment_functions(spec, convention)[:4]
-    else:
-        r = ensemble_moments(spec, n, convention)
-        M2, M4, M22, M11 = r.M2, r.M4, r.M22, r.M11
+    if n is not _N and n < 2:
+        raise ValueError("need n >= 2")
+    E = _power_table(spec, n, convention)
     if spec.family == SELF_ADJOINT:
-        return {
-            (1,): Fraction(0),  # odd moment on a symmetric box
-            (1, 1): n * M2 + n * (n - 1) * M11,
-            (2,): n * M2,
-        }
-    return {
-        (1,): n * M2,
-        (1, 1): n * M4 + n * (n - 1) * M22,
-        (2,): n * M4,
-    }
+        return {(1,): Fraction(0), (1, 1): E[(1, 1)], (2,): E[(2,)]}
+    return {(1,): E[(2,)], (1, 1): E[(2, 2)], (2,): E[(4,)]}
 
 
 def _remark(n, beta: Fraction):
     """The box combination at an int n, or as a function of n at _N."""
-    R = _monomial_ratios(n, (1, 1, beta / 2))
-    T2, T4 = _sum_sq_moments(n, *(_payload_moment(p, n, R, 1) for p in ("x2", "x2x2", "x4")))
-    return (T4 - T2**2) / 16  # x = 2t - 1 on [-1, 1] is twice t - 1/2 on [-1/2, 1/2]
+    E = _power_moments(n, (1, 1, beta / 2), 1)
+    return (E((2, 2)) - E((2,)) ** 2) / 16  # x = 2t - 1 on [-1, 1] is twice t - 1/2 on [-1/2, 1/2]
 
 
 def _positive_beta(beta) -> Fraction:
@@ -797,7 +801,7 @@ def asympt_quantity(
         beta = _positive_beta(beta)
         if beta.denominator != 1:
             raise ValueError("full-matrix quantities need integer beta")
-        return _payload_moment(name[3:], _N, _monomial_ratios(_N, (beta / 2, 1, beta / 2)), 2)
+        return _payload_moment(name[3:], _N, _power_moments(_N, (beta / 2, 1, beta / 2), 2), 2)
     if name == "remark":
         if beta is None:
             raise ValueError("quantity 'remark' needs beta")

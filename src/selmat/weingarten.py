@@ -70,16 +70,6 @@ def _box_product(lam: Partition, z, step: int):
     return out
 
 
-def c_lambda(lam: Partition, z) -> Rational:
-    """C_lambda(z) = prod over boxes (i,j) of (z + j - i)."""
-    return _box_product(partition(lam), Fraction(z), 1)
-
-
-def c_lambda_prime(lam: Partition, z) -> Rational:
-    """C'_lambda(z) = prod over boxes (i,j) of (z + 2j - i - 1)."""
-    return _box_product(partition(lam), Fraction(z), 2)
-
-
 @lru_cache(maxsize=None)
 def _wg_unitary_table(k: int, z, w) -> dict:
     """{cycle type: Wg^U} at one (k, z[, w]); filtered-sum per the definition.

@@ -176,6 +176,21 @@ def test_trace_moments_self_adjoint_first_zero():
     assert tm[(1,)] == 0
 
 
+def test_power_moment_functions_equal_the_per_n_values():
+    # E[p_rho(x)] with |rho| <= 4 (even parts on the full balls): the one function of n
+    # against the per-n expansion at every n >= |rho|, where each monomial ratio has m = |mu|
+    for name in sorted(ENSEMBLES):
+        spec = ensemble(name)
+        for rho in (rho for d in range(1, 5) for rho in partitions_of(d)):
+            if spec.a == 2 and any(k % 2 for k in rho):
+                continue
+            at = lambda n: moments._power_moment(
+                rho, n, moments._monomial_ratios(n, spec.weight), spec.a)
+            f = at(moments._N)
+            for n in range(sum(rho), 31):
+                assert f(n) == at(n), (name, rho, n)
+
+
 def test_reconstruct_examples():
     rf = reconstruct_rational([(n, F(n, 2 * n + 1)) for n in range(1, 7)], 2)
     assert rf.numerator == (0, 1) and rf.denominator == (1, 2)

@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from selmat.combinat import partitions_of
 from selmat.exact import to_float
 from selmat.jack import kadell_ratio
-from selmat import oracle
+from selmat import moments, oracle
 from selmat.moments import (
     ENSEMBLES,
     PAYLOAD_POWERS,
@@ -116,6 +117,50 @@ def test_payload_moments_match_quadrature(n):
     for (kap, name), base, value in zip(cases, values[::2], values[1::2]):
         exact = float(shifted_moment_ratio(name, n, kap))
         assert value / base == pytest.approx(exact, rel=QUAD_RTOL, abs=0), (name, kap)
+
+
+def _power_sum_in_monomials(rho):
+    """{mu: [m_mu] p_rho}: prod_k sum_i x_i^k multiplied out over len(rho) variables."""
+    coefficients = {}
+    for variables in itertools.product(range(len(rho)), repeat=len(rho)):
+        exponents = [0] * len(rho)
+        for k, i in zip(rho, variables):
+            exponents[i] += k
+        if exponents == sorted(exponents, reverse=True):  # the leading monomial x^mu of m_mu
+            mu = tuple(e for e in exponents if e)
+            coefficients[mu] = coefficients.get(mu, 0) + 1
+    return coefficients
+
+
+def test_power_sum_monomial_expansion_examples():
+    assert _power_sum_in_monomials((1, 1)) == {(2,): 1, (1, 1): 2}
+    assert _power_sum_in_monomials((2, 1, 1)) == {(4,): 1, (3, 1): 2, (2, 2): 2, (2, 1, 1): 2}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_power_sum_moments_match_quadrature(n):
+    # every E[p_rho(x)] with |rho| <= 4 of each ball's spectral variable (even parts on
+    # the full balls) against the log-gas quadrature of p_rho written over monomials
+    # above: no Jack polynomial and no merge count in the oracle
+    cases, specs = [], []
+    for name in sorted(ENSEMBLES):
+        spec = ensemble(name)
+        abc = (spec.a, spec.b, spec.c)
+        base = len(specs)
+        specs.append(QuadratureSpec("loggas", n, ("one",), abc, 40))
+        for rho in (rho for d in range(1, 5) for rho in partitions_of(d)):
+            if spec.a == 2 and any(k % 2 for k in rho):
+                continue
+            payload = ("sympoly", tuple(sorted(_power_sum_in_monomials(rho).items())))
+            cases.append((name, rho, base, len(specs)))
+            specs.append(QuadratureSpec("loggas", n, payload, abc, 40))
+    values = oracle.quadrature_values(specs)
+    assert len(cases) == 42
+    for name, rho, base, at in cases:
+        spec = ensemble(name)
+        exact = moments._power_moment(rho, n, moments._monomial_ratios(n, spec.weight), spec.a)
+        got = values[at] / values[base]
+        assert got == pytest.approx(float(exact), rel=QUAD_RTOL, abs=1e-13), (name, rho)
 
 
 def test_quadrature_error_estimate_covers_truth():

@@ -19,8 +19,6 @@ from selmat.combinat import (
 from selmat.moments import ensemble, ensemble_moments, trace_moments
 from selmat.weingarten import (
     CovarianceReport,
-    c_lambda,
-    c_lambda_prime,
     conj_invariant_moment_orthogonal,
     conj_invariant_moment_unitary,
     covariance_report,
@@ -105,6 +103,9 @@ def reference_lr_real(i_seq, j_seq, tm, n):
 
 
 def test_c_lambda_examples():
+    # C_lambda(z) = prod (z + j - i) at step 1, C'_lambda(z) = prod (z + 2j - i - 1) at step 2
+    c_lambda = lambda lam, z: weingarten._box_product(lam, z, 1)
+    c_lambda_prime = lambda lam, z: weingarten._box_product(lam, z, 2)
     assert c_lambda((2,), 3) == 12
     assert c_lambda((1, 1), 3) == 6
     assert c_lambda((1,), 5) == 5
@@ -148,10 +149,10 @@ def test_wg_unitary_two_parameter():
 def test_wg_pole_filter():
     # z = 1 kills C_lambda for all lambda of 2 except (2,): term filtered, sum kept
     val = wg_unitary((1, 1), 2, 1)
-    assert val == F(1, 2) * F(1, c_lambda((2,), 1))
+    assert val == F(1, 2) / weingarten._box_product((2,), 1, 1)
     # the orthogonal filter at z = 1: C'_(1,1)(1) = 0 drops that term
     val = wg_orthogonal((1, 1), 2, 1)
-    assert val == F(8, 24) * F(1, c_lambda_prime((2,), 1))
+    assert val == F(8, 24) / weingarten._box_product((2,), 1, 2)
 
 
 def test_zonal_spherical_values():
@@ -452,6 +453,44 @@ def test_covariance_report_equals_the_per_n_route(kind):
     for conv in ("forced", "paper"):
         for n in range(2, 61):
             assert covariance_report(kind, n, conv) == _per_n_covariance(kind, n, conv), (conv, n)
+
+
+def _schur_eigenvalues(spec, n, conv):
+    """(lambda_tr, lambda_rest): the covariance on I/sqrt(n) and on the traceless part."""
+    tm = trace_moments(spec, n, conv)
+    lam_tr = tm[(1, 1)] / n
+    return lam_tr, (tm[(2,)] - lam_tr) / (spec.dim(n) - 1)
+
+
+# lambda_tr / lambda_rest on the self-adjoint balls, not isotropic yet almost isotropic:
+# numerator and denominator coefficients, ascending in n
+ISOTROPY_RATIOS = {
+    "symmetric": ((2, 1), (2, 2)),  # (n + 2)/(2n + 2)
+    "hermitian": ((1,), (2,)),  # 1/2
+    "quaternion": ((-1, 1), (-1, 2)),  # (n - 1)/(2n - 1)
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ISOTROPY_RATIOS))
+def test_trace_and_traceless_eigenvalues_are_exact_ratios(kind):
+    # by Schur's lemma the covariance has two eigenvalues, read off E[p_(1,1)] and E[p_2]
+    spec, ratio = ensemble(kind), moments.RationalFunction(*ISOTROPY_RATIOS[kind])
+    for conv in ("forced", "paper"):
+        lam_tr, lam_rest = _schur_eigenvalues(spec, moments._N, conv)
+        assert lam_tr / lam_rest == ratio, conv
+        for n in (2, 3):
+            lam_tr, lam_rest = _schur_eigenvalues(spec, n, conv)
+            assert lam_tr / lam_rest == ratio(n), (conv, n)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
+def test_trace_and_traceless_eigenvalues_equal_the_weingarten_route(kind):
+    spec = ensemble(kind)
+    for conv in ("forced", "paper"):
+        for n in range(2, 51):
+            report = covariance_report(kind, n, conv)
+            want = (report.eig_trace_direction, report.eig_bulk)
+            assert _schur_eigenvalues(spec, n, conv) == want, (conv, n)
 
 
 @pytest.mark.parametrize("field, ball", [("c", "full-complex"), ("r", "full-real")])
