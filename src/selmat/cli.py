@@ -354,20 +354,20 @@ def _dispatch(args, em: Emitter) -> int:
     if cmd in ("variance", "sigma"):
         spec = moments.ensemble(args.ensemble)
         n_list = _checked_n_list(args.n_list)
-        reports = [moments.ensemble_moments(spec, n, args.convention) for n in n_list]
         fieldname = "var" if cmd == "variance" else "sigma2"
-        for rep in reports:
-            v = getattr(rep, fieldname)
+        values = [moments.ensemble_moment_field(spec, n, fieldname, args.convention)
+                  for n in n_list]
+        for n, v in zip(n_list, values):
             em.emit(
                 {
-                    "n": rep.n,
+                    "n": n,
                     "ensemble": spec.name,
                     "convention": args.convention,
                     fieldname: format_rational(v),
                     f"{fieldname}_float": float(v),
                 }
             )
-        if len(reports) >= 3:
+        if len(n_list) >= 3:
             _, (lim,) = moments.asymptotic_expansion(
                 fieldname, 0, ensemble_name=spec.name, convention=args.convention
             )

@@ -57,17 +57,17 @@ def log_abs_rational(x: Rational) -> float:
     """log|x| for a Fraction, stable when |x| over- or underflows a double."""
     if x == 0:
         return float("-inf")
-    p, q = abs(x.numerator), x.denominator
     try:
-        v = float(Fraction(p, q))
+        v = abs(float(x))  # x is reduced: no Fraction is built again, whatever its size
     except OverflowError:
         v = float("inf")
     if 0.0 < v < float("inf"):
         return math.log(v)
-    # scale into [1/2, 2) by a power of two and take the log exactly
+    # scale into [1/2, 2) by a power of two; an int quotient is correctly rounded at any size
+    p, q = abs(x.numerator), x.denominator
     shift = p.bit_length() - q.bit_length()
-    scaled = Fraction(p, q) / Fraction(2) ** shift
-    return shift * _LOG2 + math.log(float(scaled))
+    scaled = p / (q << shift) if shift > 0 else (p << -shift) / q
+    return shift * _LOG2 + math.log(scaled)
 
 
 class Value:

@@ -592,15 +592,29 @@ def ensemble_moment_functions(spec: EnsembleSpec, convention: str = "forced") ->
     return _moment_fields(spec, _N, convention)
 
 
-def ensemble_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> MomentReport:
-    """Exact moment report for one ensemble at one n."""
+def _field_values(spec: EnsembleSpec, n: int, convention: str, fields) -> list:
+    """The named MOMENT_FIELDS at one n >= 2; from Q_N_FROM on only those are evaluated."""
     if n < 2:
         raise ValueError("need n >= 2")
+    idx = [MOMENT_FIELDS.index(f) for f in fields]
     if n < Q_N_FROM:
-        fields = _moment_fields(spec, n, convention)
-    else:
-        fields = [None if f is None else f(n) for f in ensemble_moment_functions(spec, convention)]
-    return MomentReport(n, spec, convention, *fields)
+        at_n = _moment_fields(spec, n, convention)
+        return [at_n[i] for i in idx]
+    fns = ensemble_moment_functions(spec, convention)
+    return [None if fns[i] is None else fns[i](n) for i in idx]
+
+
+def ensemble_moments(spec: EnsembleSpec, n: int, convention: str = "forced") -> MomentReport:
+    """Exact moment report for one ensemble at one n."""
+    return MomentReport(n, spec, convention, *_field_values(spec, n, convention, MOMENT_FIELDS))
+
+
+def ensemble_moment_field(spec: EnsembleSpec, n: int, field: str,
+                          convention: str = "forced") -> Rational | None:
+    """One field of ``ensemble_moments(spec, n, convention)``, without the other five."""
+    if field not in MOMENT_FIELDS:
+        raise ValueError(f"unknown moment field {field!r}; choose from {MOMENT_FIELDS}")
+    return _field_values(spec, n, convention, (field,))[0]
 
 
 def trace_moments(spec: EnsembleSpec, n, convention: str = "forced") -> dict:

@@ -287,11 +287,15 @@ def _on_t(spec: QuadratureSpec) -> Callable:
     return _symmetrized(f, n) if sector and not symmetric else f
 
 
+def coarse_spec(spec: QuadratureSpec) -> QuadratureSpec:
+    """spec on the coarser rule that quadrature's error estimate compares it with."""
+    coarse_pts = max(8, spec.points_per_axis - max(4, spec.points_per_axis // 3))
+    return QuadratureSpec(spec.kind, spec.n, spec.payload, spec.params, coarse_pts)
+
+
 def quadrature(spec: QuadratureSpec) -> tuple[float, float]:
     """(value, error_estimate); the estimate compares two resolutions."""
-    coarse_pts = max(8, spec.points_per_axis - max(4, spec.points_per_axis // 3))
-    coarse = QuadratureSpec(spec.kind, spec.n, spec.payload, spec.params, coarse_pts)
-    fine, coarse = quadrature_values([spec, coarse])
+    fine, coarse = quadrature_values([spec, coarse_spec(spec)])
     return fine, abs(fine - coarse)
 
 

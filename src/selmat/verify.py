@@ -2,6 +2,8 @@
 
 Each check returns a CheckResult with per-case detail records; run_all returns
 them in criterion order and serialize_result writes each as one JSON line.
+run_all draws C10's Monte Carlo samples in a forked child while C1-C9 run in
+its own process; the bytes are those of a serial run.
 Everything exact is compared with exact equality; quadrature cases (QUAD_POINTS
 per axis) must agree to QUAD_RTOL relative to the exact value; Monte Carlo cases
 (MC_COUNT draws per ball) use a 4-standard-error band at the given seed.
@@ -10,6 +12,8 @@ per axis) must agree to QUAD_RTOL relative to the exact value; Monte Carlo cases
 from __future__ import annotations
 
 import json
+import os
+import sys
 from fractions import Fraction
 
 from . import DEFAULT_SEED  # noqa: F401  re-exported: the default --seed of verify
@@ -21,11 +25,11 @@ from .moments import (
     asymptotic_expansion,
     beta_remark_combination,
     ensemble,
-    ensemble_moments,
+    ensemble_moment_field,
     full_matrix_moment_ratio,
 )
-from .oracle import QuadratureSpec, ball_moment_estimate, ball_second_moments, node_key
-from .oracle import quadrature, quadrature_values
+from .oracle import QuadratureSpec, SampleEstimate, ball_moment_estimate, ball_second_moments
+from .oracle import coarse_spec, quadrature_values
 from .selberg import aomoto_general_ratio, aomoto_ratio, selberg_I0
 from .weingarten import (
     covariance_functions,
@@ -80,10 +84,11 @@ def _result(criterion, name, details) -> CheckResult:
 def check_selberg_quadrature() -> CheckResult:
     """Exact Selberg/Aomoto/Kadell values against tensor-product quadrature.
 
-    I0 is compared directly, with the quadrature's error estimate; every other
-    case compares its exact ratio to I0 with the ratio of its fine-rule value
-    (one quadrature_values batch) to the I0 quadrature at the same weight.
-    Every case passes iff |quad - exact| <= QUAD_RTOL |exact|.
+    I0 is compared directly, with the error estimate of oracle.quadrature (its
+    distance to the coarse rule); every other case compares its exact ratio to
+    I0 with the ratio of its fine-rule value to the I0 quadrature at the same
+    weight.  Every rule is read in one quadrature_values batch.  Every case
+    passes iff |quad - exact| <= QUAD_RTOL |exact|.
     """
     details = []
     i0_cases, ratio_cases = [], []  # (detail, spec) and (detail, spec, I0 detail)
@@ -127,12 +132,14 @@ def check_selberg_quadrature() -> CheckResult:
                         continue
                     desc = ("sympoly", jack_in_monomials(lam, kap).coeffs)
                     ratio_case(f"kadell {lam}", kadell_ratio(lam, n, u, w, kap), desc, u, w)
-    # one node set after another, so that quadrature builds each once
-    for detail, spec in sorted(i0_cases, key=lambda case: node_key(case[1])):
-        quad, err = quadrature(spec)
-        detail.update(quad=quad, quad_err_est=err)
-    values = quadrature_values([spec for _, spec, _ in ratio_cases])
-    for (detail, _, i0_case), val in zip(ratio_cases, values):
+    # one batch builds each node set once and reads each payload once on it
+    k = len(i0_cases)
+    values = quadrature_values([*(spec for _, spec in i0_cases),
+                                *(coarse_spec(spec) for _, spec in i0_cases),
+                                *(spec for _, spec, _ in ratio_cases)])
+    for (detail, _), quad, coarse in zip(i0_cases, values[:k], values[k:2 * k]):
+        detail.update(quad=quad, quad_err_est=abs(quad - coarse))
+    for (detail, _, i0_case), val in zip(ratio_cases, values[2 * k:]):
         detail["quad"] = val / i0_case["quad"]
     for detail in details:
         detail["pass"] = abs(detail["quad"] - detail["exact"]) <= QUAD_RTOL * abs(detail["exact"])
@@ -281,7 +288,7 @@ def check_variance_constants() -> CheckResult:
         spec = ensemble(name)
         bad = []
         for n in range(20, 201):
-            v = ensemble_moments(spec, n, "paper").var
+            v = ensemble_moment_field(spec, n, "var", "paper")
             if abs(v - c) > Fraction(2, n):
                 bad.append(n)
         details.append({"case": f"{name} |var-c|<=2/n on 20..200", "pass": not bad, "bad_n": bad})
@@ -295,7 +302,7 @@ def check_variance_constants() -> CheckResult:
         c = Fraction(1, 8 * beta)
         bad = []
         for n in range(20, 201):
-            if abs(ensemble_moments(spec, n).var - c) > Fraction(2, n):
+            if abs(ensemble_moment_field(spec, n, "var") - c) > Fraction(2, n):
                 bad.append(n)
         details.append({"case": f"{name} |var-1/(8b)|<=2/n", "pass": not bad, "bad_n": bad})
         _, (lim,) = asymptotic_expansion("var", 0, ensemble_name=name)
@@ -341,7 +348,7 @@ def check_remark() -> CheckResult:
     for name in VARIANCE_CONSTANTS:
         spec = ensemble(name)
         ok = all(
-            ensemble_moments(spec, n, "forced").var == 16 * beta_remark_combination(n, spec.beta)
+            ensemble_moment_field(spec, n, "var") == 16 * beta_remark_combination(n, spec.beta)
             for n in range(2, 51)
         )
         details.append({"case": f"{name} forced var = 16 x remark, n<=50", "pass": ok})
@@ -360,12 +367,12 @@ def check_sigma2() -> CheckResult:
         spec = ensemble(name)
         bad = []
         for n in range(2, 201):
-            s = ensemble_moments(spec, n).sigma2
+            s = ensemble_moment_field(spec, n, "sigma2")
             if not Fraction(1, 10) <= s <= 10:
                 bad.append(n)
             if n in (2, 10, 100):
                 # convention independence, exact
-                if s != ensemble_moments(spec, n, "paper").sigma2:
+                if s != ensemble_moment_field(spec, n, "sigma2", "paper"):
                     bad.append(-n)
         details.append({"case": f"{name} bounds 2..200", "pass": not bad, "bad_n": bad})
         _, (lim,) = asymptotic_expansion("sigma2", 0, ensemble_name=name)
@@ -472,22 +479,32 @@ def check_negcorr() -> CheckResult:
 
 # -- C10 --------------------------------------------------------------------
 
+MC_N = 3  # C10 samples the n x n hermitian and symmetric balls
+MC_BALLS = ("hermitian", "symmetric")
 
-def check_oracle_concordance(seed: int) -> CheckResult:
+
+def oracle_estimates(seed: int) -> dict:
+    """C10's Monte Carlo side: {ball: {moment: SampleEstimate}}, MC_COUNT draws per ball."""
+    return {kind: ball_moment_estimate(kind, MC_N, ball_second_moments(kind), MC_COUNT, seed)
+            for kind in MC_BALLS}
+
+
+def check_oracle_concordance(seed: int, estimates: dict | None = None) -> CheckResult:
     """Exactly sampled n=3 balls against the forced-convention exact engine.
 
     Also adjudicates the scaling convention: the paper-convention second
-    moments sit far outside the Monte Carlo error band.
+    moments sit far outside the Monte Carlo error band.  estimates are
+    oracle_estimates(seed), drawn here unless given.
     """
+    if estimates is None:
+        estimates = oracle_estimates(seed)
     details = []
-    n = 3
-    for kind in ("hermitian", "symmetric"):
+    for kind in MC_BALLS:
         exact = {
-            conv: {name: f(n) for name, f in covariance_functions(kind, conv)[0].items()}
+            conv: {name: f(MC_N) for name, f in covariance_functions(kind, conv)[0].items()}
             for conv in ("forced", "paper")
         }
-        est = ball_moment_estimate(kind, n, ball_second_moments(kind), MC_COUNT, seed)
-        for name, e in est.items():
+        for name, e in estimates[kind].items():
             zf = abs(e.mean - float(exact["forced"][name])) / e.stderr
             zp = abs(e.mean - float(exact["paper"][name])) / e.stderr
             details.append(
@@ -518,6 +535,83 @@ def check_oracle_concordance(seed: int) -> CheckResult:
     return _result("C10", "ball-sampler concordance", details)
 
 
+class _SamplingChild:
+    """oracle_estimates(seed) drawn in a forked child while the parent runs on.
+
+    The fork comes first, while the process is single-threaded, after stdout
+    and stderr are flushed so the child holds nothing of the parent's output.
+    The child sends one JSON document through a pipe, its estimates (JSON
+    floats round-trip exactly) or the module, type, message and traceback of
+    what it raised, and ends through os._exit on every path, so it runs no
+    exit handler and flushes no stream.
+    """
+
+    def __init__(self, seed: int):
+        sys.stdout.flush()
+        sys.stderr.flush()
+        self.fd, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.fd)
+            os.close(w)
+            raise
+        if self.pid == 0:
+            _sampling_child_main(seed, w)
+        os.close(w)
+
+    def estimates(self) -> dict:
+        """Read the child's document, reap the child, and return its estimates or raise
+        what it raised."""
+        chunks = []
+        while chunk := os.read(self.fd, 1 << 16):
+            chunks.append(chunk)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        try:
+            msg = json.loads(b"".join(chunks))
+        except ValueError:
+            raise RuntimeError(f"C10's sampling child sent no result (wait status {status})") from None
+        if "error" in msg:
+            module, qualname, message, child_traceback = msg["error"]
+            cls = getattr(sys.modules.get(module), qualname, None)
+            try:
+                exc = cls(message) if isinstance(cls, type) and issubclass(cls, Exception) else None
+            except Exception:  # a class not built from its message alone
+                exc = None
+            if exc is None:
+                exc = RuntimeError(f"{qualname}: {message}")
+            raise exc from RuntimeError(f"in C10's sampling child:\n{child_traceback}")
+        return {kind: {name: SampleEstimate(**e) for name, e in est.items()}
+                for kind, est in msg["estimates"].items()}
+
+    def close(self) -> None:
+        """Kill and reap the child unless estimates() has, and close the pipe."""
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self.fd)
+
+
+def _sampling_child_main(seed: int, w: int):
+    """The child's whole life: draw, send one document to w, os._exit."""
+    try:
+        try:
+            msg = {"estimates": {kind: {name: e.to_json() for name, e in est.items()}
+                                 for kind, est in oracle_estimates(seed).items()}}
+        except Exception as exc:  # an interrupt ends the child unreported, by os._exit below
+            import traceback
+            msg = {"error": [type(exc).__module__, type(exc).__qualname__, str(exc),
+                             traceback.format_exc()]}
+        data = json.dumps(msg).encode()
+        while data:
+            data = data[os.write(w, data):]
+    finally:
+        os._exit(0)
+
+
 # -- runner -----------------------------------------------------------------
 
 ALL_CRITERIA = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10")
@@ -526,7 +620,11 @@ ALL_CRITERIA = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10")
 def run_all(seed: int, criteria) -> list[CheckResult]:
     """Run the acceptance criteria (C11, determinism, is checked by re-running).
 
-    The serialised results are byte-deterministic for a fixed seed.
+    The serialised results are byte-deterministic for a fixed seed.  C10's
+    draws share nothing with C1-C9 but the seed, so where os.fork exists they
+    run in a child (_SamplingChild) started before the others, and the parent
+    compares them with the exact engine once the others are done.  The child
+    is reaped before this returns or raises.
     """
     runners = {
         "C1": check_selberg_quadrature,
@@ -547,7 +645,15 @@ def run_all(seed: int, criteria) -> list[CheckResult]:
         raise ValueError(f"criteria {list(criteria)} name a criterion more than once")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return [runners[crit]() for crit in criteria]
+    child = _SamplingChild(seed) if "C10" in criteria and hasattr(os, "fork") else None
+    try:
+        results = {c: runners[c]() for c in criteria if not (child and c == "C10")}
+        if child:
+            results["C10"] = check_oracle_concordance(seed, child.estimates())
+    finally:
+        if child:
+            child.close()
+    return [results[c] for c in criteria]
 
 
 def serialize_result(res: CheckResult) -> str:

@@ -133,6 +133,22 @@ def test_log_abs_rational_huge():
     assert log_abs_rational(big) == pytest.approx(400 * math.log(10) - math.log(3), rel=1e-12)
 
 
+def test_log_abs_rational_builds_no_fraction(monkeypatch):
+    # x is already reduced; building Fraction(p, q) again re-ran gcd, seconds on a
+    # million-bit value
+    import selmat.exact as exact
+
+    def refused(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(exact, "Fraction", refused)
+    assert log_abs_rational(F(10**400, 3)) == pytest.approx(400 * math.log(10) - math.log(3),
+                                                            rel=1e-15)
+    assert log_abs_rational(F(-3, 7)) == math.log(3 / 7)
+    assert log_abs_rational(F(3, 10**400)) == pytest.approx(math.log(3) - 400 * math.log(10),
+                                                            rel=1e-15)
+
+
 def test_gamma_product_json():
     # Gamma(5/2) = (3/2)(1/2) Gamma(1/2), folded into the prefactor
     gp = GammaProduct(F(-2, 3), [(F(5, 2), 1)])

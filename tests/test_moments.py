@@ -20,6 +20,7 @@ from selmat.moments import (
     beta_remark_combination,
     beta_remark_function,
     ensemble,
+    ensemble_moment_field,
     ensemble_moment_functions,
     ensemble_moments,
     full_matrix_moment_ratio,
@@ -91,6 +92,20 @@ def test_moment_report_invariant_and_json():
     fullr = ensemble_moments(ensemble("full-real"), 5)
     assert fullr.M11 is None
     assert fullr.to_json()["M11"] is None
+
+
+def test_one_moment_field_is_the_reports_field():
+    for name in ENSEMBLES:
+        spec = ensemble(name)
+        for n in (2, 3, moments.Q_N_FROM, 17):
+            for conv in ("forced", "paper"):
+                rep = ensemble_moments(spec, n, conv)
+                for field in moments.MOMENT_FIELDS:
+                    assert ensemble_moment_field(spec, n, field, conv) == getattr(rep, field)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        ensemble_moment_field(ensemble("hermitian"), 1, "var")
+    with pytest.raises(ValueError, match="unknown moment field"):
+        ensemble_moment_field(ensemble("hermitian"), 5, "M6")
 
 
 def test_variance_nonnegative_and_sigma_bounds():

@@ -1,15 +1,17 @@
-"""verify's quadrature bound and its one-process run.
+"""verify's quadrature bound and its forked Monte Carlo child.
 
 C1 judges every case by one relative bound, |quad - exact| <= QUAD_RTOL |exact|,
 at QUAD_POINTS per axis; the grid test holds the same bound on half-integer
-parameters that C1 never reaches.  run_all runs every criterion in this process,
-one after another.
+parameters that C1 never reaches.  run_all draws C10's samples in a forked child
+while C1-C9 run in this process, one after another; the child's estimates, its
+errors and its end must be those of a serial run.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -120,13 +122,20 @@ def test_cli_start_up_without_site_loads_no_typing():
 
 def test_piped_verify_prints_one_config_record():
     # stdout is a pipe, and without PYTHONUNBUFFERED it is block-buffered: the config
-    # line must be written once, and the criteria after it in criteria order
+    # line must be written once, and the criteria after it in criteria order.  C10's
+    # child inherits stdout's buffer; here its draws flush it, so an unflushed config
+    # line from before the fork would be printed twice
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
     script = """
 import sys
 from selmat import verify
 from selmat.cli import main
 verify.MC_COUNT = 10_000
+draw = verify.ball_moment_estimate
+def flushing_draw(*args):
+    sys.stdout.flush()
+    return draw(*args)
+verify.ball_moment_estimate = flushing_draw
 sys.exit(main(["verify", "--criteria", "C2,C10"]))
 """
     res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -135,6 +144,66 @@ sys.exit(main(["verify", "--criteria", "C2,C10"]))
     records = [json.loads(line) for line in res.stdout.splitlines()]
     assert ["config" in r for r in records] == [True, False, False, False]
     assert [r.get("criterion") for r in records[1:3]] == ["C2", "C10"]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork starts in this test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+@pytest.mark.parametrize("seed", [1, 302])
+def test_forked_run_all_matches_the_serial_checks(monkeypatch, forks, seed):
+    monkeypatch.setattr(V, "MC_COUNT", 20_000)
+    forked = [V.serialize_result(r) for r in V.run_all(seed, ("C2", "C10"))]
+    assert len(forks) == 1
+    serial = [V.serialize_result(V.check_jack_tables()),
+              V.serialize_result(V.check_oracle_concordance(seed))]
+    assert forked == serial
+
+
+def test_without_fork_c10_runs_inline(monkeypatch):
+    monkeypatch.setattr(V, "MC_COUNT", 20_000)
+    monkeypatch.delattr(os, "fork")
+    inline = [V.serialize_result(r) for r in V.run_all(1, ("C10", "C2"))]
+    assert inline == [V.serialize_result(V.check_oracle_concordance(1)),
+                      V.serialize_result(V.check_jack_tables())]
+
+
+def test_an_error_in_the_childs_draws_reaches_the_caller(monkeypatch, forks):
+    def broken(*args):
+        raise ValueError("no draws today")
+
+    monkeypatch.setattr(V, "ball_moment_estimate", broken)
+    with pytest.raises(ValueError) as info:
+        V.run_all(1, ("C2", "C10"))
+    assert str(info.value) == "no draws today" and type(info.value) is ValueError
+    assert "in broken" in str(info.value.__cause__)  # the child's traceback
+    assert len(forks) == 1
+
+
+def test_a_parent_error_kills_and_reaps_the_sampling_child(monkeypatch, forks):
+    def broken():
+        raise RuntimeError("C2 broke")
+
+    monkeypatch.setattr(V, "oracle_estimates", lambda seed: time.sleep(60))
+    monkeypatch.setattr(V, "check_jack_tables", broken)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="C2 broke"):
+        V.run_all(1, ("C2", "C10"))
+    assert time.perf_counter() - start < 10
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # reaped, so no longer this process's child
+        os.waitpid(forks[0], os.WNOHANG)
 
 
 def _vanishing_up_to(n_max):
