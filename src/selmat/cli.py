@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -137,8 +138,18 @@ def _add_selector_flags(p, command: str) -> None:
                        help=f"{selector} {'|'.join(values)} only{note}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-p/q" as a negative number, like "-1", so after a flag it is the flag's value
+    (argparse on Python 3.10 and 3.11 takes "-1/3" for a flag)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        matcher = self._negative_number_matcher
+        self._negative_number_matcher = re.compile(rf"{matcher.pattern}|^-\d+/\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="selmat", description=__doc__)
+    ap = _Parser(prog="selmat", description=__doc__)
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -41,7 +41,7 @@ from .combinat import partition, partitions_of
 from .exact import Rational, Value, format_rational
 from .jack import _merge_count, kadell_factors, kadell_numerator, monomial_to_jack
 from .jack import kadell_ratio  # noqa: F401  re-exported; perfbench traces its bindings
-from .selberg import FULL_PAYLOADS, PAYLOAD_POWERS, SHIFTED_PAYLOADS
+from .selberg import FULL_PAYLOADS, PAYLOAD_POWERS, SHIFTED_PAYLOADS, loggas_weight
 
 CONVENTIONS = ("forced", "paper")
 
@@ -90,13 +90,8 @@ class EnsembleSpec(Value):
 
     @property
     def weight(self) -> tuple:
-        """(u, w, kappa) of the Selberg weight on [0,1]^n that the moments reduce to.
-
-        x = 2t - 1 maps the eigenvalue density to (1, 1, kappa); t = x^2 maps
-        the singular-value density to (kappa, 1, kappa).
-        """
-        u = 1 if self.family == SELF_ADJOINT else self.kappa
-        return u, 1, self.kappa
+        """(u, w, kappa) of the Selberg weight on [0,1]^n that the moments reduce to."""
+        return loggas_weight(self.a, self.b, self.c)
 
     def dim(self, n):
         """Real dimension d_n of the ball, at an int n or as a function of n at _N."""

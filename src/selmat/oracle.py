@@ -42,7 +42,7 @@ from functools import lru_cache
 
 from .combinat import partition
 from .exact import Value
-from .selberg import PAYLOAD_POWERS, SelbergParams, check_aomoto_indices
+from .selberg import PAYLOAD_POWERS, SelbergParams, check_aomoto_indices, loggas_weight
 
 
 class UnsupportedDimensionError(ValueError):
@@ -249,7 +249,7 @@ class QuadratureSpec(Value):
             weight = SelbergParams(self.n, *self.params)
         elif self.kind == "loggas":
             a, b, c = (int(x) for x in self.params)
-            weight = SelbergParams(self.n, *_loggas_selberg_params(a, b, c))
+            weight = SelbergParams(self.n, *loggas_weight(a, b, c))
         else:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         put(self, "weight", weight)
@@ -331,21 +331,6 @@ def quadrature_values(specs) -> list[float]:
                     acc *= factor
                 out[i] = float(np.sum(acc) * specs[i].scale)
     return out
-
-
-def _loggas_selberg_params(a: int, b: int, c: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(u, w, kappa) of the Selberg weight that the (a, b, c) box log-gas maps to.
-
-    |Delta(x)|^b on [-1,1]^n is (1, 1, b/2) under x = 2t - 1, and
-    |Delta(x^2)|^b prod |x_i|^c is ((c + 1)/2, 1, b/2) under t = x^2.
-    """
-    if a == 1 and c == 0:
-        u = Fraction(1)
-    elif a == 2 and c >= 0:
-        u = Fraction(c + 1, 2)
-    else:
-        raise ValueError(f"log-gas covers (a, c) = (1, 0) or (2, c >= 0), not ({a}, {c})")
-    return u, Fraction(1), Fraction(b, 2)
 
 
 @lru_cache(maxsize=2)  # the fine and the coarse point count
@@ -659,7 +644,7 @@ def loggas_moment_estimate(
     for a = 2, x^2 = t, so (p2, p4) = (Tr J, Tr J^2).  Draws come in the
     chunks of _chunks, so memory is bounded at any n and count.
     """
-    u, w, kappa = (float(x) for x in _loggas_selberg_params(a, b, c))
+    u, w, kappa = (float(x) for x in loggas_weight(a, b, c))
     if b <= 0:
         raise ValueError(f"log-gas sampler needs b > 0, got {b}")
     unknown = set(payloads.values()) - set(LOGGAS_PAYLOADS)

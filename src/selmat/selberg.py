@@ -52,6 +52,21 @@ class SelbergParams(Value):
             raise ParamOutOfRangeError(f"kappa={k} violates kappa > -min[{listed}]")
 
 
+def loggas_weight(a: int, b: int, c: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(u, w, kappa) of the Selberg weight on [0,1]^n that the (a, b, c) box log-gas maps to.
+
+    |Delta(x)|^b on [-1,1]^n is (1, 1, b/2) under x = 2t - 1, and
+    |Delta(x^2)|^b prod |x_i|^c is ((c + 1)/2, 1, b/2) under t = x^2.
+    """
+    if a == 1 and c == 0:
+        u = Fraction(1)
+    elif a == 2 and c >= 0:
+        u = Fraction(c + 1, 2)
+    else:
+        raise ValueError(f"log-gas covers (a, c) = (1, 0) or (2, c >= 0), not ({a}, {c})")
+    return u, Fraction(1), Fraction(b, 2)
+
+
 def selberg_I0(p: SelbergParams) -> GammaProduct:
     """The exact Gamma-product value of the n-dimensional Selberg integral.
 

@@ -7,6 +7,8 @@ with the same seed and comparing the serialised bytes.
 """
 
 import ast
+import hashlib
+import json
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +23,7 @@ SEED = V.DEFAULT_SEED
 # The cases each criterion checks; perfbench's verify n_values_per_s counts them.
 CASE_COUNTS = {
     "C1": 837, "C2": 84, "C3": 11, "C4": 15, "C5": 7,
-    "C6": 12, "C7": 5, "C8": 8, "C9": 4, "C10": 8,
+    "C6": 12, "C7": 5, "C8": 6, "C9": 4, "C10": 8,
 }
 
 
@@ -82,6 +84,32 @@ def test_c11_determinism(suite):
           if first_bytes == second_bytes else "C11 FAIL")
     assert first_bytes == second_bytes
     assert len(first_bytes) > 1000
+
+
+# sha256 prefix of every criterion's exact content at SEED: case names, verdicts and
+# exact values, with every float and every list of floats dropped.  A renamed case or a
+# changed verdict changes it, so the change shows in the diff of this line.
+EXACT_DIGEST = "86eb7258e11cfb52"
+
+
+def _exact_part(x):
+    """x without its floats and its lists of floats, as perfbench/check.py's exact_part."""
+    def floaty(v):
+        return isinstance(v, float) or (
+            isinstance(v, list) and bool(v) and all(isinstance(e, float) for e in v))
+
+    if isinstance(x, dict):
+        return {k: _exact_part(v) for k, v in x.items() if not floaty(v)}
+    if isinstance(x, list):
+        return [_exact_part(v) for v in x if not floaty(v)]
+    return x
+
+
+def test_c11_exact_content_is_recorded(suite):
+    results, _, _ = suite
+    body = [_exact_part(json.loads(V.serialize_result(r))) for r in results.values()]
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == EXACT_DIGEST
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,21 @@ def test_weingarten_names_flags_of_the_other_group(capsys, argv, unused):
     assert recs[-1]["error"]["message"] == f"weingarten group {argv[0]} does not use {unused}"
 
 
+@pytest.mark.parametrize(
+    "argv,joined,exact",
+    [
+        (("selberg", "--n", "2", "--u", "1", "--w", "1", "--kappa", "-1/3"), "--kappa=-1/3", "9/2"),
+        (("weingarten", "unitary", "--k", "2", "--cycle-type", "1,1", "--z", "-7/2"), "--z=-7/2",
+         "4/45"),
+    ],
+)
+def test_a_negative_rational_after_its_flag_is_the_flags_value(capsys, argv, joined, exact):
+    # argparse on Python 3.10 and 3.11 reads "-1" and "-0.25" as numbers but "-1/3" as a flag
+    code, recs = run_cli(capsys, *argv)
+    assert code == 0 and recs[1]["exact"] == exact
+    assert (code, recs) == run_cli(capsys, *argv[:-2], joined)
+
+
 def test_variance_with_limit(capsys):
     code, recs = run_cli(
         capsys, "variance", "--ensemble", "hermitian", "--convention", "paper",
@@ -775,7 +790,7 @@ def _leaf_commands(parser, path=()):
     return [(path, parser)]
 
 
-EDGE_VALUES = ("-1", "0", "1", "2", "x", "1/0", "1/2", "")
+EDGE_VALUES = ("-1", "-1/2", "0", "1", "2", "x", "1/0", "1/2", "")
 # values that reach the working paths, within bounds that keep every run short:
 # n <= 4, count <= 200, points <= 16, k <= 4, partitions of degree <= 8, n-lists in 2:30
 IN_RANGE = {

@@ -29,7 +29,7 @@ from selmat.oracle import (
     quadrature,
     rejection_sample_ball,
 )
-from selmat.selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, selberg_I0
+from selmat.selberg import SelbergParams, aomoto_general_ratio, aomoto_ratio, loggas_weight, selberg_I0
 from selmat.verify import QUAD_POINTS, QUAD_RTOL
 from selmat.weingarten import (
     conj_invariant_moment_orthogonal,
@@ -620,7 +620,7 @@ def test_loggas_stream_matches_whole_sample(monkeypatch):
 
 def _dense_power_sums(a, b, c, n, count, seed):
     """(p2, p4) of each draw by the eigensolver route: dense B B^t, eigvalsh, power sums."""
-    u, w, kappa = (float(x) for x in oracle._loggas_selberg_params(a, b, c))
+    u, w, kappa = (float(x) for x in loggas_weight(a, b, c))
     rng = np.random.default_rng(seed)  # the Beta draws of _beta_jacobi, in its order
     p, q = u / kappa - 1, w / kappa - 1
     i = np.arange(n, 0, -1)

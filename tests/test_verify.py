@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 import selmat
-from selmat import moments
+from selmat import moments, weingarten
 from selmat import verify as V
 from selmat.exact import to_float
 from selmat.jack import jack_in_monomials, kadell_ratio
@@ -214,6 +214,61 @@ def _vanishing_up_to(n_max):
     return out
 
 
+@pytest.mark.parametrize("f,n0,want", [
+    ((2 * moments._N - 41) ** 2, 20, False),  # positive at every integer, zero at n = 41/2
+    (1 / (moments._N - 30), 20, False),  # a pole the numerator alone does not show
+    (moments._N - 20, 20, False),
+    (moments._N - 20, 21, True),
+    (moments._N - moments._N, 2, False),  # the zero function
+    ((moments._N**2 + 1) / (moments._N + 3), 0, True),
+    (-1 / (moments._N + 3), 0, False),
+])
+def test_positive_from_certifies_only_what_one_shift_shows(f, n0, want):
+    assert V._positive_from(f, n0) is want
+
+
+@pytest.mark.parametrize("field,check,case", [
+    ("var", V.check_variance_constants, "|var-c|<2/n, all n >= 20"),
+    ("sigma2", V.check_sigma2, "bounds in both conventions, all n >= 2"),
+])
+def test_c4_and_c6_fail_a_bound_broken_only_beyond_n_200(monkeypatch, field, check, case):
+    # C4 once checked its bound at n = 20..200 and C6 at n = 2..200, where this
+    # function equals the true one; with no constant term, the polynomial leaves
+    # the exact limit as it is too
+    build = moments.ensemble_moment_functions
+    i = moments.MOMENT_FIELDS.index(field)
+    extra = moments._N * _vanishing_up_to(200)
+
+    def broken(spec, convention="forced"):
+        fns = list(build(spec, convention))
+        fns[i] = fns[i] + extra
+        return tuple(fns)
+
+    monkeypatch.setattr(moments, "ensemble_moment_functions", broken)
+    res = check()
+    assert not res.passed
+    assert [d["case"] for d in res.details if not d["pass"]] == [
+        f"{name} {case}" for name in V.VARIANCE_CONSTANTS
+    ]
+
+
+def test_c6_reads_sigma2_per_n_below_the_functions(monkeypatch):
+    # at n = 2 and 3 the functions of n do not hold by construction, so C6 reads
+    # the per-n value there; a per-n sigma^2 outside [1/10, 10] at n = 2 fails
+    fields = moments._moment_fields
+
+    def broken(spec, n, convention):
+        out = fields(spec, n, convention)
+        at_2 = type(n) is int and n == 2 and convention == "forced"
+        return (*out[:-1], F(11)) if at_2 else out
+
+    monkeypatch.setattr(moments, "_moment_fields", broken)
+    res = V.check_sigma2()
+    assert [d["case"] for d in res.details if not d["pass"]] == [
+        f"{name} bounds in both conventions, all n >= 2" for name in V.VARIANCE_CONSTANTS
+    ]
+
+
 @pytest.mark.parametrize("kind, key", [("hermitian", "absT12sq"), ("symmetric", "T12sq")])
 def test_c8_fails_an_identity_broken_only_beyond_n_100(monkeypatch, kind, key):
     # C8 once checked its identity at n <= 50 only; it now compares functions of n
@@ -228,7 +283,30 @@ def test_c8_fails_an_identity_broken_only_beyond_n_100(monkeypatch, kind, key):
     monkeypatch.setattr(V, "covariance_functions", broken)
     res = V.check_covariance()
     assert not res.passed
-    assert [d["case"] for d in res.details if not d["pass"]] == [f"{kind} structural identity n<=50"]
+    assert [d["case"] for d in res.details if not d["pass"]] == [
+        f"{kind} structural identity, all n >= 2"
+    ]
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "symmetric"])
+def test_c8_fails_a_condition_number_broken_only_beyond_n_100(monkeypatch, kind):
+    # the same shift on E[T_11^2] and E[T_11 T_22] keeps the structural identity and
+    # the bulk eigenvalue, but beyond n = 100 the trace eigenvalue outgrows the bulk
+    real = V.covariance_functions
+
+    def broken(ball, convention):
+        m, off = real(ball, convention)
+        if ball == kind:
+            extra = _vanishing_up_to(100)
+            m = {**m, "T11sq": m["T11sq"] + extra, "T11T22": m["T11T22"] + extra}
+        return m, off
+
+    monkeypatch.setattr(V, "covariance_functions", broken)
+    monkeypatch.setattr(weingarten, "covariance_functions", broken)
+    res = V.check_covariance()
+    assert [d["case"] for d in res.details if not d["pass"]] == [
+        f"{kind} condition number < 3, all n >= 2"
+    ]
 
 
 def test_c9_fails_a_cross_function_off_only_beyond_n_50(monkeypatch):
@@ -243,4 +321,28 @@ def test_c9_fails_a_cross_function_off_only_beyond_n_50(monkeypatch):
     monkeypatch.setattr(V, "full_ball_functions", broken)
     res = V.check_negcorr()
     assert not res.passed
-    assert [d["case"] for d in res.details if not d["pass"]] == ["field c exact values"]
+    # no sign certificate holds for cross + the polynomial either
+    assert [d["case"] for d in res.details if not d["pass"]] == [
+        "field c exact values, all n >= 2", "field c inequality pattern, all n >= 2"
+    ]
+
+
+def test_c9_fails_a_sign_pattern_broken_only_beyond_n_50(monkeypatch):
+    # cross falls below (E|T_11|^2)^2 beyond n = 50 only; the closed form it is
+    # compared with is broken alike, so only the sign pattern can fail
+    real = V.full_ball_functions
+
+    def broken(ball):
+        second, cross, same_row = real(ball)
+        if ball == "full-complex":
+            cross = cross - _vanishing_up_to(50)
+        return second, cross, same_row
+
+    second, cross, same_row = V.NEGCORR_VALUES["c"]
+    monkeypatch.setitem(V.NEGCORR_VALUES, "c", (second, cross - _vanishing_up_to(50), same_row))
+    monkeypatch.setattr(V, "full_ball_functions", broken)
+    monkeypatch.setattr(weingarten, "full_ball_functions", broken)
+    res = V.check_negcorr()
+    assert [d["case"] for d in res.details if not d["pass"]] == [
+        "field c inequality pattern, all n >= 2"
+    ]
